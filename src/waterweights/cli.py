@@ -384,6 +384,15 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     )
     out.write_text(records_to_csv(records))
     compromised = sum(1 for r in records if r.circuits_compromised > 0)
+    periods = network_summaries(sequence, adversary_spec, Algorithm(algo), duration)
+    scheduled = clients * sum(len(schedule.stream_times(*p["covers"])) for p in periods)
+    unbuilt = scheduled - sum(r.circuits_built for r in records)
+    if unbuilt and not ctx.obj["quiet"]:
+        click.echo(
+            f"warning: {unbuilt} of {scheduled} scheduled circuits were not built "
+            f"(no exit accepts port {port}, or the relay constraints could not be met)",
+            err=True,
+        )
     summary = _stamp(
         {
             "algo": algo,
@@ -391,11 +400,11 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
             "snapshots": len(sequence),
             "adversary_relays": len(adversary_spec.relays),
             "records": str(out),
+            "circuits_scheduled": scheduled,
+            "circuits_unbuilt": unbuilt,
             "clients_compromised": compromised,
             "compromised_fraction": compromised / clients,
-            "periods": network_summaries(
-                sequence, adversary_spec, Algorithm(algo), duration
-            ),
+            "periods": periods,
         },
         seed=seed,
     )

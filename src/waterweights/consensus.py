@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .errors import (
     DegenerateNetworkError,
     DuplicateRelayError,
@@ -208,6 +210,79 @@ def relays_conflict(a: RelayEntry, b: RelayEntry) -> bool:
     if b.fingerprint in a.family or a.fingerprint in b.family:
         return True
     return a.subnet16 is not None and a.subnet16 == b.subnet16
+
+
+class ConflictIndex:
+    """relays_conflict in array form, over one relay list.
+
+    Relays are addressed by their position in the list.  Each relay gets an
+    integer /16 code; an unknown subnet gets a code of its own, so it only
+    ever matches the relay itself.  Every code matches itself, so comparing
+    codes also covers the same-relay rule.  Family pairs are kept as sorted
+    ``i*n + j`` keys in both directions; family members absent from the
+    list are dropped.
+    """
+
+    __slots__ = ("position", "subnet", "family_keys")
+
+    def __init__(self, relays):
+        self.position = {r.fingerprint: i for i, r in enumerate(relays)}
+        n = len(relays)
+        codes: dict[str, int] = {}
+        self.subnet = np.array(
+            [
+                -(i + 1) if r.subnet16 is None else codes.setdefault(r.subnet16, len(codes))
+                for i, r in enumerate(relays)
+            ],
+            dtype=np.int64,
+        )
+        pairs = np.array(
+            [
+                (i, j)
+                for i, r in enumerate(relays)
+                for fp in r.family
+                if (j := self.position.get(fp)) is not None
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        self.family_keys = np.unique(
+            np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
+        )
+
+    def positions(self, fingerprints) -> np.ndarray:
+        return np.array([self.position[fp] for fp in fingerprints], dtype=np.int64)
+
+    def conflict(self, a, b) -> np.ndarray:
+        """Element-wise conflict of relay positions ``a`` and ``b`` (broadcasts)."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        out = self.subnet[a] == self.subnet[b]
+        keys = self.family_keys
+        if keys.size:
+            wanted = a * len(self.subnet) + b
+            found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+            out |= keys[found] == wanted
+        return out
+
+    def matrix(self, rows, cols) -> np.ndarray:
+        """Conflict mask of shape (len(rows), len(cols)); positions must be distinct."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        out = self.subnet[rows][:, None] == self.subnet[cols][None, :]
+        i, j = np.divmod(self.family_keys, len(self.subnet))
+        r, c = self._slots(rows)[i], self._slots(cols)[j]
+        hit = (r >= 0) & (c >= 0)
+        out[r[hit], c[hit]] = True
+        return out
+
+    def _slots(self, idx: np.ndarray) -> np.ndarray:
+        """Where each relay sits in ``idx``, or -1."""
+        slots = np.full(len(self.subnet), -1, dtype=np.int64)
+        order = np.arange(len(idx))
+        slots[idx] = order
+        if (slots[idx] != order).any():
+            raise InvariantError("conflict matrix axes repeat a relay")
+        return slots
 
 
 class LoadCase(enum.Enum):

@@ -20,7 +20,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .consensus import ConsensusSnapshot, relays_conflict
+from .consensus import ConflictIndex, ConsensusSnapshot
 from .errors import InvariantError, UndefinedMetricError
 from .waterfill import ProbabilityVector
 
@@ -79,12 +79,11 @@ def estimate_joint_analytic(
     Pairs that could never share a circuit (same relay, same family, same
     /16) get probability zero and the rest is renormalized.
     """
-    relays = {r.fingerprint: r for r in snapshot.relays}
+    index = ConflictIndex(snapshot.relays)
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    for i, gfp in enumerate(entry.fingerprints):
-        for j, efp in enumerate(exit_.fingerprints):
-            if relays_conflict(relays[gfp], relays[efp]):
-                matrix[i, j] = 0.0
+    rows = index.positions(entry.fingerprints)
+    cols = index.positions(exit_.fingerprints)
+    matrix[index.matrix(rows, cols)] = 0.0
     total = matrix.sum()
     if total <= 0:
         raise UndefinedMetricError("every guard-exit pair conflicts; no circuit exists")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .consensus import (
     ACCEPT_ALL,
+    ConflictIndex,
     ConsensusSnapshot,
     LoadCase,
     PolicyRule,
@@ -117,7 +118,7 @@ class AdversarySpec:
                     consensus_weight=adv.consensus_weight,
                     flags=flags,
                     exit_policy=policy,
-                    subnet16=f"250.{i % 256}",
+                    subnet16=f"250.{i}",  # one /16 each; 250.256 and up match no real address
                 )
             )
         return entries
@@ -155,7 +156,6 @@ class StreamSpec:
 
     time: int
     destination_port: int
-    kind: str = "web"
 
     def __post_init__(self):
         if not 1 <= self.destination_port <= 65_535:
@@ -206,7 +206,6 @@ class ClientState:
 
     client_id: int = 0
     num_entry_guards: int = 3
-    rng_seed: int = 0
     guard_list: list[GuardSlot] = field(default_factory=list)
 
 
@@ -303,28 +302,10 @@ class NetworkState:
 
         relays = snapshot.relays
         self.relays = relays
-        self.fp_index = {r.fingerprint: i for i, r in enumerate(relays)}
+        self.index = ConflictIndex(relays)
         self.adv_mask = np.array(
             [r.fingerprint in adversary_fps for r in relays], dtype=bool
         )
-        subnet_codes: dict[str, int] = {}
-        codes = np.empty(len(relays), dtype=np.int64)
-        for i, relay in enumerate(relays):
-            if relay.subnet16 is None:
-                codes[i] = -(i + 1)  # unknown subnets never collide
-            else:
-                codes[i] = subnet_codes.setdefault(relay.subnet16, len(subnet_codes))
-        self.subnet_code = codes
-        self._family: dict[int, frozenset[int]] | None = None
-        if any(r.family for r in relays):
-            fam = {}
-            for i, relay in enumerate(relays):
-                members = frozenset(
-                    self.fp_index[fp] for fp in relay.family if fp in self.fp_index
-                )
-                if members:
-                    fam[i] = members
-            self._family = fam
 
         self.entry = self._pool(Position.ENTRY)
         self.middle = self._pool(Position.MIDDLE)
@@ -334,7 +315,7 @@ class NetworkState:
         dist = selection_distribution(
             self.snapshot, self.weights, position, waterfills=self.waterfills, stream=stream
         )
-        indices = np.array([self.fp_index[fp] for fp in dist.fingerprints], dtype=np.int64)
+        indices = self.index.positions(dist.fingerprints)
         cumulative = np.cumsum(dist.probabilities)
         cumulative /= cumulative[-1]  # exact 1.0 endpoint, monotonicity preserved
         return _Pool(indices, cumulative)
@@ -348,20 +329,8 @@ class NetworkState:
         return self._exit_pools[port]
 
     def has_guard(self, fingerprint: str) -> bool:
-        idx = self.fp_index.get(fingerprint)
+        idx = self.index.position.get(fingerprint)
         return idx is not None and "Guard" in self.relays[idx].flags
-
-    def conflict(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = (a == b) | (self.subnet_code[a] == self.subnet_code[b])
-        if self._family:
-            pending = np.nonzero(~out)[0]
-            for k in pending:
-                i, j = int(a[k]), int(b[k])
-                fam_i = self._family.get(i)
-                fam_j = self._family.get(j)
-                if (fam_i and j in fam_i) or (fam_j and i in fam_j):
-                    out[k] = True
-        return out
 
 
 def _states_from_sequence(
@@ -489,11 +458,9 @@ def _build_batch(
 
     exit_idx = pool.draw(rng, m)
 
-    members = np.array(
-        [state.fp_index[s.fingerprint] for s in guard_slots], dtype=np.int64
-    )
+    members = state.index.positions(s.fingerprint for s in guard_slots)
     # conflict matrix between each list member and each chosen exit
-    conflicts = np.stack([state.conflict(np.full(m, gi), exit_idx) for gi in members])
+    conflicts = state.index.conflict(members[:, None], exit_idx[None, :])
     columns = np.arange(m)
     slot = rng.integers(0, len(members), size=m)
     bad = conflicts[slot, columns]
@@ -507,13 +474,14 @@ def _build_batch(
     guard_idx = members[slot]
 
     middle_idx = state.middle.draw(rng, m)
-    bad = state.conflict(middle_idx, guard_idx) | state.conflict(middle_idx, exit_idx)
+    conflict = state.index.conflict
+    bad = conflict(middle_idx, guard_idx) | conflict(middle_idx, exit_idx)
     for _ in range(MAX_HOP_ATTEMPTS - 1):
         if not bad.any():
             break
         retry = np.nonzero(bad)[0]
         middle_idx[retry] = state.middle.draw(rng, len(retry))
-        bad[retry] = state.conflict(middle_idx[retry], guard_idx[retry]) | state.conflict(
+        bad[retry] = conflict(middle_idx[retry], guard_idx[retry]) | conflict(
             middle_idx[retry], exit_idx[retry]
         )
     ok = ~(guard_failed | bad)
@@ -609,7 +577,7 @@ def _simulate_client(
     collect: bool,
 ) -> tuple[CompromiseRecord, list[tuple[int, Circuit]], int, int]:
     rng = np.random.default_rng([seed, client_id])
-    client = ClientState(client_id=client_id, num_entry_guards=num_entry_guards, rng_seed=seed)
+    client = ClientState(client_id=client_id, num_entry_guards=num_entry_guards)
     built = 0
     compromised = 0
     first_time: int | None = None

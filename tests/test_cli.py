@@ -9,12 +9,12 @@ from waterweights.cli import (
     main,
     report_adversary_cost,
 )
-from waterweights.consensus import serialize_native
+from waterweights.consensus import ConsensusSnapshot, serialize_native
 from waterweights.errors import ConfigMismatchError, NotApplicableError
 from waterweights.metrics import JointDistribution, joint_to_csv
 from waterweights.pathsim import CompromiseRecord
 
-from conftest import make_snapshot
+from conftest import make_relay, make_snapshot
 
 import numpy as np
 
@@ -272,6 +272,49 @@ class TestSimulateAndCompare:
         ])
         assert result.exit_code == 0
         assert json.loads(result.stdout)["seed"] == 5
+
+    def test_circuit_counts_in_summary(self, runner, tmp_path):
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out)
+        assert result.exit_code == 0
+        summary = json.loads(result.stdout)
+        assert summary["circuits_scheduled"] == 30 * 20  # 12000 s at one circuit per 600 s
+        assert summary["circuits_unbuilt"] == 0
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_port_no_exit_accepts_is_reported(self, runner, tmp_path, quiet):
+        from waterweights.consensus import parse_policy
+
+        web_only = parse_policy("accept:80;reject:*")
+        snap = ConsensusSnapshot.from_relays(0, [
+            make_relay("G1", 500, "g", subnet="10.1"),
+            make_relay("G2", 300, "g", subnet="10.2"),
+            make_relay("M1", 400, "m", subnet="10.3"),
+            make_relay("E1", 200, "e", policy=web_only, subnet="10.4"),
+            make_relay("D1", 50, "d", policy=web_only, subnet="10.5"),
+        ])
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        (snaps / "one.snapshot").write_text(serialize_native(snap))
+        adv = tmp_path / "adv.json"
+        adv.write_text(json.dumps({"relays": [{"role": "guard", "consensus_weight": 400}]}))
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            *(["--quiet"] if quiet else []),
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "4", "--seed", "3", "--out", str(out),
+            "--duration", "3000", "--port", "443",
+        ])
+        assert result.exit_code == 0
+        summary = json.loads(result.stdout)
+        assert summary["circuits_scheduled"] == 4 * 5
+        assert summary["circuits_unbuilt"] == 4 * 5
+        if quiet:
+            assert result.stderr == ""
+        else:
+            assert "20 of 20 scheduled circuits were not built" in result.stderr
+            assert "port 443" in result.stderr
 
     def test_compare_identical_records(self, runner, tmp_path):
         out = tmp_path / "a.csv"

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterweights.consensus import (
+    ConflictIndex,
     ConsensusSnapshot,
     LoadCase,
     PoolTotals,
@@ -9,6 +13,7 @@ from waterweights.consensus import (
     parse_policy,
     parse_v3_subset,
     policy_accepts,
+    relays_conflict,
     serialize_native,
     snapshot_from_json,
     snapshot_to_json,
@@ -16,6 +21,7 @@ from waterweights.consensus import (
 from waterweights.errors import (
     DegenerateNetworkError,
     DuplicateRelayError,
+    InvariantError,
     ParseError,
 )
 
@@ -261,3 +267,73 @@ class TestExitPolicy:
     def test_snapshot_order_preserved(self):
         snap = make_snapshot([("C", 1, "g"), ("A", 2, "e"), ("B", 3, "m")])
         assert [r.fingerprint for r in snap.relays] == ["C", "A", "B"]
+
+
+# Fingerprints a family may name: the first few are in the relay list, the
+# rest (and the X ones) are absent, so families can be one-sided, name the
+# relay itself, name relays missing from the snapshot, or be empty.
+FAMILY_NAMES = [f"R{i}" for i in range(8)] + ["X0", "X1"]
+
+
+@st.composite
+def relay_lists(draw):
+    count = draw(st.integers(min_value=0, max_value=7))
+    return [
+        make_relay(
+            f"R{i}",
+            1,
+            "m",
+            subnet=draw(st.sampled_from([None, "1.1", "1.2", "2.1"])),
+            family=draw(st.frozensets(st.sampled_from(FAMILY_NAMES), max_size=4)),
+        )
+        for i in range(count)
+    ]
+
+
+def reference_matrix(rows, cols):
+    return np.array(
+        [[relays_conflict(a, b) for b in cols] for a in rows], dtype=bool
+    ).reshape(len(rows), len(cols))
+
+
+class TestConflictIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(relay_lists())
+    def test_elementwise_matches_reference(self, relays):
+        index = ConflictIndex(relays)
+        every = np.arange(len(relays))
+        expected = reference_matrix(relays, relays)
+        assert np.array_equal(index.conflict(every[:, None], every[None, :]), expected)
+        a, b = np.repeat(every, len(relays)), np.tile(every, len(relays))
+        assert np.array_equal(index.conflict(a, b), expected.ravel())
+
+    @settings(max_examples=200, deadline=None)
+    @given(relay_lists(), st.data())
+    def test_matrix_matches_reference(self, relays, data):
+        index = ConflictIndex(relays)
+        positions = list(range(len(relays)))
+        rows = data.draw(st.permutations(positions))[: data.draw(st.integers(0, len(relays)))]
+        cols = data.draw(st.permutations(positions))[: data.draw(st.integers(0, len(relays)))]
+        expected = reference_matrix([relays[i] for i in rows], [relays[j] for j in cols])
+        assert np.array_equal(index.matrix(rows, cols), expected)
+
+    def test_family_declared_on_one_side_only(self):
+        relays = [
+            make_relay("A", 1, "g", subnet="1.1", family=frozenset({"B", "GONE"})),
+            make_relay("B", 1, "e", subnet="2.2"),
+        ]
+        index = ConflictIndex(relays)
+        assert index.conflict(0, 1) and index.conflict(1, 0)
+        assert index.matrix([1], [0]).tolist() == [[True]]
+
+    def test_unknown_subnets_never_match(self):
+        index = ConflictIndex([make_relay("A", 1, "g"), make_relay("B", 1, "e")])
+        assert index.matrix([0, 1], [0, 1]).tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("family", [frozenset(), frozenset({"B"})])
+    def test_matrix_rejects_a_repeated_relay(self, family):
+        index = ConflictIndex([make_relay("A", 1, "g", family=family), make_relay("B", 1, "e")])
+        with pytest.raises(InvariantError):
+            index.matrix([0, 0], [1])
+        with pytest.raises(InvariantError):
+            index.matrix([0], [1, 1])

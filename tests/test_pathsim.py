@@ -71,6 +71,25 @@ class TestAdversaryInjection:
         subnets = {r.subnet16 for r in entries}
         assert len(subnets) == 3
 
+    def test_more_than_256_relays_keep_distinct_subnets(self):
+        adv = adversary(guard_weights=(10,) * 256, exit_weights=(10,))
+        entries = adv.relay_entries(at_time=0)
+        assert len({r.subnet16 for r in entries}) == 257
+        assert [r.subnet16 for r in entries[:256]] == [f"250.{i}" for i in range(256)]
+        first, last = entries[0], entries[256]
+        assert (first.fingerprint, last.fingerprint) == ("ADV000GUARD", "ADV256EXIT")
+        assert not relays_conflict(first, last)
+
+    def test_first_and_257th_relay_share_a_circuit(self):
+        adv = adversary(guard_weights=(10,) * 256, exit_weights=(10,))
+        snap = inject_adversary(make_snapshot([("M1", 100, "m")]), adv)
+        client = ClientState(num_entry_guards=1)
+        client.guard_list = [GuardSlot("ADV000GUARD", chosen_at=0, rotation_deadline=10**12)]
+        circuit = build_circuit(
+            client, snap, None, StreamSpec(snap.valid_after, 443), np.random.default_rng(5)
+        )
+        assert (circuit.guard, circuit.exit) == ("ADV000GUARD", "ADV256EXIT")
+
     def test_from_json_dict_expands_count(self):
         adv = AdversarySpec.from_json_dict(
             {"relays": [{"role": "guard", "consensus_weight": 8710, "count": 35}]}
