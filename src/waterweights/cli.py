@@ -29,6 +29,7 @@ from .consensus import (
 )
 from .errors import (
     ConfigMismatchError,
+    InvariantError,
     NotApplicableError,
     ParseError,
     WaterweightsError,
@@ -40,14 +41,16 @@ from .metrics import (
     uniformity_degree,
 )
 from .pathsim import (
+    MAX_HOP_ATTEMPTS,
     AdversarySpec,
     Algorithm,
     StreamSchedule,
-    network_summaries,
     compromise_curve,
+    network_summaries,
+    prepare_sequence,
     records_from_csv,
     records_to_csv,
-    run_simulation,
+    simulate_prepared,
 )
 from .waterfill import (
     ProbabilityVector,
@@ -371,26 +374,33 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
-    records = run_simulation(
-        sequence,
-        adversary_spec,
-        Algorithm(algo),
-        clients,
-        seed,
-        schedule=schedule,
-        num_entry_guards=num_guards,
-        duration=duration,
-        workers=workers,
+    prepared = prepare_sequence(sequence, adversary_spec, Algorithm(algo), duration)
+    trace = simulate_prepared(
+        prepared, clients, seed,
+        schedule=schedule, num_entry_guards=num_guards, workers=workers,
     )
+    records = trace.records
     out.write_text(records_to_csv(records))
     compromised = sum(1 for r in records if r.circuits_compromised > 0)
-    periods = network_summaries(sequence, adversary_spec, Algorithm(algo), duration)
+    periods = network_summaries(prepared, adversary_spec, Algorithm(algo))
     scheduled = clients * sum(len(schedule.stream_times(*p["covers"])) for p in periods)
     unbuilt = scheduled - sum(r.circuits_built for r in records)
+    skipped, failed = trace.streams_skipped, trace.circuits_failed
+    if unbuilt != skipped + failed:
+        raise InvariantError(
+            f"{unbuilt} circuits unbuilt, but {skipped} skipped and {failed} failed"
+        )
     if unbuilt and not ctx.obj["quiet"]:
+        causes = []
+        if skipped:
+            causes.append(f"{skipped} found no exit accepting port {port}")
+        if failed:
+            causes.append(
+                f"{failed} could not meet the relay constraints in {MAX_HOP_ATTEMPTS} draws"
+            )
         click.echo(
-            f"warning: {unbuilt} of {scheduled} scheduled circuits were not built "
-            f"(no exit accepts port {port}, or the relay constraints could not be met)",
+            f"warning: {unbuilt} of {scheduled} scheduled circuits were not built: "
+            + "; ".join(causes),
             err=True,
         )
     summary = _stamp(
@@ -402,6 +412,8 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
             "records": str(out),
             "circuits_scheduled": scheduled,
             "circuits_unbuilt": unbuilt,
+            "circuits_skipped": skipped,
+            "circuits_failed": failed,
             "clients_compromised": compromised,
             "compromised_fraction": compromised / clients,
             "periods": periods,

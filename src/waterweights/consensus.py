@@ -20,6 +20,7 @@ import enum
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,18 @@ def parse_policy(text: str) -> tuple[PolicyRule, ...]:
     if not rules or rules[-1].ports:
         rules.append(REJECT_ALL)
     return tuple(rules)
+
+
+def _parse_policy_once(parsed: dict[str, tuple[PolicyRule, ...]], text: str):
+    """parse_policy through a per-document cache.
+
+    Rules are frozen, so relays with the same policy text can share one
+    parsed tuple.
+    """
+    policy = parsed.get(text)
+    if policy is None:
+        policy = parsed[text] = parse_policy(text)
+    return policy
 
 
 def _parse_port_spans(spans: str) -> tuple[tuple[int, int], ...]:
@@ -196,6 +209,42 @@ class ConsensusSnapshot:
             if r.fingerprint == fingerprint:
                 return r
         raise KeyError(fingerprint)
+
+    @cached_property
+    def columns(self) -> "SnapshotColumns":
+        """The relay list as per-field arrays, built on first use."""
+        return SnapshotColumns(self.relays)
+
+
+class SnapshotColumns:
+    """One snapshot's relays as columns, in document order.
+
+    Consensus weights stay exact Python ints (an object array), so products
+    with rational weight factors are exact.  Each relay's exit policy is an
+    id into the snapshot's distinct policies; ``accepts`` evaluates each
+    distinct policy once per port.
+    """
+
+    __slots__ = ("fingerprints", "weights", "guard", "exit", "policy_id", "policies")
+
+    def __init__(self, relays):
+        self.fingerprints = tuple(r.fingerprint for r in relays)
+        self.weights = np.array([r.consensus_weight for r in relays], dtype=object)
+        self.guard = np.array([r.is_guard for r in relays], dtype=bool)
+        self.exit = np.array([r.is_exit for r in relays], dtype=bool)
+        ids: dict[tuple[PolicyRule, ...], int] = {}
+        self.policy_id = np.array(
+            [ids.setdefault(r.exit_policy, len(ids)) for r in relays], dtype=np.int64
+        )
+        self.policies = tuple(ids)
+
+    def __len__(self) -> int:
+        return len(self.fingerprints)
+
+    def accepts(self, port: int) -> np.ndarray:
+        """Mask of the relays whose exit policy accepts ``port``."""
+        verdicts = np.array([policy_accepts(p, port) for p in self.policies], dtype=bool)
+        return verdicts[self.policy_id]
 
 
 def relays_conflict(a: RelayEntry, b: RelayEntry) -> bool:
@@ -345,6 +394,7 @@ def parse_native(text: str) -> ConsensusSnapshot:
     valid_after = None
     relays = []
     seen_lines: dict[str, int] = {}
+    policies: dict[str, tuple[PolicyRule, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -363,7 +413,7 @@ def parse_native(text: str) -> ConsensusSnapshot:
         elif keyword == "relay":
             if valid_after is None:
                 raise ParseError("relay line before snapshot header", line=lineno)
-            relay = _parse_relay_line(fields[1:], lineno)
+            relay = _parse_relay_line(fields[1:], lineno, policies)
             if relay.fingerprint in seen_lines:
                 raise DuplicateRelayError(
                     f"fingerprint {relay.fingerprint} already declared on line "
@@ -379,7 +429,9 @@ def parse_native(text: str) -> ConsensusSnapshot:
     return ConsensusSnapshot.from_relays(valid_after, relays)
 
 
-def _parse_relay_line(fields: list[str], lineno: int) -> RelayEntry:
+def _parse_relay_line(
+    fields: list[str], lineno: int, policies: dict[str, tuple[PolicyRule, ...]]
+) -> RelayEntry:
     if len(fields) < 3:
         raise ParseError("relay line needs fingerprint, nickname, and weight", line=lineno)
     fingerprint, nickname, weight_text = fields[0], fields[1], fields[2]
@@ -405,7 +457,7 @@ def _parse_relay_line(fields: list[str], lineno: int) -> RelayEntry:
             if key == "flags":
                 kwargs["flags"] = frozenset(v for v in value.split(",") if v)
             elif key == "policy":
-                kwargs["exit_policy"] = parse_policy(value)
+                kwargs["exit_policy"] = _parse_policy_once(policies, value)
             elif key == "family":
                 kwargs["family"] = frozenset(v for v in value.split(",") if v)
             elif key == "subnet":
@@ -582,6 +634,7 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    policies: dict[str, tuple[PolicyRule, ...]] = {}
     try:
         relays = [
             RelayEntry(
@@ -589,7 +642,7 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
                 nickname=r["nickname"],
                 consensus_weight=int(r["consensus_weight"]),
                 flags=frozenset(r.get("flags", ())),
-                exit_policy=tuple(parse_policy(";".join(r["exit_policy"])))
+                exit_policy=_parse_policy_once(policies, ";".join(r["exit_policy"]))
                 if r.get("exit_policy")
                 else (REJECT_ALL,),
                 family=frozenset(r.get("family", ())),

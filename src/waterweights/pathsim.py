@@ -333,12 +333,32 @@ class NetworkState:
         return idx is not None and "Guard" in self.relays[idx].flags
 
 
-def _states_from_sequence(
+@dataclass(frozen=True, eq=False)
+class PreparedSequence:
+    """The per-period network states of one run, each prepared once.
+
+    Built by ``prepare_sequence``; ``run_simulation`` and
+    ``network_summaries`` accept it in place of the snapshot list, so a
+    caller that needs both prepares every state once.
+    """
+
+    states: tuple[NetworkState, ...]
+    sim_start: int
+    sim_end: int
+
+
+def prepare_sequence(
     sequence: Sequence[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
-    duration: int | None,
-) -> tuple[list[NetworkState], int, int]:
+    duration: int | None = None,
+) -> PreparedSequence:
+    """Cut a chronological snapshot list into periods and prepare each state.
+
+    A snapshot whose relay list repeats the previous one extends that
+    period.  ``duration`` defaults to the span of the list plus one
+    snapshot period.
+    """
     if not sequence:
         raise WaterweightsError("consensus sequence is empty")
     sim_start = sequence[0].valid_after
@@ -369,7 +389,13 @@ def _states_from_sequence(
         states.append(NetworkState(live, algorithm, adv_fps, start, end))
     if not states:
         raise WaterweightsError("simulation duration covers no snapshot")
-    return states, sim_start, sim_end
+    return PreparedSequence(tuple(states), sim_start, sim_end)
+
+
+def _prepared(consensus_sequence, adversary, algorithm, duration) -> PreparedSequence:
+    if isinstance(consensus_sequence, PreparedSequence):
+        return consensus_sequence
+    return prepare_sequence(consensus_sequence, adversary, algorithm, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +595,7 @@ class SimulationTrace:
 def _simulate_client(
     client_id: int,
     seed: int,
-    states: list[NetworkState],
+    states: Sequence[NetworkState],
     state_times: list[np.ndarray],
     schedule: StreamSchedule,
     num_entry_guards: int,
@@ -642,7 +668,7 @@ def _simulate_range(args) -> list[tuple[CompromiseRecord, int, int]]:
 
 
 def run_simulation(
-    consensus_sequence: Sequence[ConsensusSnapshot],
+    consensus_sequence: Sequence[ConsensusSnapshot] | PreparedSequence,
     adversary: AdversarySpec,
     algorithm: Algorithm,
     clients: int,
@@ -657,18 +683,19 @@ def run_simulation(
 
     Returns one CompromiseRecord per client, ordered by client_id.  Fully
     deterministic for a given argument tuple; workers only split the client
-    range and cannot change the results.
+    range and cannot change the results.  Given a PreparedSequence, its
+    states are used as prepared, and ``adversary``, ``algorithm`` and
+    ``duration`` are not consulted.
     """
-    trace = _run(
-        consensus_sequence, adversary, algorithm, clients, seed,
-        schedule=schedule, num_entry_guards=num_entry_guards,
-        duration=duration, workers=workers, collect=False,
-    )
-    return trace.records
+    prepared = _prepared(consensus_sequence, adversary, algorithm, duration)
+    return simulate_prepared(
+        prepared, clients, seed,
+        schedule=schedule, num_entry_guards=num_entry_guards, workers=workers,
+    ).records
 
 
 def run_simulation_traced(
-    consensus_sequence: Sequence[ConsensusSnapshot],
+    consensus_sequence: Sequence[ConsensusSnapshot] | PreparedSequence,
     adversary: AdversarySpec,
     algorithm: Algorithm,
     clients: int,
@@ -679,23 +706,34 @@ def run_simulation_traced(
     duration: int | None = None,
 ) -> SimulationTrace:
     """run_simulation plus the full list of built circuits, for audits."""
-    return _run(
-        consensus_sequence, adversary, algorithm, clients, seed,
-        schedule=schedule, num_entry_guards=num_entry_guards,
-        duration=duration, workers=1, collect=True,
+    prepared = _prepared(consensus_sequence, adversary, algorithm, duration)
+    return simulate_prepared(
+        prepared, clients, seed,
+        schedule=schedule, num_entry_guards=num_entry_guards, collect=True,
     )
 
 
-def _run(
-    consensus_sequence, adversary, algorithm, clients, seed,
-    *, schedule, num_entry_guards, duration, workers, collect,
+def simulate_prepared(
+    prepared: PreparedSequence,
+    clients: int,
+    seed: int,
+    *,
+    schedule: StreamSchedule | None = None,
+    num_entry_guards: int = 3,
+    workers: int = 1,
+    collect: bool = False,
 ) -> SimulationTrace:
+    """Simulate over prepared states; the trace counts what went unbuilt.
+
+    ``streams_skipped`` counts streams no exit accepted in their period and
+    ``circuits_failed`` circuits whose relay constraints were not met within
+    MAX_HOP_ATTEMPTS draws.  ``collect`` keeps every built circuit and runs
+    serially.
+    """
     if clients < 1:
         raise WaterweightsError("need at least one client")
     schedule = schedule or StreamSchedule()
-    states, sim_start, _ = _states_from_sequence(
-        consensus_sequence, adversary, algorithm, duration
-    )
+    states, sim_start = prepared.states, prepared.sim_start
     state_times = [schedule.stream_times(s.start, s.end) for s in states]
     trace = SimulationTrace(records=[], circuits=[])
 
@@ -729,15 +767,14 @@ def _run(
 
 
 def network_summaries(
-    consensus_sequence: Sequence[ConsensusSnapshot],
+    consensus_sequence: Sequence[ConsensusSnapshot] | PreparedSequence,
     adversary: AdversarySpec,
     algorithm: Algorithm,
     duration: int | None = None,
 ) -> list[dict]:
     """Per-period weight and waterfill summaries, as the simulation sees them."""
-    states, _, _ = _states_from_sequence(consensus_sequence, adversary, algorithm, duration)
     out = []
-    for state in states:
+    for state in _prepared(consensus_sequence, adversary, algorithm, duration).states:
         entry = {
             "valid_after": state.snapshot.valid_after,
             "covers": [state.start, state.end],

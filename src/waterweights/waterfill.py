@@ -14,7 +14,8 @@ contribution t, the pivot N is the smallest index such that
     L(N) = (t - sum_{i>N} BW_i) / N    satisfies   BW_{N+1} <= L(N) <= BW_N
 
 (with BW_{K+1} taken as 0).  Relays 1..N get fraction L/BW_i, the rest get
-fraction 1.  The scan and the resulting fractions are exact rationals.
+fraction 1, so every relay keeps exactly min(BW_i, L).  The scan and the
+resulting fractions are exact rationals.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .consensus import ConsensusSnapshot, RelayEntry
+from .consensus import ConsensusSnapshot
 from .errors import EmptyPoolError, InvariantError, NotApplicableError
 from .weights import SCALE, PositionWeights
 
@@ -54,23 +56,61 @@ class RelayShare:
 
 @dataclass(frozen=True)
 class WaterfillSolution:
+    """One pool's water level, with its relays in solved order.
+
+    ``fingerprints`` and ``bandwidths`` run in descending bandwidth with a
+    fingerprint tiebreak, zero-weight relays last.  A relay of rank ``i``
+    (0-based) keeps ``min(BW_i, L)`` of its bandwidth in the solved
+    position(s): the fraction L/BW_i when ``i < pivot_index``, else all of
+    it.
+    """
+
     pool: TargetPool
-    shares: tuple[RelayShare, ...]  # descending bandwidth, fingerprint tiebreak
+    fingerprints: tuple[str, ...]
+    bandwidths: tuple[int, ...]
     water_level: Fraction
     pivot_index: int  # 1-based rank of the last relay above the water level
     target: Fraction  # pool total times its positional weight
-    conservation_residual: Fraction  # sum(fraction*bandwidth) - target
+    conservation_residual: Fraction  # sum(min(bandwidth, level)) - target
     source_weights: PositionWeights
 
-    def share_for(self, fingerprint: str) -> RelayShare | None:
-        return self._by_fp().get(fingerprint)
+    @cached_property
+    def shares(self) -> tuple[RelayShare, ...]:
+        """Per-relay fractions and derived weights, built on first read."""
+        out = []
+        for rank, (fp, bw) in enumerate(zip(self.fingerprints, self.bandwidths)):
+            fraction = self.water_level / bw if rank < self.pivot_index else Fraction(1)
+            out.append(RelayShare(fp, bw, fraction, self._derive(fraction)))
+        return tuple(out)
 
-    def _by_fp(self) -> dict[str, RelayShare]:
-        cached = getattr(self, "_fp_cache", None)
-        if cached is None:
-            cached = {s.fingerprint: s for s in self.shares}
-            object.__setattr__(self, "_fp_cache", cached)
-        return cached
+    def share_for(self, fingerprint: str) -> RelayShare | None:
+        rank = self._rank.get(fingerprint)
+        return None if rank is None else self.shares[rank]
+
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        return {fp: rank for rank, fp in enumerate(self.fingerprints)}
+
+    def _derive(self, fraction: Fraction) -> dict[str, Fraction]:
+        if self.pool is TargetPool.GUARDS:
+            return {"Wgg": fraction, "Wmg": 1 - fraction}
+        return {
+            "Wgd": fraction * self.end_share(Position.ENTRY),
+            "Wed": fraction * self.end_share(Position.EXIT),
+            "Wmd": 1 - fraction,
+        }
+
+    def end_share(self, position: Position) -> Fraction:
+        """The part of the kept fraction that serves an end position.
+
+        The guard pool keeps it all for the entry; the dual pool splits it
+        between entry and exit in the ratio Wgd : Wed of the weights it was
+        solved with.
+        """
+        if self.pool is TargetPool.GUARDS:
+            return Fraction(1)
+        w = self.source_weights
+        return (w.Wgd if position is Position.ENTRY else w.Wed) / (w.Wgd + w.Wed)
 
 
 def find_water_level(bandwidths: Sequence[int], target: Fraction) -> tuple[Fraction, int]:
@@ -103,51 +143,38 @@ def find_water_level(bandwidths: Sequence[int], target: Fraction) -> tuple[Fract
     raise InvariantError("pivot scan found no feasible water level")
 
 
-def _pool_relays(snapshot: ConsensusSnapshot, pool: TargetPool) -> list[RelayEntry]:
-    if pool is TargetPool.GUARDS:
-        members = [r for r in snapshot.relays if r.is_guard and not r.is_exit]
-    else:
-        members = [r for r in snapshot.relays if r.is_guard and r.is_exit]
-    members.sort(key=lambda r: (-r.consensus_weight, r.fingerprint))
-    return members
-
-
 def _solve_pool(
     snapshot: ConsensusSnapshot,
     pool: TargetPool,
     positional_weight: Fraction,
-    derive,
     source: PositionWeights,
 ) -> WaterfillSolution:
-    relays = _pool_relays(snapshot, pool)
-    if not relays:
+    cols = snapshot.columns
+    dual = pool is TargetPool.DSET
+    members = np.flatnonzero(cols.guard & (cols.exit if dual else ~cols.exit)).tolist()
+    if not members:
         raise NotApplicableError(f"{pool.value} pool is empty")
-    positive = [r for r in relays if r.consensus_weight > 0]
-    zeros = [r for r in relays if r.consensus_weight == 0]
-    pool_total = sum(r.consensus_weight for r in positive)
+    fps, weights = cols.fingerprints, cols.weights
+    order = sorted(members, key=lambda i: (-weights[i], fps[i]))
+    bandwidths = [weights[i] for i in order]
+    positive = bandwidths[: len(bandwidths) - bandwidths.count(0)]  # zeros sort last
+    pool_total = sum(positive)
     if pool_total == 0:
         raise NotApplicableError(f"{pool.value} pool has zero total weight")
     target = positional_weight * pool_total
-    level, pivot = find_water_level([r.consensus_weight for r in positive], target)
-
-    shares = []
-    kept = Fraction(0)
-    for rank, relay in enumerate(positive, start=1):
-        fraction = level / relay.consensus_weight if rank <= pivot else Fraction(1)
-        kept += fraction * relay.consensus_weight
-        shares.append(
-            RelayShare(relay.fingerprint, relay.consensus_weight, fraction, derive(fraction))
-        )
-    for relay in zeros:
-        # contributes nothing either way; keep it fully in place
-        shares.append(RelayShare(relay.fingerprint, 0, Fraction(1), derive(Fraction(1))))
+    level, pivot = find_water_level(positive, target)
+    # sum(min(BW_i, L)) over L's denominator; each BW_i meets L directly, not
+    # through the pivot, so this checks the scan rather than restating it
+    p, q = level.numerator, level.denominator
+    kept = sum(min(q * bw, p) for bw in bandwidths)
     return WaterfillSolution(
         pool=pool,
-        shares=tuple(shares),
+        fingerprints=tuple(fps[i] for i in order),
+        bandwidths=tuple(bandwidths),
         water_level=level,
         pivot_index=pivot,
         target=target,
-        conservation_residual=kept - target,
+        conservation_residual=Fraction(kept, q) - target,
         source_weights=source,
     )
 
@@ -157,14 +184,11 @@ def solve_guard_waterfill(snapshot: ConsensusSnapshot, w: PositionWeights) -> Wa
 
     Applicable only when 0 < Wgg < 1; at the boundaries there is no
     bandwidth to move, and callers should keep the scalar weights.
+    The derived per-relay weights are Wgg_i = fraction, Wmg_i = 1 - fraction.
     """
     if not 0 < w.Wgg < 1:
         raise NotApplicableError(f"Wgg = {float(w.Wgg):.6g}; waterfilling needs 0 < Wgg < 1")
-
-    def derive(fraction: Fraction) -> dict[str, Fraction]:
-        return {"Wgg": fraction, "Wmg": 1 - fraction}
-
-    return _solve_pool(snapshot, TargetPool.GUARDS, w.Wgg, derive, w)
+    return _solve_pool(snapshot, TargetPool.GUARDS, w.Wgg, w)
 
 
 def solve_dset_waterfill(snapshot: ConsensusSnapshot, w: PositionWeights) -> WaterfillSolution:
@@ -174,18 +198,9 @@ def solve_dset_waterfill(snapshot: ConsensusSnapshot, w: PositionWeights) -> Wat
     them in the same ratio as the scalar Wgd : Wed; the remainder moves to
     the middle position.
     """
-    combined = w.Wgd + w.Wed
-    if combined == 0:
+    if w.Wgd + w.Wed == 0:
         raise NotApplicableError("Wgd + Wed = 0; the dual pool serves only middles")
-
-    def derive(fraction: Fraction) -> dict[str, Fraction]:
-        return {
-            "Wgd": fraction * w.Wgd / combined,
-            "Wed": fraction * w.Wed / combined,
-            "Wmd": 1 - fraction,
-        }
-
-    return _solve_pool(snapshot, TargetPool.DSET, combined, derive, w)
+    return _solve_pool(snapshot, TargetPool.DSET, w.Wgd + w.Wed, w)
 
 
 # ---------------------------------------------------------------------------
@@ -214,42 +229,71 @@ def _normalize_waterfills(wf) -> dict[TargetPool, WaterfillSolution]:
     return out
 
 
-def position_weight(
-    relay: RelayEntry,
-    position: Position,
-    w: PositionWeights,
-    waterfills: dict[TargetPool, WaterfillSolution],
-) -> Fraction:
-    """The weight factor this relay's bandwidth gets at a position.
+def _scalar_factors(w: PositionWeights, position: Position) -> dict[str, Fraction]:
+    """Scalar weight factor per pool code (G/M/E/D); absent codes get 0.
 
-    Per-relay waterfilled weights override the scalar value for relays in a
-    solved pool; everything else falls back to the scalars (unflagged
-    relays count fully toward the middle position).
+    Unflagged relays count fully toward the middle position.
     """
-    guard, exit_ = relay.is_guard, relay.is_exit
-    if guard and exit_:
-        sol = waterfills.get(TargetPool.DSET)
-        share = sol.share_for(relay.fingerprint) if sol else None
-        if position is Position.ENTRY:
-            return share.weights["Wgd"] if share else w.Wgd
-        if position is Position.MIDDLE:
-            return share.weights["Wmd"] if share else w.Wmd
-        return share.weights["Wed"] if share else w.Wed
-    if guard:
-        sol = waterfills.get(TargetPool.GUARDS)
-        share = sol.share_for(relay.fingerprint) if sol else None
-        if position is Position.ENTRY:
-            return share.weights["Wgg"] if share else w.Wgg
-        if position is Position.MIDDLE:
-            return share.weights["Wmg"] if share else w.Wmg
-        return Fraction(0)
-    if exit_:
-        if position is Position.MIDDLE:
-            return w.Wme
-        if position is Position.EXIT:
-            return w.Wee
-        return Fraction(0)
-    return Fraction(1) if position is Position.MIDDLE else Fraction(0)
+    if position is Position.ENTRY:
+        return {"G": w.Wgg, "D": w.Wgd}
+    if position is Position.MIDDLE:
+        return {"G": w.Wmg, "D": w.Wmd, "E": w.Wme, "M": Fraction(1)}
+    return {"D": w.Wed, "E": w.Wee}
+
+
+def _weight_fractions(
+    snapshot: ConsensusSnapshot,
+    w: PositionWeights,
+    position: Position,
+    solutions: dict[TargetPool, WaterfillSolution],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each relay's exact weight at a position, as numerator and denominator.
+
+    The weight is consensus_weight times the relay's factor: the scalar
+    factor of its flag class, or, for a G (D) relay listed in the guard
+    (dual) solution, its waterfilled factor.  A relay above that
+    solution's pivot keeps ``bw * L / bw_sol`` at the end position(s) and
+    moves ``bw * (bw_sol - L) / bw_sol`` to the middle, where ``bw_sol`` is
+    its bandwidth when solved; any other listed relay keeps its whole
+    bandwidth at the end position(s).  Both arrays hold Python ints.
+    """
+    cols = snapshot.columns
+    guard, exit_ = cols.guard, cols.exit
+    classes = {"G": guard & ~exit_, "D": guard & exit_, "E": exit_ & ~guard, "M": ~(guard | exit_)}
+    scalars = _scalar_factors(w, position)
+    num = np.zeros(len(cols), dtype=object)
+    den = np.ones(len(cols), dtype=object)
+    for code, factor in scalars.items():
+        num[classes[code]] = factor.numerator
+        den[classes[code]] = factor.denominator
+    for code, pool in (("G", TargetPool.GUARDS), ("D", TargetPool.DSET)):
+        sol = solutions.get(pool)
+        if sol is None or code not in scalars:
+            continue
+        rank = sol._rank
+        hits = [
+            (i, r)
+            for i in np.flatnonzero(classes[code]).tolist()
+            if (r := rank.get(cols.fingerprints[i])) is not None
+        ]
+        if not hits:
+            continue
+        rows, ranks = np.array(hits, dtype=np.int64).T
+        middle = position is Position.MIDDLE
+        share = Fraction(0) if middle else sol.end_share(position)
+        num[rows] = share.numerator
+        den[rows] = share.denominator
+        above = ranks < sol.pivot_index
+        rows = rows[above]
+        p, q = sol.water_level.numerator, sol.water_level.denominator
+        q_bw = np.array([q * sol.bandwidths[r] for r in ranks[above].tolist()], dtype=object)
+        if middle:
+            num[rows] = q_bw - p
+            den[rows] = q_bw
+        else:
+            num[rows] = share.numerator * p
+            den[rows] = share.denominator * q_bw
+    return num * cols.weights, den
 
 
 def selection_distribution(
@@ -264,30 +308,28 @@ def selection_distribution(
     Each eligible relay is weighted by consensus_weight times its positional
     weight factor and the vector is normalized.  For the exit position,
     ``stream`` (a StreamSpec or a bare destination port) filters candidates
-    through their exit policies.
+    through their exit policies.  Weights are exact until each is converted
+    to the nearest float; the normalizing total sums those floats in
+    document order.
     """
     solutions = _normalize_waterfills(waterfills)
-    port = None
+    keep = None
     if position is Position.EXIT:
         if stream is None:
             raise ValueError("exit position needs a stream (or port) for policy filtering")
         port = stream if isinstance(stream, int) else stream.destination_port
+        keep = snapshot.columns.accepts(port)
 
-    fingerprints = []
-    raw = []
-    for relay in snapshot.relays:
-        if port is not None and not relay.accepts_port(port):
-            continue
-        factor = position_weight(relay, position, w, solutions)
-        weight = relay.consensus_weight * factor
-        if weight > 0:
-            fingerprints.append(relay.fingerprint)
-            raw.append(float(weight))
-    total = sum(raw)
+    num, den = _weight_fractions(snapshot, w, position, solutions)
+    keep = num > 0 if keep is None else keep & (num > 0)
+    rows = np.flatnonzero(keep)
+    raw = (num[rows] / den[rows]).tolist()  # int / int: correctly rounded, as float(Fraction)
+    total = sum(raw)  # builtin sum in document order; np.sum would round differently
     if total <= 0:
         raise EmptyPoolError(f"no eligible relay carries weight for {position.value}")
     probs = np.asarray(raw, dtype=np.float64) / total
-    return ProbabilityVector(tuple(fingerprints), probs)
+    fingerprints = snapshot.columns.fingerprints
+    return ProbabilityVector(tuple(fingerprints[i] for i in rows.tolist()), probs)
 
 
 # ---------------------------------------------------------------------------

@@ -310,11 +310,57 @@ class TestSimulateAndCompare:
         summary = json.loads(result.stdout)
         assert summary["circuits_scheduled"] == 4 * 5
         assert summary["circuits_unbuilt"] == 4 * 5
+        assert summary["circuits_skipped"] == 4 * 5
+        assert summary["circuits_failed"] == 0
         if quiet:
             assert result.stderr == ""
         else:
             assert "20 of 20 scheduled circuits were not built" in result.stderr
-            assert "port 443" in result.stderr
+            assert "20 found no exit accepting port 443" in result.stderr
+            assert "relay constraints" not in result.stderr
+
+    def test_constraint_failures_are_reported(self, runner, tmp_path):
+        # the only exit shares a /16 with every guard, so no guard may join it
+        snap = ConsensusSnapshot.from_relays(0, [
+            make_relay("G1", 500, "g", subnet="10.1"),
+            make_relay("G2", 300, "g", subnet="10.1"),
+            make_relay("M1", 400, "m", subnet="10.3"),
+            make_relay("E1", 200, "e", subnet="10.1"),
+        ])
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        (snaps / "one.snapshot").write_text(serialize_native(snap))
+        adv = tmp_path / "adv.json"
+        adv.write_text(json.dumps({"relays": []}))
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "wf", "--clients", "4", "--seed", "3", "--out", str(out),
+            "--duration", "3000",
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.stdout)
+        assert summary["circuits_scheduled"] == 4 * 5
+        assert summary["circuits_unbuilt"] == 4 * 5
+        assert summary["circuits_skipped"] == 0
+        assert summary["circuits_failed"] == 4 * 5
+        assert "20 could not meet the relay constraints in 64 draws" in result.stderr
+        assert "port" not in result.stderr
+
+    def test_simulate_prepares_each_state_once(self, runner, tmp_path, monkeypatch):
+        from waterweights import pathsim
+
+        prepared = []
+        original = pathsim.NetworkState.__init__
+
+        def counting(self, snapshot, *args, **kwargs):
+            prepared.append(snapshot.valid_after)
+            original(self, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(pathsim.NetworkState, "__init__", counting)
+        result = self.simulate(runner, tmp_path, tmp_path / "r.csv")
+        assert result.exit_code == 0, result.output
+        assert len(prepared) == len(json.loads(result.stdout)["periods"]) == 1
 
     def test_compare_identical_records(self, runner, tmp_path):
         out = tmp_path / "a.csv"

@@ -337,3 +337,43 @@ class TestConflictIndex:
             index.matrix([0, 0], [1])
         with pytest.raises(InvariantError):
             index.matrix([0], [1, 1])
+
+
+POLICY_TEXTS = ["accept:*", "reject:*", "accept:80,443;reject:*", "reject:443;accept:1-1024"]
+
+
+class TestSnapshotColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**12), st.sampled_from("gmed"), st.sampled_from(POLICY_TEXTS)),
+            max_size=12,
+        ),
+        st.integers(1, 65535),
+    )
+    def test_columns_match_the_relays(self, spec, port):
+        relays = [
+            make_relay(f"R{i}", weight, role, policy=parse_policy(text))
+            for i, (weight, role, text) in enumerate(spec)
+        ]
+        cols = ConsensusSnapshot.from_relays(0, relays).columns
+        assert cols.fingerprints == tuple(r.fingerprint for r in relays)
+        assert cols.weights.tolist() == [r.consensus_weight for r in relays]
+        assert all(type(w) is int for w in cols.weights)
+        assert cols.guard.tolist() == [r.is_guard for r in relays]
+        assert cols.exit.tolist() == [r.is_exit for r in relays]
+        assert cols.accepts(port).tolist() == [r.accepts_port(port) for r in relays]
+        assert len(cols.policies) == len({r.exit_policy for r in relays})
+
+    @pytest.mark.parametrize("render", [serialize_native, snapshot_to_json])
+    def test_parsers_share_one_parsed_policy_per_text(self, render):
+        web = parse_policy("accept:80,443;reject:*")
+        snap = ConsensusSnapshot.from_relays(0, [
+            make_relay("A", 5, "e", policy=web),
+            make_relay("B", 6, "e", policy=parse_policy("accept:80,443;reject:*")),
+            make_relay("C", 7, "d"),
+        ])
+        parse = parse_native if render is serialize_native else snapshot_from_json
+        a, b, c = parse(render(snap)).relays
+        assert a.exit_policy == web and a.exit_policy is b.exit_policy
+        assert c.exit_policy == parse_policy("accept:*")

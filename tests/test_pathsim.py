@@ -21,6 +21,8 @@ from waterweights.pathsim import (
     build_circuit,
     compromise_curve,
     inject_adversary,
+    network_summaries,
+    prepare_sequence,
     records_from_csv,
     records_to_csv,
     run_simulation,
@@ -227,6 +229,24 @@ class TestRunSimulation:
             [hourly[0]], adv, Algorithm.ABWRS, clients=10, seed=3, duration=5 * 3600
         )
         assert merged == single
+
+    def test_prepared_sequence_stands_in_for_the_list(self):
+        base = calibration_snapshot()
+        later = ConsensusSnapshot.from_relays(base.valid_after + 3600, base.relays[1:])
+        adv = adversary(guard_weights=(300,), exit_weights=(100,))
+        args = ([base, later], adv, Algorithm.WATERFILLING)
+        prepared = prepare_sequence(*args, duration=9000)
+        assert [(s.start, s.end) for s in prepared.states] == [
+            (base.valid_after, later.valid_after),
+            (later.valid_after, base.valid_after + 9000),
+        ]
+        kwargs = dict(clients=20, seed=5)
+        assert run_simulation(prepared, adv, Algorithm.WATERFILLING, **kwargs) == run_simulation(
+            *args, duration=9000, **kwargs
+        )
+        traced = run_simulation_traced(prepared, adv, Algorithm.WATERFILLING, **kwargs)
+        assert traced.circuits == run_simulation_traced(*args, duration=9000, **kwargs).circuits
+        assert network_summaries(prepared, *args[1:]) == network_summaries(*args, 9000)
 
     def test_unordered_sequence_rejected(self):
         early = calibration_snapshot()

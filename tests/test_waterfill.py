@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waterweights.consensus import LoadCase, classify_load_case
+from waterweights.consensus import ConsensusSnapshot, LoadCase, classify_load_case, parse_policy
 from waterweights.errors import EmptyPoolError, NotApplicableError
 from waterweights.waterfill import (
     Position,
+    RelayShare,
     TargetPool,
     find_water_level,
     quantization_residual,
@@ -17,7 +20,7 @@ from waterweights.waterfill import (
 )
 from waterweights.weights import PositionWeights, compute_weights
 
-from conftest import make_snapshot, pareto_weights
+from conftest import make_relay, make_snapshot, pareto_weights
 
 
 def oracle_level(bws, target):
@@ -341,3 +344,172 @@ class TestRendering:
         assert sol.pool is TargetPool.DSET
         line = wfbw_lines(sol)[0]
         assert line == "D1 wfbw Wed=3000 Wgd=2000 Wmd=5000"
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the array form against the per-relay Fraction loop
+# ---------------------------------------------------------------------------
+
+def position_weight(relay, position, w, waterfills):
+    """The per-relay weight factor, one Fraction at a time (the reference)."""
+    guard, exit_ = relay.is_guard, relay.is_exit
+    if guard and exit_:
+        sol = waterfills.get(TargetPool.DSET)
+        share = sol.share_for(relay.fingerprint) if sol else None
+        if position is Position.ENTRY:
+            return share.weights["Wgd"] if share else w.Wgd
+        if position is Position.MIDDLE:
+            return share.weights["Wmd"] if share else w.Wmd
+        return share.weights["Wed"] if share else w.Wed
+    if guard:
+        sol = waterfills.get(TargetPool.GUARDS)
+        share = sol.share_for(relay.fingerprint) if sol else None
+        if position is Position.ENTRY:
+            return share.weights["Wgg"] if share else w.Wgg
+        if position is Position.MIDDLE:
+            return share.weights["Wmg"] if share else w.Wmg
+        return Fraction(0)
+    if exit_:
+        if position is Position.MIDDLE:
+            return w.Wme
+        if position is Position.EXIT:
+            return w.Wee
+        return Fraction(0)
+    return Fraction(1) if position is Position.MIDDLE else Fraction(0)
+
+
+def oracle_distribution(snapshot, w, position, solutions, port):
+    """(fingerprints, probabilities) from the reference loop; None if empty."""
+    by_pool = {sol.pool: sol for sol in solutions}
+    fingerprints, raw = [], []
+    for relay in snapshot.relays:
+        if port is not None and not relay.accepts_port(port):
+            continue
+        weight = relay.consensus_weight * position_weight(relay, position, w, by_pool)
+        if weight > 0:
+            fingerprints.append(relay.fingerprint)
+            raw.append(float(weight))
+    total = sum(raw)
+    if total <= 0:
+        return None
+    return tuple(fingerprints), np.asarray(raw, dtype=np.float64) / total
+
+
+def eager_shares(snapshot, sol):
+    """The shares as the solver used to build them, straight from the relays."""
+    dual = sol.pool is TargetPool.DSET
+    relays = [r for r in snapshot.relays if r.is_guard and r.is_exit == dual]
+    relays.sort(key=lambda r: (-r.consensus_weight, r.fingerprint))
+    out = []
+    for rank, relay in enumerate(relays, start=1):
+        bw = relay.consensus_weight
+        fraction = sol.water_level / bw if bw and rank <= sol.pivot_index else Fraction(1)
+        if dual:
+            w = sol.source_weights
+            combined = w.Wgd + w.Wed
+            weights = {
+                "Wgd": fraction * w.Wgd / combined,
+                "Wed": fraction * w.Wed / combined,
+                "Wmd": 1 - fraction,
+            }
+        else:
+            weights = {"Wgg": fraction, "Wmg": 1 - fraction}
+        out.append(RelayShare(relay.fingerprint, bw, fraction, weights))
+    return tuple(out)
+
+
+POLICIES = tuple(
+    parse_policy(text)
+    for text in ("accept:*", "accept:80,443;reject:*", "reject:443;accept:*", "reject:*")
+)
+
+
+def fractions_in(lo, hi):
+    """Small rationals, or floats, whose exact values have huge denominators."""
+    return st.one_of(
+        st.fractions(min_value=lo, max_value=hi, max_denominator=1000),
+        st.floats(min_value=lo, max_value=hi).map(Fraction),
+    )
+
+
+@st.composite
+def weight_sets(draw):
+    Wgg = draw(fractions_in(0, 1).filter(lambda f: 0 < f < 1))
+    Wee = draw(fractions_in(0, 1))
+    Wgd = draw(fractions_in(0, 1))
+    Wed = draw(fractions_in(0, 1)) * (1 - Wgd)
+    return PositionWeights(
+        Wgg=Wgg, Wmg=1 - Wgg, Wee=Wee, Wme=1 - Wee, Wgd=Wgd, Wmd=1 - Wgd - Wed, Wed=Wed
+    )
+
+
+@st.composite
+def snapshots(draw, names=tuple(f"R{i:02d}" for i in range(30))):
+    chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    relays = [
+        make_relay(
+            fp,
+            draw(st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 10**7))),
+            draw(st.sampled_from("gmed")),
+            policy=draw(st.sampled_from(POLICIES)),
+        )
+        for fp in chosen
+    ]
+    return ConsensusSnapshot.from_relays(0, relays)
+
+
+def solve_all(snapshot, w):
+    out = []
+    for solve in (solve_guard_waterfill, solve_dset_waterfill):
+        try:
+            out.append(solve(snapshot, w))
+        except NotApplicableError:
+            pass
+    return out
+
+
+class TestArrayFormIsExact:
+    def check(self, snapshot, w, solutions):
+        for position, port in (
+            (Position.ENTRY, None), (Position.MIDDLE, None),
+            (Position.EXIT, 443), (Position.EXIT, 80),
+        ):
+            expected = oracle_distribution(snapshot, w, position, solutions, port)
+            if expected is None:
+                with pytest.raises(EmptyPoolError):
+                    selection_distribution(snapshot, w, position, solutions, stream=port)
+                continue
+            got = selection_distribution(snapshot, w, position, solutions, stream=port)
+            assert got.fingerprints == expected[0]
+            assert got.probabilities.tobytes() == expected[1].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(snapshots(), weight_sets())
+    def test_own_solutions(self, snapshot, w):
+        solutions = solve_all(snapshot, w)
+        for sol in solutions:
+            assert sol.shares == eager_shares(snapshot, sol)
+            assert sol.conservation_residual == 0
+        self.check(snapshot, w, solutions)
+        self.check(snapshot, w, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(snapshots(), snapshots(), weight_sets(), weight_sets())
+    def test_solutions_from_another_snapshot(self, snapshot, other, w, w_other):
+        # fingerprints missing on either side, other bandwidths and flags,
+        # and derived weights from the other snapshot's scalars
+        self.check(snapshot, w, solve_all(other, w_other))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10**9), min_size=1, max_size=60),
+        st.integers(0, 5),
+        fractions_in(0, 1).filter(lambda f: 0 < f < 1),
+    )
+    def test_level_and_residual_over_random_pools(self, bws, zeros, Wgg):
+        spec = [(f"G{i:02d}", bw, "g") for i, bw in enumerate(bws + [0] * zeros)]
+        sol = solve_guard_waterfill(make_snapshot(spec), scalar_weights(Wgg))
+        assert sol.conservation_residual == 0
+        assert sol.water_level == oracle_level(bws, sol.target)
+        assert sol.pivot_index == oracle_pivot(bws, sol.water_level)
+        assert sol.bandwidths == tuple(sorted(bws, reverse=True)) + (0,) * zeros
