@@ -350,7 +350,7 @@ def waterfill(ctx, mode, pools, snapshot):
 @click.option("--interval", type=int, default=600, show_default=True, help="Seconds between circuits.")
 @click.option("--port", type=int, default=443, show_default=True, help="Destination port of the streams.")
 @click.option("--num-guards", type=int, default=3, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.pass_context
 def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
              interval, port, num_guards, workers):
@@ -386,17 +386,31 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     scheduled = clients * sum(len(schedule.stream_times(*p["covers"])) for p in periods)
     unbuilt = scheduled - sum(r.circuits_built for r in records)
     skipped, failed = trace.streams_skipped, trace.circuits_failed
+    on_guard, on_middle = trace.circuits_failed_guard, trace.circuits_failed_middle
     if unbuilt != skipped + failed:
         raise InvariantError(
             f"{unbuilt} circuits unbuilt, but {skipped} skipped and {failed} failed"
+        )
+    if failed != on_guard + on_middle:
+        raise InvariantError(
+            f"{failed} circuits failed, but {on_guard} on the guard and {on_middle} on the middle"
         )
     if unbuilt and not ctx.obj["quiet"]:
         causes = []
         if skipped:
             causes.append(f"{skipped} found no exit accepting port {port}")
         if failed:
+            hops = [
+                f"{count} {hop}"
+                for count, hop in (
+                    (on_guard, "found no list guard compatible with the exit"),
+                    (on_middle, "found no middle compatible with the guard and exit"),
+                )
+                if count
+            ]
             causes.append(
                 f"{failed} could not meet the relay constraints in {MAX_HOP_ATTEMPTS} draws"
+                f" ({', '.join(hops)})"
             )
         click.echo(
             f"warning: {unbuilt} of {scheduled} scheduled circuits were not built: "
@@ -414,6 +428,10 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
             "circuits_unbuilt": unbuilt,
             "circuits_skipped": skipped,
             "circuits_failed": failed,
+            "circuits_failed_guard": on_guard,
+            "circuits_failed_middle": on_middle,
+            "guard_replacements": trace.guard_replacements,
+            "guard_rotations": trace.guard_rotations,
             "clients_compromised": compromised,
             "compromised_fraction": compromised / clients,
             "periods": periods,

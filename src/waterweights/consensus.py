@@ -181,15 +181,21 @@ class PoolTotals:
 
 @dataclass(frozen=True)
 class ConsensusSnapshot:
-    """Immutable relay list with precomputed pool totals."""
+    """Immutable relay list with precomputed pool totals.
+
+    Left out, ``totals`` is computed from the relays; given, it is checked
+    against them.
+    """
 
     valid_after: int  # UTC seconds
     relays: tuple[RelayEntry, ...]
-    totals: PoolTotals
+    totals: PoolTotals | None = None
 
     def __post_init__(self):
         recomputed = PoolTotals.from_relays(self.relays)
-        if recomputed != self.totals:
+        if self.totals is None:
+            object.__setattr__(self, "totals", recomputed)
+        elif recomputed != self.totals:
             raise InvariantError(
                 f"stored totals {self.totals} do not match relays ({recomputed})"
             )
@@ -201,8 +207,7 @@ class ConsensusSnapshot:
 
     @staticmethod
     def from_relays(valid_after: int, relays) -> "ConsensusSnapshot":
-        relays = tuple(relays)
-        return ConsensusSnapshot(valid_after, relays, PoolTotals.from_relays(relays))
+        return ConsensusSnapshot(valid_after, tuple(relays))
 
     def relay(self, fingerprint: str) -> RelayEntry:
         for r in self.relays:

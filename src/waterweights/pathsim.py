@@ -21,6 +21,8 @@ execution order and of the number of workers.
 from __future__ import annotations
 
 import enum
+import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -426,19 +428,27 @@ def _refill_guards(
         client.guard_list.append(GuardSlot(fp, now, deadline))
 
 
-def _apply_churn(client: ClientState, state: NetworkState, rng: np.random.Generator):
+def _apply_churn(client: ClientState, state: NetworkState, rng: np.random.Generator) -> int:
+    """Drop guards that left the guard pool and refill; returns the number dropped."""
     kept = [slot for slot in client.guard_list if state.has_guard(slot.fingerprint)]
+    dropped = len(client.guard_list) - len(kept)
     client.guard_list = kept
     _refill_guards(client, state, rng, state.start)
+    return dropped
 
 
-def _rotate_expired(client: ClientState, state: NetworkState, rng: np.random.Generator, now: int):
+def _rotate_expired(
+    client: ClientState, state: NetworkState, rng: np.random.Generator, now: int
+) -> int:
+    """Draw a replacement for every slot past its deadline; returns how many expired."""
     # replacements advance the deadline by at least the rotation minimum, so
     # this terminates even after a long inactive gap
+    rotated = 0
     while True:
         expired = [slot for slot in client.guard_list if slot.rotation_deadline <= now]
         if not expired:
-            return
+            return rotated
+        rotated += len(expired)
         for slot in expired:
             client.guard_list.remove(slot)
             current = {s.fingerprint for s in client.guard_list}
@@ -464,6 +474,8 @@ class _BatchResult(NamedTuple):
     compromised: np.ndarray
     skipped: int
     failed: int
+    failed_guard: int  # no list guard compatible with the exit
+    failed_middle: int  # guard found, but no compatible middle
 
 
 def _build_batch(
@@ -477,10 +489,10 @@ def _build_batch(
     empty = np.empty(0, dtype=np.int64)
     m = len(times)
     if m == 0:
-        return _BatchResult(empty, empty, empty, empty, empty.astype(bool), 0, 0)
+        return _BatchResult(empty, empty, empty, empty, empty.astype(bool), 0, 0, 0, 0)
     pool = state.exit_pool(port)
     if pool is None or not guard_slots:
-        return _BatchResult(empty, empty, empty, empty, empty.astype(bool), m, 0)
+        return _BatchResult(empty, empty, empty, empty, empty.astype(bool), m, 0, 0, 0)
 
     exit_idx = pool.draw(rng, m)
 
@@ -520,6 +532,8 @@ def _build_batch(
         compromised[ok],
         0,
         int((~ok).sum()),
+        int(guard_failed.sum()),
+        int((bad & ~guard_failed).sum()),
     )
 
 
@@ -586,10 +600,31 @@ def build_circuit(
 
 @dataclass
 class SimulationTrace:
+    """A run's records, its circuits when collected, and what it counted.
+
+    ``streams_skipped`` counts streams no exit accepted in their period and
+    ``circuits_failed`` circuits whose relay constraints were not met within
+    MAX_HOP_ATTEMPTS draws: ``circuits_failed_guard`` found no list guard
+    compatible with the exit, ``circuits_failed_middle`` no middle compatible
+    with the guard and the exit.  ``guard_replacements`` counts guard slots
+    dropped because their relay left the guard pool, ``guard_rotations``
+    slots replaced at their rotation deadline.
+    """
+
     records: list[CompromiseRecord]
     circuits: list[tuple[int, Circuit]]  # (client_id, circuit); only when traced
     streams_skipped: int = 0
     circuits_failed: int = 0
+    circuits_failed_guard: int = 0
+    circuits_failed_middle: int = 0
+    guard_replacements: int = 0
+    guard_rotations: int = 0
+
+    def add(self, record: CompromiseRecord, counts: Counter) -> None:
+        """Append one client's record and add its counts, keyed by field name."""
+        self.records.append(record)
+        for name, value in counts.items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 def _simulate_client(
@@ -601,22 +636,21 @@ def _simulate_client(
     num_entry_guards: int,
     sim_start: int,
     collect: bool,
-) -> tuple[CompromiseRecord, list[tuple[int, Circuit]], int, int]:
+) -> tuple[CompromiseRecord, list[tuple[int, Circuit]], Counter]:
     rng = np.random.default_rng([seed, client_id])
     client = ClientState(client_id=client_id, num_entry_guards=num_entry_guards)
     built = 0
     compromised = 0
     first_time: int | None = None
-    skipped = 0
-    failed = 0
+    counts: Counter = Counter()
     circuits: list[tuple[int, Circuit]] = []
 
     for state, times in zip(states, state_times):
-        _apply_churn(client, state, rng)
+        counts["guard_replacements"] += _apply_churn(client, state, rng)
         position = 0
         while position < len(times):
             now = int(times[position])
-            _rotate_expired(client, state, rng, now)
+            counts["guard_rotations"] += _rotate_expired(client, state, rng, now)
             _refill_guards(client, state, rng, now)
             deadlines = [s.rotation_deadline for s in client.guard_list]
             horizon = min(deadlines) if deadlines else None
@@ -633,8 +667,10 @@ def _simulate_client(
             compromised += int(batch.compromised.sum())
             if first_time is None and batch.compromised.any():
                 first_time = int(batch.times[batch.compromised][0]) - sim_start
-            skipped += batch.skipped
-            failed += batch.failed
+            counts["streams_skipped"] += batch.skipped
+            counts["circuits_failed"] += batch.failed
+            counts["circuits_failed_guard"] += batch.failed_guard
+            counts["circuits_failed_middle"] += batch.failed_middle
             if collect:
                 relays = state.relays
                 for t, g, mi, e in zip(batch.times, batch.guard, batch.middle, batch.exit):
@@ -652,18 +688,24 @@ def _simulate_client(
             position = stop
 
     record = CompromiseRecord(client_id, first_time, built, compromised)
-    return record, circuits, skipped, failed
+    return record, circuits, counts
 
 
-def _simulate_range(args) -> list[tuple[CompromiseRecord, int, int]]:
-    lo, hi, seed, states, state_times, schedule, num_entry_guards, sim_start = args
+# The run a process pool works on: (seed, states, state_times, schedule,
+# num_entry_guards, sim_start).  simulate_prepared sets it just before the
+# pool forks its workers, which inherit it; jobs carry only a client range.
+_RUN: tuple | None = None
+
+
+def _simulate_range(bounds: tuple[int, int]) -> list[tuple[CompromiseRecord, Counter]]:
+    seed, states, state_times, schedule, num_entry_guards, sim_start = _RUN
     out = []
-    for client_id in range(lo, hi):
-        record, _, skipped, failed = _simulate_client(
+    for client_id in range(*bounds):
+        record, _, counts = _simulate_client(
             client_id, seed, states, state_times, schedule,
             num_entry_guards, sim_start, collect=False,
         )
-        out.append((record, skipped, failed))
+        out.append((record, counts))
     return out
 
 
@@ -725,42 +767,47 @@ def simulate_prepared(
 ) -> SimulationTrace:
     """Simulate over prepared states; the trace counts what went unbuilt.
 
-    ``streams_skipped`` counts streams no exit accepted in their period and
-    ``circuits_failed`` circuits whose relay constraints were not met within
-    MAX_HOP_ATTEMPTS draws.  ``collect`` keeps every built circuit and runs
-    serially.
+    With ``workers`` > 1 the client range is split over a pool of forked
+    processes, which inherit the prepared run from this one; each job
+    carries only its client range.  Where the platform cannot fork, and
+    for ``collect`` (keep every built circuit), the clients run serially.
+    Each client draws from its own substream, so the split cannot change
+    any result.
     """
+    global _RUN
     if clients < 1:
         raise WaterweightsError("need at least one client")
+    if workers < 1:
+        raise WaterweightsError("need at least one worker")
     schedule = schedule or StreamSchedule()
     states, sim_start = prepared.states, prepared.sim_start
     state_times = [schedule.stream_times(s.start, s.end) for s in states]
     trace = SimulationTrace(records=[], circuits=[])
 
-    if workers > 1 and not collect and clients >= 2 * workers:
+    if (
+        workers > 1 and not collect and clients >= 2 * workers
+        and "fork" in multiprocessing.get_all_start_methods()
+    ):
         bounds = np.linspace(0, clients, workers + 1, dtype=int)
-        jobs = [
-            (int(lo), int(hi), seed, states, state_times, schedule,
-             num_entry_guards, sim_start)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_simulate_range, jobs):
-                for record, skipped, failed in chunk:
-                    trace.records.append(record)
-                    trace.streams_skipped += skipped
-                    trace.circuits_failed += failed
+        jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        _RUN = (seed, states, state_times, schedule, num_entry_guards, sim_start)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                for chunk in pool.map(_simulate_range, jobs):
+                    for record, counts in chunk:
+                        trace.add(record, counts)
+        finally:
+            _RUN = None
     else:
         for client_id in range(clients):
-            record, circuits, skipped, failed = _simulate_client(
+            record, circuits, counts = _simulate_client(
                 client_id, seed, states, state_times, schedule,
                 num_entry_guards, sim_start, collect,
             )
-            trace.records.append(record)
+            trace.add(record, counts)
             trace.circuits.extend(circuits)
-            trace.streams_skipped += skipped
-            trace.circuits_failed += failed
 
     trace.records.sort(key=lambda r: r.client_id)
     return trace

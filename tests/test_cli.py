@@ -280,7 +280,32 @@ class TestSimulateAndCompare:
         summary = json.loads(result.stdout)
         assert summary["circuits_scheduled"] == 30 * 20  # 12000 s at one circuit per 600 s
         assert summary["circuits_unbuilt"] == 0
+        for key in ("circuits_failed_guard", "circuits_failed_middle",
+                    "guard_replacements", "guard_rotations"):
+            assert summary[key] == 0
         assert result.stderr == ""
+
+    def test_workers_below_one_exits_2(self, runner, tmp_path):
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out, extra=("--workers", "0"))
+        assert result.exit_code == 2
+        assert "--workers" in result.stderr
+        assert not out.exists()
+
+    def test_failure_split_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
+        from waterweights import cli
+
+        original = cli.simulate_prepared
+
+        def miscounting(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            trace.circuits_failed_guard += 1
+            return trace
+
+        monkeypatch.setattr(cli, "simulate_prepared", miscounting)
+        result = self.simulate(runner, tmp_path, tmp_path / "r.csv")
+        assert result.exit_code == 4
+        assert "1 on the guard" in result.stderr
 
     @pytest.mark.parametrize("quiet", [False, True])
     def test_port_no_exit_accepts_is_reported(self, runner, tmp_path, quiet):
@@ -344,7 +369,13 @@ class TestSimulateAndCompare:
         assert summary["circuits_unbuilt"] == 4 * 5
         assert summary["circuits_skipped"] == 0
         assert summary["circuits_failed"] == 4 * 5
-        assert "20 could not meet the relay constraints in 64 draws" in result.stderr
+        assert summary["circuits_failed_guard"] == 4 * 5
+        assert summary["circuits_failed_middle"] == 0
+        assert (
+            "20 could not meet the relay constraints in 64 draws"
+            " (20 found no list guard compatible with the exit)"
+        ) in result.stderr
+        assert "middle" not in result.stderr
         assert "port" not in result.stderr
 
     def test_simulate_prepares_each_state_once(self, runner, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from waterweights.consensus import (
     ConsensusSnapshot,
     LoadCase,
     PoolTotals,
+    RelayEntry,
     classify_load_case,
     parse_native,
     parse_policy,
@@ -119,6 +120,26 @@ class TestPoolPartition:
         relays = [make_relay(f"R{i}", int(w), r) for i, (w, r) in enumerate(zip(weights, roles))]
         totals = PoolTotals.from_relays(relays)
         assert totals.T == sum(int(w) for w in weights)
+
+    def test_from_relays_walks_the_relays_once(self, monkeypatch):
+        relays = [make_relay(f"R{i}", 10 * i, "gmed"[i % 4]) for i in range(8)]
+        calls = []
+        original = RelayEntry.pool
+
+        def counting(self):
+            calls.append(self.fingerprint)
+            return original(self)
+
+        monkeypatch.setattr(RelayEntry, "pool", counting)
+        snap = ConsensusSnapshot.from_relays(0, relays)
+        assert sorted(calls) == sorted(r.fingerprint for r in relays)
+        assert snap.totals == PoolTotals(G=40, M=60, E=80, D=100)
+
+    def test_explicit_totals_are_checked(self):
+        relays = (make_relay("G1", 5, "g"), make_relay("E1", 7, "e"))
+        assert ConsensusSnapshot(0, relays, PoolTotals(G=5, E=7)).totals.T == 12
+        with pytest.raises(InvariantError, match="do not match"):
+            ConsensusSnapshot(0, relays, PoolTotals(G=5, E=8))
 
 
 class TestParseV3:

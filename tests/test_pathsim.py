@@ -1,5 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterweights.consensus import ConsensusSnapshot, relays_conflict
 from waterweights.errors import (
@@ -8,6 +13,7 @@ from waterweights.errors import (
     InvariantError,
     WaterweightsError,
 )
+from waterweights import pathsim
 from waterweights.pathsim import (
     AdversaryRelay,
     AdversarySpec,
@@ -27,6 +33,7 @@ from waterweights.pathsim import (
     records_to_csv,
     run_simulation,
     run_simulation_traced,
+    simulate_prepared,
 )
 
 from conftest import analytic_compromise, make_relay, make_snapshot
@@ -48,6 +55,33 @@ def calibration_snapshot():
         ("M1", 400, "m"), ("M2", 200, "m"),
     ]
     return make_snapshot(spec)
+
+
+def mixed_sequence():
+    """Two hours of a small 3a network: G3 leaves the guard pool in the
+    second hour, and G1, G2 share a /16 with the exit E2, so a one-guard
+    list holding either cannot build to E2."""
+    relays = [
+        make_relay("G1", 300, "g", subnet="10.1"),
+        make_relay("G2", 200, "g", subnet="10.1"),
+        make_relay("G3", 150, "g", subnet="10.2"),
+        make_relay("G4", 120, "g", subnet="10.6"),
+        make_relay("M1", 400, "m", subnet="10.3"),
+        make_relay("M2", 200, "m", subnet="10.4"),
+        make_relay("E1", 120, "e", subnet="10.5"),
+        make_relay("E2", 80, "e", subnet="10.1"),
+    ]
+    first = ConsensusSnapshot.from_relays(0, relays)
+    second = ConsensusSnapshot.from_relays(3600, [r for r in relays if r.fingerprint != "G3"])
+    adv = adversary(guard_weights=(100,), exit_weights=(50,))
+    return prepare_sequence([first, second], adv, Algorithm.WATERFILLING, duration=3 * 3600)
+
+
+MIXED = mixed_sequence()
+
+
+def counts(trace) -> dict:
+    return {k: v for k, v in vars(trace).items() if k not in ("records", "circuits")}
 
 
 class TestAdversaryInjection:
@@ -306,6 +340,7 @@ class TestRunSimulation:
         snap = calibration_snapshot()
         schedule = StreamSchedule(circuit_interval=6 * 3600)
         counts = {}
+        rotations = {}
         for days in (30, 154):
             trace = run_simulation_traced(
                 [snap], AdversarySpec(), Algorithm.ABWRS, clients=10, seed=3,
@@ -315,8 +350,11 @@ class TestRunSimulation:
             for client_id, circuit in trace.circuits:
                 per_client.setdefault(client_id, set()).add(circuit.guard)
             counts[days] = [len(s) for _, s in sorted(per_client.items())]
+            rotations[days] = trace.guard_rotations
         assert all(c <= 3 for c in counts[30])
         assert all(later > early for early, later in zip(counts[30], counts[154]))
+        assert rotations[30] == 0
+        assert rotations[154] >= 10 * 3  # every first deadline falls within 90 days
 
     def test_case_3b_applies_both_waterfills(self):
         from waterweights.pathsim import network_summaries
@@ -367,6 +405,96 @@ class TestRunSimulation:
         assert "G3" not in used_late
         used_early = {c.guard for _, c in trace.circuits if c.time < second.valid_after}
         assert "G3" in used_early  # the guard was in service before the flag loss
+
+
+class TestRunCounts:
+    def test_guard_constraint_failures_and_churn_are_counted(self):
+        trace = simulate_prepared(MIXED, clients=30, seed=5, num_entry_guards=1)
+        assert trace.circuits_failed_guard > 0
+        assert trace.circuits_failed_middle == 0
+        assert trace.circuits_failed == trace.circuits_failed_guard
+        assert trace.guard_replacements > 0  # the clients that held G3
+        assert trace.guard_rotations == 0
+
+    def test_middle_constraint_failures_are_counted(self):
+        relays = [
+            make_relay("G1", 100, "g", subnet="10.0"),
+            make_relay("M1", 100, "m", subnet="10.0"),  # same /16 as the only guard
+            make_relay("E1", 100, "e", subnet="10.1"),
+        ]
+        snap = ConsensusSnapshot.from_relays(0, relays)
+        prepared = prepare_sequence([snap], AdversarySpec(), Algorithm.ABWRS, duration=3000)
+        trace = simulate_prepared(prepared, clients=4, seed=2)
+        assert trace.circuits_failed == trace.circuits_failed_middle == 4 * 5
+        assert trace.circuits_failed_guard == 0
+
+    def test_dropped_guard_counts_a_replacement(self):
+        base = [
+            ("G1", 500, "g"), ("G2", 300, "g"), ("G3", 200, "g"),
+            ("M1", 400, "m"), ("E1", 200, "e"),
+        ]
+        first = make_snapshot(base, valid_after=1000)
+        # G3 is gone an hour later; every three-guard list held it
+        second = make_snapshot([r for r in base if r[0] != "G3"], valid_after=4600)
+        trace = run_simulation_traced(
+            [first, second], AdversarySpec(), Algorithm.ABWRS,
+            clients=40, seed=31, duration=10_000,
+        )
+        assert trace.guard_replacements == 40
+        assert trace.guard_rotations == 0
+
+
+class TestWorkers:
+    def test_jobs_do_not_pickle_the_states(self, monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError("a NetworkState was pickled")
+
+        args = (MIXED, AdversarySpec(), Algorithm.WATERFILLING)  # prepared: args unused
+        serial = run_simulation(*args, clients=30, seed=8)
+        monkeypatch.setattr(pathsim.NetworkState, "__reduce_ex__", refuse)
+        assert run_simulation(*args, clients=30, seed=8, workers=2) == serial
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), clients=st.integers(1, 24))
+    def test_records_and_counts_do_not_depend_on_workers(self, seed, clients):
+        runs = [
+            simulate_prepared(MIXED, clients, seed, num_entry_guards=1, workers=w)
+            for w in (1, 2, 3)
+        ]
+        for run in runs[1:]:
+            assert run.records == runs[0].records
+            assert counts(run) == counts(runs[0])
+
+    def test_slot_is_cleared_after_a_run(self):
+        simulate_prepared(MIXED, clients=8, seed=1, workers=2)
+        assert pathsim._RUN is None
+
+    def test_slot_is_cleared_when_a_worker_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"client failed in process {os.getpid()}")
+
+        monkeypatch.setattr(pathsim, "_simulate_client", fail)
+        with pytest.raises(RuntimeError, match="client failed in process") as err:
+            simulate_prepared(MIXED, clients=8, seed=1, workers=2)
+        assert str(err.value) != f"client failed in process {os.getpid()}"  # a worker's
+        assert pathsim._RUN is None
+
+    def test_without_fork_the_clients_run_serially(self, monkeypatch):
+        serial = simulate_prepared(MIXED, clients=12, seed=4, num_entry_guards=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(pathsim, "ProcessPoolExecutor", no_pool)
+        pooled = simulate_prepared(MIXED, clients=12, seed=4, num_entry_guards=1, workers=2)
+        assert pooled.records == serial.records
+        assert counts(pooled) == counts(serial)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(WaterweightsError, match="worker"):
+            simulate_prepared(MIXED, clients=4, seed=1, workers=workers)
 
 
 class TestCompromiseCurve:
