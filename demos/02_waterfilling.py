@@ -53,7 +53,7 @@ print("...")
 print()
 
 flat = selection_distribution(snapshot, weights, Position.ENTRY)
-filled = selection_distribution(snapshot, weights, Position.ENTRY, waterfills=solution)
+filled = selection_distribution(snapshot, weights, Position.ENTRY, waterfills=[solution])
 print(f"entry-selection entropy, scalar weights:  {shannon_entropy(flat.probabilities):.4f} bits")
 print(f"entry-selection entropy, waterfilling:    {shannon_entropy(filled.probabilities):.4f} bits")
 print(f"top guard selection probability: {flat.probabilities.max():.4f} -> "

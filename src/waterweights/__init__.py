@@ -48,7 +48,6 @@ from .pathsim import (
 from .metrics import (
     JointDistribution,
     estimate_joint_analytic,
-    estimate_joint_from_sample,
     group_diversity,
     guessing_entropy,
     shannon_entropy,
@@ -81,7 +80,6 @@ __all__ = [
     "compromise_curve",
     "compute_weights",
     "estimate_joint_analytic",
-    "estimate_joint_from_sample",
     "group_diversity",
     "guessing_entropy",
     "inject_adversary",

@@ -46,7 +46,6 @@ from .pathsim import (
     Algorithm,
     StreamSchedule,
     compromise_curve,
-    network_summaries,
     prepare_sequence,
     records_from_csv,
     records_to_csv,
@@ -86,18 +85,18 @@ class CostReport:
 
 
 def report_adversary_cost(
-    wf: WaterfillSolution | Fraction | float,
+    water_level: Fraction | float,
     target_guard_weight: int,
     entry_weight,
 ) -> CostReport:
     """How many water-level relays equal one big relay's guard traffic.
 
-    ``wf`` may be a solved WaterfillSolution or a bare water level.  The
-    target's effective guard weight is target * entry_weight (under scalar
-    weights only that share of the relay serves the entry position), and
-    the node count is the ceiling of effective weight over the water level.
+    The target's effective guard weight is target * entry_weight (under
+    scalar weights only that share of the relay serves the entry position),
+    and the node count is the ceiling of effective weight over the water
+    level.
     """
-    level = wf.water_level if isinstance(wf, WaterfillSolution) else Fraction(wf)
+    level = Fraction(water_level)
     if level <= 0:
         raise NotApplicableError("water level must be positive to price an adversary")
     entry_fraction = Fraction(entry_weight)
@@ -347,9 +346,11 @@ def waterfill(ctx, mode, pools, snapshot):
 @click.option("--seed", type=int, default=None, help="Required here or at the group level.")
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 @click.option("--duration", type=int, default=None, help="Seconds simulated past the first snapshot.")
-@click.option("--interval", type=int, default=600, show_default=True, help="Seconds between circuits.")
-@click.option("--port", type=int, default=443, show_default=True, help="Destination port of the streams.")
-@click.option("--num-guards", type=int, default=3, show_default=True)
+@click.option("--interval", type=click.IntRange(min=1), default=600, show_default=True,
+              help="Seconds between circuits.")
+@click.option("--port", type=click.IntRange(1, 65_535), default=443, show_default=True,
+              help="Destination port of the streams.")
+@click.option("--num-guards", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.pass_context
 def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
@@ -371,7 +372,7 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     sequence.sort(key=lambda s: s.valid_after)
     try:
         adversary_spec = AdversarySpec.from_json_dict(json.loads(adversary.read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, ParseError, TypeError, ValueError) as exc:
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
     prepared = prepare_sequence(sequence, adversary_spec, Algorithm(algo), duration)
@@ -382,8 +383,8 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     records = trace.records
     out.write_text(records_to_csv(records))
     compromised = sum(1 for r in records if r.circuits_compromised > 0)
-    periods = network_summaries(prepared, adversary_spec, Algorithm(algo))
-    scheduled = clients * sum(len(schedule.stream_times(*p["covers"])) for p in periods)
+    periods = [state.summary() for state in prepared.states]
+    scheduled = clients * sum(len(schedule.stream_times(s.start, s.end)) for s in prepared.states)
     unbuilt = scheduled - sum(r.circuits_built for r in records)
     skipped, failed = trace.streams_skipped, trace.circuits_failed
     on_guard, on_middle = trace.circuits_failed_guard, trace.circuits_failed_middle
@@ -445,9 +446,8 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
 @click.option("--joint", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--snapshot", type=click.Path(exists=True, path_type=Path), default=None,
               help="Relay metadata for country/AS grouping of the guard marginal.")
-@click.option("--all", "show_all", is_flag=True, default=True, help="Compute every metric.")
 @click.pass_context
-def metrics(ctx, joint, snapshot, show_all):
+def metrics(ctx, joint, snapshot):
     """Anonymity metrics over a joint guard-exit distribution CSV."""
     jd = joint_from_csv(joint.read_text())
     trace = guessing_entropy(jd)

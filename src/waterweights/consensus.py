@@ -209,12 +209,6 @@ class ConsensusSnapshot:
     def from_relays(valid_after: int, relays) -> "ConsensusSnapshot":
         return ConsensusSnapshot(valid_after, tuple(relays))
 
-    def relay(self, fingerprint: str) -> RelayEntry:
-        for r in self.relays:
-            if r.fingerprint == fingerprint:
-                return r
-        raise KeyError(fingerprint)
-
     @cached_property
     def columns(self) -> "SnapshotColumns":
         """The relay list as per-field arrays, built on first use."""
@@ -252,24 +246,12 @@ class SnapshotColumns:
         return verdicts[self.policy_id]
 
 
-def relays_conflict(a: RelayEntry, b: RelayEntry) -> bool:
-    """Whether two relays may not share a circuit.
-
-    True for the same relay, for relays where either lists the other as
-    family, and for relays in the same /16 subnet (unknown subnets never
-    match).
-    """
-    if a.fingerprint == b.fingerprint:
-        return True
-    if b.fingerprint in a.family or a.fingerprint in b.family:
-        return True
-    return a.subnet16 is not None and a.subnet16 == b.subnet16
-
-
 class ConflictIndex:
-    """relays_conflict in array form, over one relay list.
+    """Which relays of one list may not share a circuit.
 
-    Relays are addressed by their position in the list.  Each relay gets an
+    Two relays conflict when they are the same relay, when either lists
+    the other as family, or when they share a known /16 subnet.  Relays
+    are addressed by their position in the list.  Each relay gets an
     integer /16 code; an unknown subnet gets a code of its own, so it only
     ever matches the relay itself.  Every code matches itself, so comparing
     codes also covers the same-relay rule.  Family pairs are kept as sorted

@@ -16,7 +16,7 @@ Three views of how exposed circuit endpoints are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -52,21 +52,6 @@ class JointDistribution:
         total = float(matrix.sum())
         if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise InvariantError(f"cell probabilities sum to {total!r}, not 1")
-
-
-def estimate_joint_from_sample(pairs: Iterable[tuple[str, str]]) -> JointDistribution:
-    """Empirical cell frequencies from observed (guard, exit) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise UndefinedMetricError("cannot estimate a joint distribution from no circuits")
-    guards = tuple(sorted({g for g, _ in pairs}))
-    exits = tuple(sorted({e for _, e in pairs}))
-    gi = {fp: i for i, fp in enumerate(guards)}
-    ei = {fp: i for i, fp in enumerate(exits)}
-    counts = np.zeros((len(guards), len(exits)), dtype=np.float64)
-    for g, e in pairs:
-        counts[gi[g], ei[e]] += 1.0
-    return JointDistribution(guards, exits, counts / len(pairs))
 
 
 def estimate_joint_analytic(

@@ -44,6 +44,7 @@ from .errors import (
     EmptyPoolError,
     InvariantError,
     NotApplicableError,
+    ParseError,
     UnsupportedLoadCaseError,
     WaterweightsError,
 )
@@ -53,7 +54,7 @@ from .waterfill import (
     solve_guard_waterfill,
     selection_distribution,
 )
-from .weights import PositionWeights, WeightMode, compute_weights
+from .weights import WeightMode, compute_weights
 
 DAY = 86_400
 GUARD_ROTATION_MIN = 60 * DAY
@@ -85,6 +86,15 @@ class AdversaryRelay:
     join_time: int = 0
     flags: frozenset[str] | None = None
     exit_policy: tuple[PolicyRule, ...] | None = None
+
+
+_ADVERSARY_RELAY_KEYS = frozenset({"role", "consensus_weight", "join_time", "count"})
+
+
+def _reject_unknown_keys(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ParseError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -126,14 +136,29 @@ class AdversarySpec:
         return entries
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "AdversarySpec":
+    def from_json_dict(doc) -> "AdversarySpec":
+        """Read an ``adv.json`` document; a malformed one raises ParseError."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("relays"), list):
+            raise ParseError("adversary document must be an object with a 'relays' list")
+        _reject_unknown_keys(doc, {"relays"}, "adversary document")
         relays = []
-        for item in doc.get("relays", ()):
+        for n, item in enumerate(doc["relays"]):
+            where = f"relays[{n}]"
+            if not isinstance(item, dict):
+                raise ParseError(f"{where} must be an object")
+            _reject_unknown_keys(item, _ADVERSARY_RELAY_KEYS, where)
+            if "role" not in item or "consensus_weight" not in item:
+                raise ParseError(f"{where} needs 'role' and 'consensus_weight'")
             count = int(item.get("count", 1))
+            weight = int(item["consensus_weight"])
+            if count < 1:
+                raise ParseError(f"{where}.count must be at least 1, not {count}")
+            if weight < 0:
+                raise ParseError(f"{where}.consensus_weight must not be negative, not {weight}")
             relays.extend(
                 AdversaryRelay(
                     role=RoleHint(item["role"]),
-                    consensus_weight=int(item["consensus_weight"]),
+                    consensus_weight=weight,
                     join_time=int(item.get("join_time", 0)),
                 )
                 for _ in range(count)
@@ -198,7 +223,6 @@ class StreamSchedule:
 @dataclass
 class GuardSlot:
     fingerprint: str
-    chosen_at: int
     rotation_deadline: int
 
 
@@ -206,7 +230,6 @@ class GuardSlot:
 class ClientState:
     """Mutable per-client state: the persistent guard list."""
 
-    client_id: int = 0
     num_entry_guards: int = 3
     guard_list: list[GuardSlot] = field(default_factory=list)
 
@@ -228,10 +251,16 @@ class CompromiseRecord:
     circuits_compromised: int
 
     def __post_init__(self):
+        if not 0 <= self.circuits_compromised <= self.circuits_built:
+            raise InvariantError(
+                f"{self.circuits_compromised} circuits compromised of {self.circuits_built} built"
+            )
         if (self.first_compromise_time is not None) != (self.circuits_compromised > 0):
             raise InvariantError(
                 "first_compromise_time must be present exactly when circuits were compromised"
             )
+        if self.first_compromise_time is not None and self.first_compromise_time < 0:
+            raise InvariantError(f"first_compromise_time {self.first_compromise_time} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +282,7 @@ class _Pool:
 
 
 class NetworkState:
-    """A snapshot with adversary injected, weights solved, pools prepared.
-
-    Pass explicit ``weights`` (and optionally ``waterfills``) to bypass
-    classification, e.g. when driving build_circuit with hand-made weights.
-    """
+    """A snapshot with adversary injected, weights solved, pools prepared."""
 
     def __init__(
         self,
@@ -266,41 +291,31 @@ class NetworkState:
         adversary_fps: frozenset[str],
         start: int,
         end: int,
-        *,
-        weights: PositionWeights | None = None,
-        waterfills=None,
     ):
         self.snapshot = snapshot
         self.start = start
         self.end = end
-        self.case: LoadCase | None = None
-        if weights is not None:
-            self.weights = weights
-            self.waterfills = list(waterfills) if waterfills else []
-        else:
-            case, detail = classify_load_case(snapshot.totals)
-            if case is LoadCase.UNSUPPORTED:
-                raise UnsupportedLoadCaseError(
-                    f"snapshot at {snapshot.valid_after}: {detail}"
-                )
-            self.case = case
-            mode = (
-                WeightMode.GUARD_EXIT_EQUALIZED
-                if algorithm is Algorithm.WATERFILLING_GE and case is LoadCase.CASE_3A
-                else WeightMode.STANDARD
-            )
-            self.weights = compute_weights(snapshot.totals, case, mode)
-            self.waterfills = []
-            if algorithm in (Algorithm.WATERFILLING, Algorithm.WATERFILLING_GE):
+        case, detail = classify_load_case(snapshot.totals)
+        if case is LoadCase.UNSUPPORTED:
+            raise UnsupportedLoadCaseError(f"snapshot at {snapshot.valid_after}: {detail}")
+        self.case = case
+        mode = (
+            WeightMode.GUARD_EXIT_EQUALIZED
+            if algorithm is Algorithm.WATERFILLING_GE and case is LoadCase.CASE_3A
+            else WeightMode.STANDARD
+        )
+        self.weights = compute_weights(snapshot.totals, case, mode)
+        self.waterfills = []
+        if algorithm in (Algorithm.WATERFILLING, Algorithm.WATERFILLING_GE):
+            try:
+                self.waterfills.append(solve_guard_waterfill(snapshot, self.weights))
+            except NotApplicableError:
+                pass
+            if case is LoadCase.CASE_3B:
                 try:
-                    self.waterfills.append(solve_guard_waterfill(snapshot, self.weights))
+                    self.waterfills.append(solve_dset_waterfill(snapshot, self.weights))
                 except NotApplicableError:
                     pass
-                if case is LoadCase.CASE_3B:
-                    try:
-                        self.waterfills.append(solve_dset_waterfill(snapshot, self.weights))
-                    except NotApplicableError:
-                        pass
 
         relays = snapshot.relays
         self.relays = relays
@@ -334,14 +349,31 @@ class NetworkState:
         idx = self.index.position.get(fingerprint)
         return idx is not None and "Guard" in self.relays[idx].flags
 
+    def summary(self) -> dict:
+        """The period's load case, weights and water levels, as simulate reports them."""
+        return {
+            "valid_after": self.snapshot.valid_after,
+            "covers": [self.start, self.end],
+            "case": self.case.value,
+            "mode": self.weights.mode.value,
+            "Wgg": float(self.weights.Wgg),
+            "waterfill": {
+                sol.pool.value: {
+                    "water_level": float(sol.water_level),
+                    "pivot_index": sol.pivot_index,
+                }
+                for sol in self.waterfills
+            },
+        }
+
 
 @dataclass(frozen=True, eq=False)
 class PreparedSequence:
     """The per-period network states of one run, each prepared once.
 
-    Built by ``prepare_sequence``; ``run_simulation`` and
-    ``network_summaries`` accept it in place of the snapshot list, so a
-    caller that needs both prepares every state once.
+    Built by ``prepare_sequence`` and run by ``simulate_prepared``; a caller
+    that also reports the periods reads ``NetworkState.summary`` off
+    ``states``.
     """
 
     states: tuple[NetworkState, ...]
@@ -394,12 +426,6 @@ def prepare_sequence(
     return PreparedSequence(tuple(states), sim_start, sim_end)
 
 
-def _prepared(consensus_sequence, adversary, algorithm, duration) -> PreparedSequence:
-    if isinstance(consensus_sequence, PreparedSequence):
-        return consensus_sequence
-    return prepare_sequence(consensus_sequence, adversary, algorithm, duration)
-
-
 # ---------------------------------------------------------------------------
 # Guard-list management
 # ---------------------------------------------------------------------------
@@ -425,7 +451,7 @@ def _refill_guards(
             break  # pool smaller than the list; run with what exists
         current.add(fp)
         deadline = now + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))
-        client.guard_list.append(GuardSlot(fp, now, deadline))
+        client.guard_list.append(GuardSlot(fp, deadline))
 
 
 def _apply_churn(client: ClientState, state: NetworkState, rng: np.random.Generator) -> int:
@@ -457,9 +483,7 @@ def _rotate_expired(
                 deadline = slot.rotation_deadline + int(
                     rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX)
                 )
-                client.guard_list.append(
-                    GuardSlot(fp, slot.rotation_deadline, deadline)
-                )
+                client.guard_list.append(GuardSlot(fp, deadline))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +563,9 @@ def _build_batch(
 
 def build_circuit(
     client: ClientState,
-    snapshot_or_state,
-    weights: PositionWeights | None,
+    state: NetworkState,
     stream: StreamSpec,
     rng: np.random.Generator,
-    waterfills=None,
 ) -> Circuit:
     """Build a single circuit for one client.
 
@@ -552,23 +574,7 @@ def build_circuit(
     from the entry distribution when short), then the middle hop.  Raises
     EmptyPoolError when no exit accepts the port and CircuitFailureError
     when rejection-resampling cannot satisfy the circuit constraints.
-
-    Accepts either a prepared NetworkState or a (snapshot, weights) pair;
-    pass a NetworkState when building many circuits from one snapshot.
     """
-    if isinstance(snapshot_or_state, NetworkState):
-        state = snapshot_or_state
-    else:
-        state = NetworkState(
-            snapshot_or_state,
-            Algorithm.ABWRS,
-            frozenset(),
-            snapshot_or_state.valid_after,
-            snapshot_or_state.valid_after + DEFAULT_SNAPSHOT_PERIOD,
-            weights=weights,
-            waterfills=waterfills,
-        )
-
     _rotate_expired(client, state, rng, stream.time)
     client.guard_list = [
         slot for slot in client.guard_list if state.has_guard(slot.fingerprint)
@@ -638,7 +644,7 @@ def _simulate_client(
     collect: bool,
 ) -> tuple[CompromiseRecord, list[tuple[int, Circuit]], Counter]:
     rng = np.random.default_rng([seed, client_id])
-    client = ClientState(client_id=client_id, num_entry_guards=num_entry_guards)
+    client = ClientState(num_entry_guards=num_entry_guards)
     built = 0
     compromised = 0
     first_time: int | None = None
@@ -710,7 +716,7 @@ def _simulate_range(bounds: tuple[int, int]) -> list[tuple[CompromiseRecord, Cou
 
 
 def run_simulation(
-    consensus_sequence: Sequence[ConsensusSnapshot] | PreparedSequence,
+    consensus_sequence: Sequence[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
     clients: int,
@@ -725,34 +731,12 @@ def run_simulation(
 
     Returns one CompromiseRecord per client, ordered by client_id.  Fully
     deterministic for a given argument tuple; workers only split the client
-    range and cannot change the results.  Given a PreparedSequence, its
-    states are used as prepared, and ``adversary``, ``algorithm`` and
-    ``duration`` are not consulted.
+    range and cannot change the results.
     """
-    prepared = _prepared(consensus_sequence, adversary, algorithm, duration)
     return simulate_prepared(
-        prepared, clients, seed,
+        prepare_sequence(consensus_sequence, adversary, algorithm, duration), clients, seed,
         schedule=schedule, num_entry_guards=num_entry_guards, workers=workers,
     ).records
-
-
-def run_simulation_traced(
-    consensus_sequence: Sequence[ConsensusSnapshot] | PreparedSequence,
-    adversary: AdversarySpec,
-    algorithm: Algorithm,
-    clients: int,
-    seed: int,
-    *,
-    schedule: StreamSchedule | None = None,
-    num_entry_guards: int = 3,
-    duration: int | None = None,
-) -> SimulationTrace:
-    """run_simulation plus the full list of built circuits, for audits."""
-    prepared = _prepared(consensus_sequence, adversary, algorithm, duration)
-    return simulate_prepared(
-        prepared, clients, seed,
-        schedule=schedule, num_entry_guards=num_entry_guards, collect=True,
-    )
 
 
 def simulate_prepared(
@@ -779,6 +763,8 @@ def simulate_prepared(
         raise WaterweightsError("need at least one client")
     if workers < 1:
         raise WaterweightsError("need at least one worker")
+    if num_entry_guards < 1:
+        raise WaterweightsError("need at least one entry guard")
     schedule = schedule or StreamSchedule()
     states, sim_start = prepared.states, prepared.sim_start
     state_times = [schedule.stream_times(s.start, s.end) for s in states]
@@ -814,30 +800,14 @@ def simulate_prepared(
 
 
 def network_summaries(
-    consensus_sequence: Sequence[ConsensusSnapshot] | PreparedSequence,
+    consensus_sequence: Sequence[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
     duration: int | None = None,
 ) -> list[dict]:
     """Per-period weight and waterfill summaries, as the simulation sees them."""
-    out = []
-    for state in _prepared(consensus_sequence, adversary, algorithm, duration).states:
-        entry = {
-            "valid_after": state.snapshot.valid_after,
-            "covers": [state.start, state.end],
-            "case": state.case.value if state.case else None,
-            "mode": state.weights.mode.value,
-            "Wgg": float(state.weights.Wgg),
-            "waterfill": {
-                sol.pool.value: {
-                    "water_level": float(sol.water_level),
-                    "pivot_index": sol.pivot_index,
-                }
-                for sol in state.waterfills
-            },
-        }
-        out.append(entry)
-    return out
+    prepared = prepare_sequence(consensus_sequence, adversary, algorithm, duration)
+    return [state.summary() for state in prepared.states]
 
 
 # ---------------------------------------------------------------------------
@@ -885,21 +855,27 @@ def records_to_csv(records: Sequence[CompromiseRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[CompromiseRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RECORDS_HEADER:
+    """Parse a records CSV; a malformed or impossible row names its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != RECORDS_HEADER:
         raise WaterweightsError("records CSV missing the expected header")
     records = []
-    for number, ln in enumerate(lines[1:], start=2):
+    seen: set[int] = set()
+    for number, ln in lines[1:]:
         try:
             cid, first, built, comp = ln.split(",")
-            records.append(
-                CompromiseRecord(
-                    int(cid),
-                    int(first) if first else None,
-                    int(built),
-                    int(comp),
-                )
+            record = CompromiseRecord(
+                int(cid),
+                int(first) if first else None,
+                int(built),
+                int(comp),
             )
-        except ValueError as exc:
+        except (ValueError, InvariantError) as exc:
             raise WaterweightsError(f"records CSV line {number}: {exc}") from None
+        if record.client_id in seen:
+            raise WaterweightsError(
+                f"records CSV line {number}: client_id {record.client_id} repeats"
+            )
+        seen.add(record.client_id)
+        records.append(record)
     return records

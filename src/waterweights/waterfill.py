@@ -83,10 +83,6 @@ class WaterfillSolution:
             out.append(RelayShare(fp, bw, fraction, self._derive(fraction)))
         return tuple(out)
 
-    def share_for(self, fingerprint: str) -> RelayShare | None:
-        rank = self._rank.get(fingerprint)
-        return None if rank is None else self.shares[rank]
-
     @cached_property
     def _rank(self) -> dict[str, int]:
         return {fp: rank for rank, fp in enumerate(self.fingerprints)}
@@ -218,17 +214,6 @@ class ProbabilityVector:
         return dict(zip(self.fingerprints, self.probabilities.tolist()))
 
 
-def _normalize_waterfills(wf) -> dict[TargetPool, WaterfillSolution]:
-    if wf is None:
-        return {}
-    if isinstance(wf, WaterfillSolution):
-        return {wf.pool: wf}
-    out = {}
-    for sol in wf:
-        out[sol.pool] = sol
-    return out
-
-
 def _scalar_factors(w: PositionWeights, position: Position) -> dict[str, Fraction]:
     """Scalar weight factor per pool code (G/M/E/D); absent codes get 0.
 
@@ -300,25 +285,23 @@ def selection_distribution(
     snapshot: ConsensusSnapshot,
     w: PositionWeights,
     position: Position,
-    waterfills: WaterfillSolution | Iterable[WaterfillSolution] | None = None,
-    stream=None,
+    waterfills: Iterable[WaterfillSolution] = (),
+    stream: int | None = None,
 ) -> ProbabilityVector:
     """Selection probabilities for one circuit position.
 
     Each eligible relay is weighted by consensus_weight times its positional
     weight factor and the vector is normalized.  For the exit position,
-    ``stream`` (a StreamSpec or a bare destination port) filters candidates
-    through their exit policies.  Weights are exact until each is converted
-    to the nearest float; the normalizing total sums those floats in
-    document order.
+    ``stream`` (the destination port) filters candidates through their exit
+    policies.  Weights are exact until each is converted to the nearest
+    float; the normalizing total sums those floats in document order.
     """
-    solutions = _normalize_waterfills(waterfills)
+    solutions = {sol.pool: sol for sol in waterfills}
     keep = None
     if position is Position.EXIT:
         if stream is None:
-            raise ValueError("exit position needs a stream (or port) for policy filtering")
-        port = stream if isinstance(stream, int) else stream.destination_port
-        keep = snapshot.columns.accepts(port)
+            raise ValueError("exit position needs a destination port for policy filtering")
+        keep = snapshot.columns.accepts(stream)
 
     num, den = _weight_fractions(snapshot, w, position, solutions)
     keep = num > 0 if keep is None else keep & (num > 0)

@@ -37,6 +37,20 @@ def make_snapshot(spec, valid_after=1_432_548_000, distinct_subnets=True):
     return ConsensusSnapshot.from_relays(valid_after, relays)
 
 
+def relays_conflict(a, b):
+    """Whether two relays may not share a circuit, one pair at a time.
+
+    The reference for ``ConflictIndex``: the same relay, either relay
+    listing the other as family, or a shared /16 (unknown subnets never
+    match).
+    """
+    if a.fingerprint == b.fingerprint:
+        return True
+    if b.fingerprint in a.family or a.fingerprint in b.family:
+        return True
+    return a.subnet16 is not None and a.subnet16 == b.subnet16
+
+
 def pareto_weights(rng: np.random.Generator, size: int, alpha: float) -> list[int]:
     """Heavy-tailed positive integer consensus weights."""
     draws = rng.pareto(alpha, size=size) + 1.0

@@ -200,7 +200,7 @@ class TestMetricsCommand:
         )
         path = tmp_path / "joint.csv"
         path.write_text(joint_to_csv(jd))
-        result = runner.invoke(main, ["metrics", "--joint", str(path), "--all"])
+        result = runner.invoke(main, ["metrics", "--joint", str(path)])
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
         assert 0 < payload["uniformity_degree"] < 1
@@ -290,6 +290,38 @@ class TestSimulateAndCompare:
         result = self.simulate(runner, tmp_path, out, extra=("--workers", "0"))
         assert result.exit_code == 2
         assert "--workers" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--num-guards", "0"), ("--interval", "0"), ("--port", "0"), ("--port", "65536"),
+    ])
+    def test_out_of_range_options_exit_2(self, runner, tmp_path, option, value):
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out, extra=(option, value))
+        assert result.exit_code == 2
+        assert option in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,field", [
+        ([{"role": "guard", "consensus_weight": 400}], "object"),
+        ({"relay": [{"role": "guard", "consensus_weight": 400}]}, "'relays'"),
+        ({"relays": [], "budget": 5}, "'budget'"),
+        ({"relays": [{"role": "guard", "consensus_weight": 400, "counts": 3}]}, "'counts'"),
+        ({"relays": [{"role": "guard", "consensus_weight": 400, "count": -3}]}, "count"),
+        ({"relays": [{"role": "guard", "consensus_weight": 400, "count": 0}]}, "count"),
+        ({"relays": [{"role": "exit", "consensus_weight": -1}]}, "consensus_weight"),
+    ])
+    def test_malformed_adversary_exits_2(self, runner, tmp_path, doc, field):
+        snaps, adv = self.write_inputs(tmp_path)
+        adv.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "3", "--seed", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "bad adversary file" in result.stderr
+        assert field in result.stderr
         assert not out.exists()
 
     def test_failure_split_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
@@ -403,6 +435,24 @@ class TestSimulateAndCompare:
         payload = json.loads(result.stdout)
         assert payload["terminal_delta"] == 0.0
         assert payload["sign_test"]["verdict"] == "indistinguishable"
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0,,5,0", "client_id 0 repeats"),
+        ("1,-600,5,1", "negative"),
+        ("1,600,2,3", "3 circuits compromised of 2 built"),
+        ("1,600,5,0", "first_compromise_time"),
+    ])
+    def test_compare_rejects_impossible_rows(self, runner, tmp_path, row, problem):
+        from waterweights.pathsim import RECORDS_HEADER
+
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{RECORDS_HEADER}\n0,,5,0\n{row}\n")
+        good = tmp_path / "good.csv"
+        good.write_text(f"{RECORDS_HEADER}\n0,,5,0\n1,,5,0\n")
+        result = runner.invoke(main, ["compare", str(good), str(bad), "--horizon", "600"])
+        assert result.exit_code == 2
+        assert "line 3" in result.stderr
+        assert problem in result.stderr
 
     def test_report_command(self, runner, tmp_path):
         wf = tmp_path / "wf.json"

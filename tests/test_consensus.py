@@ -14,7 +14,6 @@ from waterweights.consensus import (
     parse_policy,
     parse_v3_subset,
     policy_accepts,
-    relays_conflict,
     serialize_native,
     snapshot_from_json,
     snapshot_to_json,
@@ -26,7 +25,7 @@ from waterweights.errors import (
     ParseError,
 )
 
-from conftest import make_relay, make_snapshot
+from conftest import make_relay, make_snapshot, relays_conflict
 
 NATIVE_TWO_RELAY = """\
 snapshot 1432548000
@@ -70,7 +69,7 @@ class TestParseNative:
 
     def test_optional_fields_roundtrip(self):
         snap = parse_native(NATIVE_TWO_RELAY)
-        bob = snap.relay("BBBB")
+        bob = next(r for r in snap.relays if r.fingerprint == "BBBB")
         assert bob.country == "de"
         assert bob.as_number == 3320
         assert bob.accepts_port(443)

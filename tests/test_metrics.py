@@ -9,7 +9,6 @@ from waterweights.metrics import (
     GuessingTrace,
     JointDistribution,
     estimate_joint_analytic,
-    estimate_joint_from_sample,
     group_diversity,
     guessing_entropy,
     joint_from_csv,
@@ -193,21 +192,6 @@ class TestUniformityDegree:
 
 
 class TestEstimateJoint:
-    def test_identical_pairs_single_cell(self):
-        jd = estimate_joint_from_sample([("g1", "e1")] * 4)
-        assert jd.guards == ("g1",) and jd.exits == ("e1",)
-        assert jd.p.tolist() == [[1.0]]
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            estimate_joint_from_sample([])
-
-    def test_sample_frequencies(self):
-        jd = estimate_joint_from_sample(
-            [("g1", "e1"), ("g1", "e2"), ("g2", "e1"), ("g1", "e1")]
-        )
-        assert jd.p[jd.guards.index("g1"), jd.exits.index("e1")] == 0.5
-
     def analytic_fixture(self, conflict):
         relays = [
             make_relay("g1", 10, "g", subnet="1.1"),

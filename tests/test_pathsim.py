@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waterweights.consensus import ConsensusSnapshot, relays_conflict
+from waterweights.consensus import ConsensusSnapshot
 from waterweights.errors import (
     CircuitFailureError,
     EmptyPoolError,
@@ -20,7 +20,9 @@ from waterweights.pathsim import (
     Algorithm,
     ClientState,
     CompromiseRecord,
+    DEFAULT_SNAPSHOT_PERIOD,
     GuardSlot,
+    NetworkState,
     RoleHint,
     StreamSchedule,
     StreamSpec,
@@ -32,11 +34,10 @@ from waterweights.pathsim import (
     records_from_csv,
     records_to_csv,
     run_simulation,
-    run_simulation_traced,
     simulate_prepared,
 )
 
-from conftest import analytic_compromise, make_relay, make_snapshot
+from conftest import analytic_compromise, make_relay, make_snapshot, relays_conflict
 
 
 def adversary(guard_weights=(), exit_weights=()):
@@ -44,6 +45,20 @@ def adversary(guard_weights=(), exit_weights=()):
         AdversaryRelay(RoleHint.EXIT_LIKE, w) for w in exit_weights
     )
     return AdversarySpec(relays)
+
+
+def traced(sequence, adversary, algorithm, clients, seed, *, duration=None, **kwargs):
+    """One run that keeps every built circuit, for audits."""
+    prepared = prepare_sequence(sequence, adversary, algorithm, duration)
+    return simulate_prepared(prepared, clients, seed, collect=True, **kwargs)
+
+
+def abwrs_state(snapshot):
+    """The scalar-weight state of one snapshot, over one snapshot period."""
+    start = snapshot.valid_after
+    return NetworkState(
+        snapshot, Algorithm.ABWRS, frozenset(), start, start + DEFAULT_SNAPSHOT_PERIOD
+    )
 
 
 def calibration_snapshot():
@@ -120,9 +135,9 @@ class TestAdversaryInjection:
         adv = adversary(guard_weights=(10,) * 256, exit_weights=(10,))
         snap = inject_adversary(make_snapshot([("M1", 100, "m")]), adv)
         client = ClientState(num_entry_guards=1)
-        client.guard_list = [GuardSlot("ADV000GUARD", chosen_at=0, rotation_deadline=10**12)]
+        client.guard_list = [GuardSlot("ADV000GUARD", rotation_deadline=10**12)]
         circuit = build_circuit(
-            client, snap, None, StreamSpec(snap.valid_after, 443), np.random.default_rng(5)
+            client, abwrs_state(snap), StreamSpec(snap.valid_after, 443), np.random.default_rng(5)
         )
         assert (circuit.guard, circuit.exit) == ("ADV000GUARD", "ADV256EXIT")
 
@@ -140,7 +155,7 @@ class TestBuildCircuit:
         snap = make_snapshot([("G1", 100, "g"), ("M1", 100, "m"), ("E1", 100, "e")])
         client = ClientState()
         rng = np.random.default_rng(1)
-        circuit = build_circuit(client, snap, None, StreamSpec(0, 443), rng)
+        circuit = build_circuit(client, abwrs_state(snap), StreamSpec(0, 443), rng)
         assert (circuit.guard, circuit.middle, circuit.exit) == ("G1", "M1", "E1")
 
     def test_impossible_middle_fails_after_bounded_attempts(self):
@@ -151,7 +166,9 @@ class TestBuildCircuit:
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
         with pytest.raises(CircuitFailureError):
-            build_circuit(ClientState(), snap, None, StreamSpec(0, 443), np.random.default_rng(1))
+            build_circuit(
+                ClientState(), abwrs_state(snap), StreamSpec(0, 443), np.random.default_rng(1)
+            )
 
     def test_no_exit_for_port(self):
         from waterweights.consensus import parse_policy
@@ -163,13 +180,15 @@ class TestBuildCircuit:
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
         with pytest.raises(EmptyPoolError):
-            build_circuit(ClientState(), snap, None, StreamSpec(0, 443), np.random.default_rng(1))
+            build_circuit(
+                ClientState(), abwrs_state(snap), StreamSpec(0, 443), np.random.default_rng(1)
+            )
 
     def test_expired_guard_is_rotated_before_use(self):
         snap = make_snapshot([("G1", 100, "g"), ("G2", 100, "g"), ("M1", 100, "m"), ("E1", 100, "e")])
         client = ClientState(num_entry_guards=1)
-        client.guard_list = [GuardSlot("G1", chosen_at=0, rotation_deadline=5)]
-        build_circuit(client, snap, None, StreamSpec(10, 443), np.random.default_rng(3))
+        client.guard_list = [GuardSlot("G1", rotation_deadline=5)]
+        build_circuit(client, abwrs_state(snap), StreamSpec(10, 443), np.random.default_rng(3))
         assert len(client.guard_list) == 1
         assert client.guard_list[0].rotation_deadline > 10
 
@@ -179,7 +198,7 @@ class TestBuildCircuit:
         # distribution directly
         snap = calibration_snapshot()  # honest guards total 700
         adv = adversary(guard_weights=(700,))
-        trace = run_simulation_traced(
+        trace = traced(
             [snap], adv, Algorithm.ABWRS, clients=10_000, seed=99,
             schedule=StreamSchedule(circuit_interval=600),
             num_entry_guards=1, duration=600,  # exactly one circuit per client
@@ -275,12 +294,13 @@ class TestRunSimulation:
             (later.valid_after, base.valid_after + 9000),
         ]
         kwargs = dict(clients=20, seed=5)
-        assert run_simulation(prepared, adv, Algorithm.WATERFILLING, **kwargs) == run_simulation(
+        assert simulate_prepared(prepared, **kwargs).records == run_simulation(
             *args, duration=9000, **kwargs
         )
-        traced = run_simulation_traced(prepared, adv, Algorithm.WATERFILLING, **kwargs)
-        assert traced.circuits == run_simulation_traced(*args, duration=9000, **kwargs).circuits
-        assert network_summaries(prepared, *args[1:]) == network_summaries(*args, 9000)
+        audit = simulate_prepared(prepared, collect=True, **kwargs)
+        assert audit.circuits == traced(*args, duration=9000, **kwargs).circuits
+        summaries = [state.summary() for state in prepared.states]
+        assert summaries == network_summaries(*args, 9000)
 
     def test_unordered_sequence_rejected(self):
         early = calibration_snapshot()
@@ -308,7 +328,7 @@ class TestRunSimulation:
         ]
         snap = ConsensusSnapshot.from_relays(1_432_548_000, relays)
         adv = adversary(guard_weights=(100,), exit_weights=(50,))
-        trace = run_simulation_traced(
+        trace = traced(
             [snap], adv, Algorithm.WATERFILLING, clients=60, seed=17, duration=30_000
         )
         assert trace.circuits, "no circuits built"
@@ -325,7 +345,7 @@ class TestRunSimulation:
 
     def test_guard_persistence_without_churn(self):
         snap = calibration_snapshot()
-        trace = run_simulation_traced(
+        trace = traced(
             [snap], AdversarySpec(), Algorithm.ABWRS, clients=30, seed=23, duration=60_000
         )
         per_client: dict[int, set] = {}
@@ -342,7 +362,7 @@ class TestRunSimulation:
         counts = {}
         rotations = {}
         for days in (30, 154):
-            trace = run_simulation_traced(
+            trace = traced(
                 [snap], AdversarySpec(), Algorithm.ABWRS, clients=10, seed=3,
                 schedule=schedule, duration=days * 86_400,
             )
@@ -395,7 +415,7 @@ class TestRunSimulation:
             for i, (fp, w, role) in enumerate(base)
         ]
         second = ConsensusSnapshot.from_relays(4600, demoted)
-        trace = run_simulation_traced(
+        trace = traced(
             [first, second], AdversarySpec(), Algorithm.ABWRS,
             clients=40, seed=31, duration=10_000,
         )
@@ -436,7 +456,7 @@ class TestRunCounts:
         first = make_snapshot(base, valid_after=1000)
         # G3 is gone an hour later; every three-guard list held it
         second = make_snapshot([r for r in base if r[0] != "G3"], valid_after=4600)
-        trace = run_simulation_traced(
+        trace = traced(
             [first, second], AdversarySpec(), Algorithm.ABWRS,
             clients=40, seed=31, duration=10_000,
         )
@@ -449,10 +469,9 @@ class TestWorkers:
         def refuse(self, protocol):
             raise AssertionError("a NetworkState was pickled")
 
-        args = (MIXED, AdversarySpec(), Algorithm.WATERFILLING)  # prepared: args unused
-        serial = run_simulation(*args, clients=30, seed=8)
+        serial = simulate_prepared(MIXED, clients=30, seed=8).records
         monkeypatch.setattr(pathsim.NetworkState, "__reduce_ex__", refuse)
-        assert run_simulation(*args, clients=30, seed=8, workers=2) == serial
+        assert simulate_prepared(MIXED, clients=30, seed=8, workers=2).records == serial
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), clients=st.integers(1, 24))
@@ -495,6 +514,10 @@ class TestWorkers:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(WaterweightsError, match="worker"):
             simulate_prepared(MIXED, clients=4, seed=1, workers=workers)
+
+    def test_no_entry_guards_rejected(self):
+        with pytest.raises(WaterweightsError, match="entry guard"):
+            simulate_prepared(MIXED, clients=4, seed=1, num_entry_guards=0)
 
 
 class TestCompromiseCurve:
@@ -539,10 +562,27 @@ class TestRecordsCsv:
         assert text.splitlines()[1].startswith("2,")
 
     def test_invariant_on_record(self):
-        with pytest.raises(InvariantError):
-            CompromiseRecord(0, None, 5, 2)
-        with pytest.raises(InvariantError):
-            CompromiseRecord(0, 100, 5, 0)
+        impossible = [
+            (0, None, 5, 2), (0, 100, 5, 0),  # time and count disagree
+            (0, -1, 5, 1), (0, 10, 2, 3), (0, None, 5, -1),
+        ]
+        for fields in impossible:
+            with pytest.raises(InvariantError):
+                CompromiseRecord(*fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        ids = data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=20))
+        records = []
+        for cid in ids:
+            built = data.draw(st.integers(0, 10**4))
+            compromised = data.draw(st.integers(0, built))
+            first = data.draw(st.integers(0, 10**8)) if compromised else None
+            records.append(CompromiseRecord(cid, first, built, compromised))
+        text = records_to_csv(records)
+        assert records_from_csv(text) == sorted(records, key=lambda r: r.client_id)
+        assert records_to_csv(records_from_csv(text)) == text
 
 
 class TestStreamSchedule:
@@ -578,3 +618,9 @@ class TestRecordsCsvErrors:
     def test_missing_header(self):
         with pytest.raises(WaterweightsError, match="header"):
             records_from_csv("1,,2,0\n")
+
+    def test_line_numbers_count_blank_lines(self):
+        from waterweights.pathsim import RECORDS_HEADER
+
+        with pytest.raises(WaterweightsError, match="line 4: client_id 1 repeats"):
+            records_from_csv(RECORDS_HEADER + "\n1,,2,0\n\n1,,2,0\n")

@@ -23,6 +23,12 @@ from waterweights.weights import PositionWeights, compute_weights
 from conftest import make_relay, make_snapshot, pareto_weights
 
 
+def share_for(sol, fingerprint):
+    """The solved share of one relay, or None when the solution omits it."""
+    rank = sol._rank.get(fingerprint)
+    return None if rank is None else sol.shares[rank]
+
+
 def oracle_level(bws, target):
     """Independent water-level solver: walk the breakpoints of the monotone
     function phi(L) = sum(min(bw, L)) and solve the linear segment exactly."""
@@ -158,7 +164,7 @@ class TestGuardWaterfill:
             [("G1", 100, "g"), ("G2", 60, "g"), ("G3", 20, "g"), ("GZ", 0, "g")]
         )
         sol = solve_guard_waterfill(snap, scalar_weights(Fraction(2, 3)))
-        zero = sol.share_for("GZ")
+        zero = share_for(sol, "GZ")
         assert zero.fraction == 1
         assert sol.water_level == Fraction(50)  # unchanged by the idle relay
 
@@ -181,7 +187,7 @@ class TestGuardWaterfill:
         sol = solve_guard_waterfill(snap, scalar_weights(Fraction(1, 2)))
         # sorted by descending weight then fingerprint: A, B, C
         assert [s.fingerprint for s in sol.shares] == ["A", "B", "C"]
-        assert sol.share_for("A").fraction == sol.share_for("B").fraction
+        assert share_for(sol, "A").fraction == share_for(sol, "B").fraction
 
 
 class TestDsetWaterfill:
@@ -259,7 +265,7 @@ class TestEntropyDirection:
         w = scalar_weights(Fraction(float(rng.uniform(0.05, 0.95))))
         sol = solve_guard_waterfill(snap, w)
         flat = selection_distribution(snap, w, Position.ENTRY)
-        filled = selection_distribution(snap, w, Position.ENTRY, waterfills=sol)
+        filled = selection_distribution(snap, w, Position.ENTRY, waterfills=[sol])
         h_flat, h_filled = entropy(flat.probabilities), entropy(filled.probabilities)
         assert h_filled >= h_flat
         distinct = len({r.consensus_weight for r in snap.relays}) == len(snap.relays)
@@ -280,7 +286,7 @@ class TestSelectionDistribution:
         # level 80 caps the big relay; both then contribute 80
         assert sol.water_level == Fraction(80)
         assert sol.pivot_index == 2
-        dist = selection_distribution(snap, w, Position.ENTRY, waterfills=sol)
+        dist = selection_distribution(snap, w, Position.ENTRY, waterfills=[sol])
         assert dist.as_dict() == {"G1": 0.5, "G2": 0.5}
         flat = selection_distribution(snap, w, Position.ENTRY)
         assert dist.as_dict()["G1"] > flat.as_dict()["G1"]
@@ -355,7 +361,7 @@ def position_weight(relay, position, w, waterfills):
     guard, exit_ = relay.is_guard, relay.is_exit
     if guard and exit_:
         sol = waterfills.get(TargetPool.DSET)
-        share = sol.share_for(relay.fingerprint) if sol else None
+        share = share_for(sol, relay.fingerprint) if sol else None
         if position is Position.ENTRY:
             return share.weights["Wgd"] if share else w.Wgd
         if position is Position.MIDDLE:
@@ -363,7 +369,7 @@ def position_weight(relay, position, w, waterfills):
         return share.weights["Wed"] if share else w.Wed
     if guard:
         sol = waterfills.get(TargetPool.GUARDS)
-        share = sol.share_for(relay.fingerprint) if sol else None
+        share = share_for(sol, relay.fingerprint) if sol else None
         if position is Position.ENTRY:
             return share.weights["Wgg"] if share else w.Wgg
         if position is Position.MIDDLE:
