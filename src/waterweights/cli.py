@@ -138,13 +138,29 @@ def compare_runs(
     resolution: int | None = None,
     alpha: float = 0.01,
 ) -> ComparisonReport:
-    """Pair two simulations' compromise curves and judge their ordering."""
+    """Pair two simulations' compromise curves and judge their ordering.
+
+    Both record sets must cover the same client ids.  ``horizon`` must be
+    at least 0 and ``resolution``, when given, at least 1.
+    """
     if len(records_a) != len(records_b):
         raise ConfigMismatchError(
             f"record sets cover {len(records_a)} vs {len(records_b)} clients"
         )
+    ids_a = {r.client_id for r in records_a}
+    ids_b = {r.client_id for r in records_b}
+    if ids_a != ids_b:
+        only_a, only_b = sorted(ids_a - ids_b), sorted(ids_b - ids_a)
+        raise ConfigMismatchError(
+            f"record sets cover different clients: {len(only_a)} only in A "
+            f"(first {only_a[0]}), {len(only_b)} only in B (first {only_b[0]})"
+        )
+    if horizon < 0:
+        raise WaterweightsError(f"horizon must be at least 0, not {horizon}")
     if resolution is None:
         resolution = max(1, horizon // 100)
+    elif resolution < 1:
+        raise WaterweightsError(f"resolution must be at least 1, not {resolution}")
     curve_a = compromise_curve(records_a, horizon, resolution)
     curve_b = compromise_curve(records_b, horizon, resolution)
     diffs = curve_a.values - curve_b.values
@@ -509,8 +525,8 @@ def report(ctx, waterfill_file, target_weight, entry_weight):
 @main.command()
 @click.argument("records_a", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.argument("records_b", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--horizon", type=int, required=True)
-@click.option("--resolution", type=int, default=None)
+@click.option("--horizon", type=click.IntRange(min=0), required=True)
+@click.option("--resolution", type=click.IntRange(min=1), default=None)
 @click.pass_context
 def compare(ctx, records_a, records_b, horizon, resolution):
     """Compare two simulations' compromise curves (A versus B)."""

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -179,117 +180,286 @@ class PoolTotals:
         return PoolTotals(**sums)
 
 
-@dataclass(frozen=True)
-class ConsensusSnapshot:
-    """Immutable relay list with precomputed pool totals.
+# A relay's pool code: bit GUARD for the Guard flag, bit EXIT for the Exit flag.
+GUARD = 1
+EXIT = 2
+POOL_NAMES = ("M", "G", "E", "D")  # indexed by pool code
 
-    Left out, ``totals`` is computed from the relays; given, it is checked
-    against them.
-    """
-
-    valid_after: int  # UTC seconds
-    relays: tuple[RelayEntry, ...]
-    totals: PoolTotals | None = None
-
-    def __post_init__(self):
-        recomputed = PoolTotals.from_relays(self.relays)
-        if self.totals is None:
-            object.__setattr__(self, "totals", recomputed)
-        elif recomputed != self.totals:
-            raise InvariantError(
-                f"stored totals {self.totals} do not match relays ({recomputed})"
-            )
-        seen = set()
-        for relay in self.relays:
-            if relay.fingerprint in seen:
-                raise DuplicateRelayError(f"duplicate fingerprint {relay.fingerprint}")
-            seen.add(relay.fingerprint)
-
-    @staticmethod
-    def from_relays(valid_after: int, relays) -> "ConsensusSnapshot":
-        return ConsensusSnapshot(valid_after, tuple(relays))
-
-    @cached_property
-    def columns(self) -> "SnapshotColumns":
-        """The relay list as per-field arrays, built on first use."""
-        return SnapshotColumns(self.relays)
+INT64_MAX = 2**63 - 1
 
 
-class SnapshotColumns:
+def _pool_code(flags) -> int:
+    return ("Guard" in flags) * GUARD | ("Exit" in flags) * EXIT
+
+
+class RelayTable:
     """One snapshot's relays as columns, in document order.
 
-    Consensus weights stay exact Python ints (an object array), so products
-    with rational weight factors are exact.  Each relay's exit policy is an
-    id into the snapshot's distinct policies; ``accepts`` evaluates each
-    distinct policy once per port.
+    Weights are int64; exact products and sums convert them to Python ints.
+    ``pool`` holds each relay's pool code.  Flag sets and exit policies are
+    interned: a row holds an id into the table's distinct values, so
+    unknown flags round-trip.  ``subnet_codes`` maps each known /16 string
+    to its code; a relay with no known subnet gets the code ``-(row + 1)``,
+    which matches only itself.  ``family`` keeps each non-empty family set
+    as published; ``family_keys`` holds the resolved pairs as sorted
+    ``i*n + j`` keys in both directions, and ``dangling`` the (row, name)
+    entries that name no relay here, in case a later row does.  ``row``
+    maps each fingerprint to its row.
     """
 
-    __slots__ = ("fingerprints", "weights", "guard", "exit", "policy_id", "policies")
+    __slots__ = (
+        "fingerprints", "nicknames", "weights", "pool", "flag_id", "flag_sets",
+        "policy_id", "policies", "subnet", "subnet_codes", "family", "family_keys",
+        "dangling", "country", "as_number", "row",
+    )
 
-    def __init__(self, relays):
-        self.fingerprints = tuple(r.fingerprint for r in relays)
-        self.weights = np.array([r.consensus_weight for r in relays], dtype=object)
-        self.guard = np.array([r.is_guard for r in relays], dtype=bool)
-        self.exit = np.array([r.is_exit for r in relays], dtype=bool)
-        ids: dict[tuple[PolicyRule, ...], int] = {}
-        self.policy_id = np.array(
-            [ids.setdefault(r.exit_policy, len(ids)) for r in relays], dtype=np.int64
-        )
-        self.policies = tuple(ids)
+    def __init__(self, **columns):
+        for name in self.__slots__:
+            setattr(self, name, columns[name])
 
     def __len__(self) -> int:
         return len(self.fingerprints)
+
+    @property
+    def guard(self) -> np.ndarray:
+        return (self.pool & GUARD) != 0
+
+    def totals(self) -> PoolTotals:
+        """Exact weight sums per pool code, over Python ints."""
+        return PoolTotals(**{
+            name: sum(self.weights[self.pool == code].tolist())
+            for code, name in enumerate(POOL_NAMES)
+        })
 
     def accepts(self, port: int) -> np.ndarray:
         """Mask of the relays whose exit policy accepts ``port``."""
         verdicts = np.array([policy_accepts(p, port) for p in self.policies], dtype=bool)
         return verdicts[self.policy_id]
 
+    def relays(self) -> tuple["RelayEntry", ...]:
+        flag_sets, policies, names, family = (
+            self.flag_sets, self.policies, tuple(self.subnet_codes), self.family
+        )
+        columns = zip(
+            self.fingerprints, self.nicknames, self.weights.tolist(), self.flag_id.tolist(),
+            self.policy_id.tolist(), self.subnet.tolist(), self.country, self.as_number,
+        )
+        return tuple(
+            RelayEntry(
+                fp, nick, weight, flag_sets[f], policies[p], family.get(i, frozenset()),
+                names[s] if s >= 0 else None, country, as_number,
+            )
+            for i, (fp, nick, weight, f, p, s, country, as_number) in enumerate(columns)
+        )
+
+    def _cells(self) -> tuple:
+        """Per-row values of the interned columns, comparable across tables."""
+        names = tuple(self.subnet_codes)
+        return (
+            [self.flag_sets[i] for i in self.flag_id.tolist()],
+            [self.policies[i] for i in self.policy_id.tolist()],
+            [names[c] if c >= 0 else None for c in self.subnet.tolist()],
+            self.family,
+        )
+
+    def __eq__(self, other) -> bool:
+        """Equal exactly when the two tables' relay tuples are."""
+        if not isinstance(other, RelayTable):
+            return NotImplemented
+        return (
+            np.array_equal(self.weights, other.weights)
+            and self.fingerprints == other.fingerprints
+            and self.nicknames == other.nicknames
+            and self.country == other.country
+            and self.as_number == other.as_number
+            and self._cells() == other._cells()
+        )
+
+    __hash__ = None
+
+
+class _TableBuilder:
+    """Collects rows in document order, after the rows of an optional base."""
+
+    def __init__(self, base: RelayTable | None = None):
+        self.base = base
+        self.first = 0 if base is None else len(base)
+        self.fingerprints: list[str] = []
+        self.nicknames: list[str] = []
+        self.weights: list[int] = []
+        self.pool: list[int] = []
+        self.flag_id: list[int] = []
+        self.policy_id: list[int] = []
+        self.subnet: list[int] = []
+        self.country: list = []
+        self.as_number: list = []
+        self.family: dict[int, frozenset[str]] = {}
+        if base is None:
+            self.row: dict[str, int] = {}
+            self.flag_ids: dict[frozenset[str], int] = {}
+            self.policy_ids: dict[tuple[PolicyRule, ...], int] = {}
+            self.subnet_codes: dict[str, int] = {}
+        else:
+            self.row = dict(base.row)
+            self.flag_ids = {flags: i for i, flags in enumerate(base.flag_sets)}
+            self.policy_ids = {policy: i for i, policy in enumerate(base.policies)}
+            self.subnet_codes = dict(base.subnet_codes)
+
+    def flag_set(self, flags: frozenset[str]) -> int:
+        return self.flag_ids.setdefault(flags, len(self.flag_ids))
+
+    def policy(self, policy: tuple[PolicyRule, ...]) -> int:
+        return self.policy_ids.setdefault(policy, len(self.policy_ids))
+
+    def add(self, fingerprint, nickname, weight, pool, flag_id, policy_id, family,
+            subnet16, country, as_number) -> None:
+        """Append one row; a repeated fingerprint raises DuplicateRelayError."""
+        i = self.first + len(self.fingerprints)
+        if self.row.setdefault(fingerprint, i) != i:
+            raise DuplicateRelayError(f"duplicate fingerprint {fingerprint}")
+        self.fingerprints.append(fingerprint)
+        self.nicknames.append(nickname)
+        self.weights.append(weight)
+        self.pool.append(pool)
+        self.flag_id.append(flag_id)
+        self.policy_id.append(policy_id)
+        if family:
+            self.family[i] = family
+        if subnet16 is None:
+            self.subnet.append(-(i + 1))
+        else:
+            self.subnet.append(self.subnet_codes.setdefault(subnet16, len(self.subnet_codes)))
+        self.country.append(country)
+        self.as_number.append(as_number)
+
+    def add_relay(self, relay: "RelayEntry") -> None:
+        if relay.consensus_weight > INT64_MAX:
+            raise InvariantError(f"{relay.fingerprint}: consensus weight does not fit in 64 bits")
+        self.add(
+            relay.fingerprint, relay.nickname, relay.consensus_weight,
+            _pool_code(relay.flags), self.flag_set(relay.flags), self.policy(relay.exit_policy),
+            relay.family, relay.subnet16, relay.country, relay.as_number,
+        )
+
+    def finish(self) -> RelayTable:
+        base, first, row = self.base, self.first, self.row
+        n = first + len(self.fingerprints)
+        families = self.family.items()
+        if base is not None:
+            families = chain(((i, (name,)) for i, name in base.dangling), families)
+        left, right, dangling = [], [], []
+        for i, names in families:
+            for name in names:
+                j = row.get(name)
+                if j is None:
+                    dangling.append((i, name))
+                else:
+                    left.append(i)
+                    right.append(j)
+        left = np.array(left, dtype=np.int64)
+        right = np.array(right, dtype=np.int64)
+        keys = [left * n + right, right * n + left]
+        if base is not None and base.family_keys.size:
+            i, j = np.divmod(base.family_keys, first)  # re-encode for the new row count
+            keys.append(i * n + j)
+
+        def column(name, dtype):
+            fresh = np.array(getattr(self, name), dtype=dtype)
+            return fresh if base is None else np.concatenate([getattr(base, name), fresh])
+
+        def values(name):
+            fresh = tuple(getattr(self, name))
+            return fresh if base is None else getattr(base, name) + fresh
+
+        return RelayTable(
+            fingerprints=values("fingerprints"),
+            nicknames=values("nicknames"),
+            weights=column("weights", np.int64),
+            pool=column("pool", np.int8),
+            flag_id=column("flag_id", np.int32),
+            flag_sets=tuple(self.flag_ids),
+            policy_id=column("policy_id", np.int32),
+            policies=tuple(self.policy_ids),
+            subnet=column("subnet", np.int64),
+            subnet_codes=self.subnet_codes,
+            family=self.family if base is None else {**base.family, **self.family},
+            family_keys=np.unique(np.concatenate(keys)),
+            dangling=tuple(dangling),
+            country=values("country"),
+            as_number=values("as_number"),
+            row=row,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ConsensusSnapshot:
+    """One relay list, stored as a column table, with its pool totals.
+
+    Build one with ``from_relays`` or a parser.  ``relays`` is the same list
+    as ``RelayEntry`` objects, built on first read; equality compares the
+    content.
+    """
+
+    valid_after: int  # UTC seconds
+    table: RelayTable
+    totals: PoolTotals
+
+    @staticmethod
+    def from_relays(valid_after: int, relays, totals: PoolTotals | None = None) -> "ConsensusSnapshot":
+        """Snapshot of a relay list; ``totals``, when given, must match it."""
+        relays = tuple(relays)
+        builder = _TableBuilder()
+        for relay in relays:
+            builder.add_relay(relay)
+        table = builder.finish()
+        computed = PoolTotals.from_relays(relays)
+        if totals is not None and totals != computed:
+            raise InvariantError(f"stored totals {totals} do not match relays ({computed})")
+        return ConsensusSnapshot(valid_after, table, computed)
+
+    def with_relays(self, relays) -> "ConsensusSnapshot":
+        """This snapshot with ``relays`` appended after its own."""
+        builder = _TableBuilder(self.table)
+        for relay in relays:
+            builder.add_relay(relay)
+        table = builder.finish()
+        return ConsensusSnapshot(self.valid_after, table, table.totals())
+
+    @cached_property
+    def relays(self) -> tuple[RelayEntry, ...]:
+        """The relays as ``RelayEntry`` objects, built on first read."""
+        return self.table.relays()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConsensusSnapshot):
+            return NotImplemented
+        return (
+            self.valid_after == other.valid_after
+            and self.totals == other.totals
+            and self.table == other.table
+        )
+
+    __hash__ = None
+
 
 class ConflictIndex:
-    """Which relays of one list may not share a circuit.
+    """Which relays of one table may not share a circuit.
 
     Two relays conflict when they are the same relay, when either lists
     the other as family, or when they share a known /16 subnet.  Relays
-    are addressed by their position in the list.  Each relay gets an
-    integer /16 code; an unknown subnet gets a code of its own, so it only
-    ever matches the relay itself.  Every code matches itself, so comparing
-    codes also covers the same-relay rule.  Family pairs are kept as sorted
-    ``i*n + j`` keys in both directions; family members absent from the
-    list are dropped.
+    are addressed by their table row.  Every /16 code matches itself, so
+    comparing codes also covers the same-relay rule; family pairs are the
+    table's ``i*n + j`` keys.
     """
 
-    __slots__ = ("position", "subnet", "family_keys")
+    __slots__ = ("subnet", "family_keys")
 
-    def __init__(self, relays):
-        self.position = {r.fingerprint: i for i, r in enumerate(relays)}
-        n = len(relays)
-        codes: dict[str, int] = {}
-        self.subnet = np.array(
-            [
-                -(i + 1) if r.subnet16 is None else codes.setdefault(r.subnet16, len(codes))
-                for i, r in enumerate(relays)
-            ],
-            dtype=np.int64,
-        )
-        pairs = np.array(
-            [
-                (i, j)
-                for i, r in enumerate(relays)
-                for fp in r.family
-                if (j := self.position.get(fp)) is not None
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        self.family_keys = np.unique(
-            np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]])
-        )
-
-    def positions(self, fingerprints) -> np.ndarray:
-        return np.array([self.position[fp] for fp in fingerprints], dtype=np.int64)
+    def __init__(self, table: RelayTable):
+        self.subnet = table.subnet
+        self.family_keys = table.family_keys
 
     def conflict(self, a, b) -> np.ndarray:
-        """Element-wise conflict of relay positions ``a`` and ``b`` (broadcasts)."""
+        """Element-wise conflict of relay rows ``a`` and ``b`` (broadcasts)."""
         a = np.asarray(a)
         b = np.asarray(b)
         out = self.subnet[a] == self.subnet[b]
@@ -301,7 +471,7 @@ class ConflictIndex:
         return out
 
     def matrix(self, rows, cols) -> np.ndarray:
-        """Conflict mask of shape (len(rows), len(cols)); positions must be distinct."""
+        """Conflict mask of shape (len(rows), len(cols)); rows must be distinct."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         out = self.subnet[rows][:, None] == self.subnet[cols][None, :]
@@ -379,7 +549,7 @@ def parse_native(text: str) -> ConsensusSnapshot:
     DuplicateRelayError naming both lines for a repeated fingerprint.
     """
     valid_after = None
-    relays = []
+    builder = _TableBuilder()
     seen_lines: dict[str, int] = {}
     policies: dict[str, tuple[PolicyRule, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -400,25 +570,29 @@ def parse_native(text: str) -> ConsensusSnapshot:
         elif keyword == "relay":
             if valid_after is None:
                 raise ParseError("relay line before snapshot header", line=lineno)
-            relay = _parse_relay_line(fields[1:], lineno, policies)
-            if relay.fingerprint in seen_lines:
+            fingerprint = fields[1] if len(fields) > 1 else None
+            if fingerprint in seen_lines:
                 raise DuplicateRelayError(
-                    f"fingerprint {relay.fingerprint} already declared on line "
-                    f"{seen_lines[relay.fingerprint]}",
+                    f"fingerprint {fingerprint} already declared on line "
+                    f"{seen_lines[fingerprint]}",
                     line=lineno,
                 )
-            seen_lines[relay.fingerprint] = lineno
-            relays.append(relay)
+            _add_relay_line(builder, fields[1:], lineno, policies)
+            seen_lines[fingerprint] = lineno
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno)
     if valid_after is None:
         raise ParseError("missing snapshot header")
-    return ConsensusSnapshot.from_relays(valid_after, relays)
+    table = builder.finish()
+    return ConsensusSnapshot(valid_after, table, table.totals())
 
 
-def _parse_relay_line(
-    fields: list[str], lineno: int, policies: dict[str, tuple[PolicyRule, ...]]
-) -> RelayEntry:
+def _add_relay_line(
+    builder: _TableBuilder,
+    fields: list[str],
+    lineno: int,
+    policies: dict[str, tuple[PolicyRule, ...]],
+) -> None:
     if len(fields) < 3:
         raise ParseError("relay line needs fingerprint, nickname, and weight", line=lineno)
     fingerprint, nickname, weight_text = fields[0], fields[1], fields[2]
@@ -428,6 +602,8 @@ def _parse_relay_line(
         raise ParseError(f"bad consensus weight {weight_text!r}", line=lineno) from None
     if weight < 0:
         raise ParseError("consensus weight must be non-negative", line=lineno)
+    if weight > INT64_MAX:
+        raise ParseError("consensus weight does not fit in 64 bits", line=lineno)
     kwargs = {
         "flags": frozenset(),
         "exit_policy": (REJECT_ALL,),
@@ -457,7 +633,12 @@ def _parse_relay_line(
                 raise ParseError(f"unknown field {key!r}", line=lineno)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"bad {key} value {value!r}: {exc}", line=lineno) from None
-    return RelayEntry(fingerprint, nickname, weight, **kwargs)
+    flags = kwargs["flags"]
+    builder.add(
+        fingerprint, nickname, weight, _pool_code(flags), builder.flag_set(flags),
+        builder.policy(kwargs["exit_policy"]), kwargs["family"], kwargs["subnet16"],
+        kwargs["country"], kwargs["as_number"],
+    )
 
 
 def serialize_native(snapshot: ConsensusSnapshot) -> str:
@@ -616,38 +797,112 @@ def snapshot_to_json(snapshot: ConsensusSnapshot) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+_STRING = frozenset({str})
+_STRING_OR_NULL = frozenset({str, type(None)})
+_INTEGER = frozenset({int})  # type(True) is bool, so booleans fail
+_INTEGER_OR_NULL = frozenset({int, type(None)})
+_LIST = frozenset({list})
+
+
+def _checked(relays: list, field: str, allowed: frozenset, wanted: str, default=None) -> list:
+    """One field of every relay; a value of another type raises ParseError."""
+    values = [r.get(field, default) for r in relays]
+    if not set(map(type, values)) <= allowed:
+        i, value = next((i, v) for i, v in enumerate(values) if type(v) not in allowed)
+        raise ParseError(f"relays[{i}].{field} must be {wanted}, not {value!r}")
+    return values
+
+
+def _list_ids(lists: list[list], field: str, intern) -> list[int]:
+    """The id of each string list; ``intern`` gives each distinct one its id.
+
+    A ValueError from ``intern`` becomes a ParseError naming the first relay
+    with that list.  The tuple keys are made twice rather than kept, so that
+    they do not pile up as garbage-collector work.
+    """
+    try:
+        ids = dict.fromkeys(map(tuple, lists))
+    except TypeError:  # an unhashable item, which is no string
+        ids = None
+    if ids is not None and all(type(item) is str for key in ids for item in key):
+        for key in ids:
+            try:
+                ids[key] = intern(key)
+            except ValueError as exc:
+                i = next(i for i, items in enumerate(lists) if tuple(items) == key)
+                raise ParseError(f"relays[{i}].{field}: {exc}") from None
+        return list(map(ids.__getitem__, map(tuple, lists)))
+    i = next(i for i, items in enumerate(lists) if not all(type(item) is str for item in items))
+    raise ParseError(f"relays[{i}].{field} must be a list of strings, not {lists[i]!r}")
+
+
 def snapshot_from_json(text: str) -> ConsensusSnapshot:
+    """Read a snapshot document straight into a column table, field by field.
+
+    Field types are checked, not coerced: weights and ``valid_after`` are
+    JSON integers, ``flags``, ``family`` and ``exit_policy`` lists of
+    strings, ``subnet16`` and ``country`` strings or null, ``as_number`` an
+    integer or null.  A wrong type raises ParseError naming the relay
+    index and the field.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    policies: dict[str, tuple[PolicyRule, ...]] = {}
-    try:
-        relays = [
-            RelayEntry(
-                fingerprint=r["fingerprint"],
-                nickname=r["nickname"],
-                consensus_weight=int(r["consensus_weight"]),
-                flags=frozenset(r.get("flags", ())),
-                exit_policy=_parse_policy_once(policies, ";".join(r["exit_policy"]))
-                if r.get("exit_policy")
-                else (REJECT_ALL,),
-                family=frozenset(r.get("family", ())),
-                subnet16=r.get("subnet16"),
-                country=r.get("country"),
-                as_number=r.get("as_number"),
-            )
-            for r in doc["relays"]
-        ]
-        snapshot = ConsensusSnapshot.from_relays(int(doc["valid_after"]), relays)
-    except InvariantError as exc:
-        raise ParseError(str(exc)) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad snapshot document: {exc!r}") from None
+    if type(doc) is not dict or type(doc.get("relays")) is not list:
+        raise ParseError("snapshot document must be an object with a 'relays' list")
+    valid_after = doc.get("valid_after")
+    if type(valid_after) is not int:
+        raise ParseError(f"valid_after must be an integer, not {valid_after!r}")
+    relays = doc["relays"]
+    for i, r in enumerate(relays):
+        if type(r) is not dict:
+            raise ParseError(f"relays[{i}] must be an object")
+    strings = "a list of strings"
+    b = _TableBuilder()
+    b.fingerprints = _checked(relays, "fingerprint", _STRING, "a string")
+    b.nicknames = _checked(relays, "nickname", _STRING, "a string")
+    b.weights = _checked(relays, "consensus_weight", _INTEGER, "an integer")
+    if b.weights and not 0 <= min(b.weights) <= max(b.weights) <= INT64_MAX:
+        i, weight = next((i, w) for i, w in enumerate(b.weights) if not 0 <= w <= INT64_MAX)
+        raise ParseError(f"relays[{i}].consensus_weight {weight} is outside [0, 2**63 - 1]")
+    flags = _checked(relays, "flags", _LIST, strings, [])
+    b.flag_id = _list_ids(flags, "flags", lambda key: b.flag_set(frozenset(key)))
+    codes = [_pool_code(f) for f in b.flag_ids]
+    b.pool = [codes[i] for i in b.flag_id]
+    texts: dict[str, tuple[PolicyRule, ...]] = {}
+
+    def policy(key: tuple) -> int:
+        return b.policy(_parse_policy_once(texts, ";".join(key)) if key else (REJECT_ALL,))
+
+    rules = _checked(relays, "exit_policy", _LIST, strings, [])
+    b.policy_id = _list_ids(rules, "exit_policy", policy)
+    for i, family in enumerate(_checked(relays, "family", _LIST, strings, [])):
+        if family:
+            if not all(type(f) is str for f in family):
+                raise ParseError(f"relays[{i}].family must be {strings}, not {family!r}")
+            b.family[i] = frozenset(family)
+    codes = b.subnet_codes
+    b.subnet = [
+        -(i + 1) if name is None else codes.setdefault(name, len(codes))
+        for i, name in enumerate(_checked(relays, "subnet16", _STRING_OR_NULL, "a string or null"))
+    ]
+    b.country = _checked(relays, "country", _STRING_OR_NULL, "a string or null")
+    b.as_number = _checked(relays, "as_number", _INTEGER_OR_NULL, "an integer or null")
+    b.row = dict(zip(b.fingerprints, range(len(relays))))
+    if len(b.row) < len(relays):
+        seen = set()
+        duplicate = next(fp for fp in b.fingerprints if fp in seen or seen.add(fp))
+        raise DuplicateRelayError(f"duplicate fingerprint {duplicate}")
+    table = b.finish()
+    snapshot = ConsensusSnapshot(valid_after, table, table.totals())
     stored = doc.get("totals")
     if stored is not None:
         expected = {k: getattr(snapshot.totals, k) for k in "GMED"}
         expected["T"] = snapshot.totals.T
-        if {k: int(stored[k]) for k in expected} != expected:
-            raise ParseError("stored totals do not match relay list")
+        try:
+            if {k: int(stored[k]) for k in expected} != expected:
+                raise ParseError("stored totals do not match relay list")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad stored totals: {exc!r}") from None
     return snapshot

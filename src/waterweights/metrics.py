@@ -64,11 +64,10 @@ def estimate_joint_analytic(
     Pairs that could never share a circuit (same relay, same family, same
     /16) get probability zero and the rest is renormalized.
     """
-    index = ConflictIndex(snapshot.relays)
+    table = snapshot.table
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    rows = index.positions(entry.fingerprints)
-    cols = index.positions(exit_.fingerprints)
-    matrix[index.matrix(rows, cols)] = 0.0
+    conflicts = ConflictIndex(table).matrix(entry.rows_in(table), exit_.rows_in(table))
+    matrix[conflicts] = 0.0
     total = matrix.sum()
     if total <= 0:
         raise UndefinedMetricError("every guard-exit pair conflicts; no circuit exists")
@@ -170,15 +169,15 @@ def group_diversity(
     """Selection probability per country or AS, sorted by falling weight."""
     if key not in ("country", "as"):
         raise ValueError(f"unknown grouping key {key!r}")
-    relays = {r.fingerprint: r for r in snapshot.relays}
+    table = snapshot.table
+    if key == "country":
+        labels = [c if c is not None else "unknown" for c in table.country]
+    else:
+        labels = [f"AS{a}" if a is not None else "unknown" for a in table.as_number]
     groups: dict[str, float] = {}
-    for fp, prob in zip(entry.fingerprints, entry.probabilities):
-        relay = relays[fp]
-        if key == "country":
-            label = relay.country if relay.country is not None else "unknown"
-        else:
-            label = f"AS{relay.as_number}" if relay.as_number is not None else "unknown"
-        groups[label] = groups.get(label, 0.0) + float(prob)
+    for row, prob in zip(entry.rows_in(table).tolist(), entry.probabilities.tolist()):
+        label = labels[row]
+        groups[label] = groups.get(label, 0.0) + prob
     return sorted(groups.items(), key=lambda item: (-item[1], item[0]))
 
 

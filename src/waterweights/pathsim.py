@@ -169,12 +169,12 @@ class AdversarySpec:
 def inject_adversary(
     snapshot: ConsensusSnapshot, adversary: AdversarySpec, at_time: int | None = None
 ) -> ConsensusSnapshot:
-    """Append the adversary's live relays and recompute totals from scratch."""
+    """Append the adversary's live relays as rows; the totals count them."""
     when = snapshot.valid_after if at_time is None else at_time
     extra = adversary.relay_entries(when)
     if not extra:
         return snapshot
-    return ConsensusSnapshot.from_relays(snapshot.valid_after, snapshot.relays + tuple(extra))
+    return snapshot.with_relays(extra)
 
 
 @dataclass(frozen=True)
@@ -317,12 +317,12 @@ class NetworkState:
                 except NotApplicableError:
                     pass
 
-        relays = snapshot.relays
-        self.relays = relays
-        self.index = ConflictIndex(relays)
-        self.adv_mask = np.array(
-            [r.fingerprint in adversary_fps for r in relays], dtype=bool
-        )
+        table = snapshot.table
+        self.table = table
+        self.index = ConflictIndex(table)
+        self.guard = table.guard
+        self.adv_mask = np.zeros(len(table), dtype=bool)
+        self.adv_mask[[table.row[fp] for fp in adversary_fps if fp in table.row]] = True
 
         self.entry = self._pool(Position.ENTRY)
         self.middle = self._pool(Position.MIDDLE)
@@ -332,10 +332,9 @@ class NetworkState:
         dist = selection_distribution(
             self.snapshot, self.weights, position, waterfills=self.waterfills, stream=stream
         )
-        indices = self.index.positions(dist.fingerprints)
         cumulative = np.cumsum(dist.probabilities)
         cumulative /= cumulative[-1]  # exact 1.0 endpoint, monotonicity preserved
-        return _Pool(indices, cumulative)
+        return _Pool(dist.rows, cumulative)
 
     def exit_pool(self, port: int) -> _Pool | None:
         if port not in self._exit_pools:
@@ -346,8 +345,8 @@ class NetworkState:
         return self._exit_pools[port]
 
     def has_guard(self, fingerprint: str) -> bool:
-        idx = self.index.position.get(fingerprint)
-        return idx is not None and "Guard" in self.relays[idx].flags
+        idx = self.table.row.get(fingerprint)
+        return idx is not None and bool(self.guard[idx])
 
     def summary(self) -> dict:
         """The period's load case, weights and water levels, as simulate reports them."""
@@ -404,7 +403,7 @@ def prepare_sequence(
                 raise WaterweightsError(
                     f"consensus sequence not chronological at {snap.valid_after}"
                 )
-            if snap is previous or snap.relays == previous.relays:
+            if snap is previous or snap.table == previous.table:
                 continue  # republished relay list: extend the previous state's period
         boundaries.append(snap)
         previous = snap
@@ -435,7 +434,7 @@ def _draw_guard(
 ) -> str | None:
     for _ in range(MAX_HOP_ATTEMPTS):
         idx = int(state.entry.draw(rng, 1)[0])
-        fp = state.relays[idx].fingerprint
+        fp = state.table.fingerprints[idx]
         if fp not in exclude:
             return fp
     return None
@@ -520,7 +519,8 @@ def _build_batch(
 
     exit_idx = pool.draw(rng, m)
 
-    members = state.index.positions(s.fingerprint for s in guard_slots)
+    row = state.table.row
+    members = np.array([row[s.fingerprint] for s in guard_slots], dtype=np.int64)
     # conflict matrix between each list member and each chosen exit
     conflicts = state.index.conflict(members[:, None], exit_idx[None, :])
     columns = np.arange(m)
@@ -591,12 +591,12 @@ def build_circuit(
     )
     if result.failed or len(result.times) == 0:
         raise CircuitFailureError("circuit constraints unsatisfiable within attempt bound")
-    relays = state.relays
+    fps = state.table.fingerprints
     return Circuit(
         int(result.times[0]),
-        relays[int(result.guard[0])].fingerprint,
-        relays[int(result.middle[0])].fingerprint,
-        relays[int(result.exit[0])].fingerprint,
+        fps[int(result.guard[0])],
+        fps[int(result.middle[0])],
+        fps[int(result.exit[0])],
     )
 
 
@@ -678,19 +678,12 @@ def _simulate_client(
             counts["circuits_failed_guard"] += batch.failed_guard
             counts["circuits_failed_middle"] += batch.failed_middle
             if collect:
-                relays = state.relays
-                for t, g, mi, e in zip(batch.times, batch.guard, batch.middle, batch.exit):
-                    circuits.append(
-                        (
-                            client_id,
-                            Circuit(
-                                int(t),
-                                relays[int(g)].fingerprint,
-                                relays[int(mi)].fingerprint,
-                                relays[int(e)].fingerprint,
-                            ),
-                        )
-                    )
+                fps = state.table.fingerprints
+                for t, g, mi, e in zip(
+                    batch.times.tolist(), batch.guard.tolist(),
+                    batch.middle.tolist(), batch.exit.tolist(),
+                ):
+                    circuits.append((client_id, Circuit(t, fps[g], fps[mi], fps[e])))
             position = stop
 
     record = CompromiseRecord(client_id, first_time, built, compromised)

@@ -21,14 +21,14 @@ resulting fractions are exact rationals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .consensus import ConsensusSnapshot
+from .consensus import EXIT, GUARD, INT64_MAX, ConsensusSnapshot, RelayTable
 from .errors import EmptyPoolError, InvariantError, NotApplicableError
 from .weights import SCALE, PositionWeights
 
@@ -73,6 +73,8 @@ class WaterfillSolution:
     target: Fraction  # pool total times its positional weight
     conservation_residual: Fraction  # sum(min(bandwidth, level)) - target
     source_weights: PositionWeights
+    table: RelayTable = field(compare=False, repr=False)  # the table solved
+    rows: np.ndarray = field(compare=False, repr=False)  # its rows, in solved order
 
     @cached_property
     def shares(self) -> tuple[RelayShare, ...]:
@@ -82,10 +84,6 @@ class WaterfillSolution:
             fraction = self.water_level / bw if rank < self.pivot_index else Fraction(1)
             out.append(RelayShare(fp, bw, fraction, self._derive(fraction)))
         return tuple(out)
-
-    @cached_property
-    def _rank(self) -> dict[str, int]:
-        return {fp: rank for rank, fp in enumerate(self.fingerprints)}
 
     def _derive(self, fraction: Fraction) -> dict[str, Fraction]:
         if self.pool is TargetPool.GUARDS:
@@ -139,39 +137,74 @@ def find_water_level(bandwidths: Sequence[int], target: Fraction) -> tuple[Fract
     raise InvariantError("pivot scan found no feasible water level")
 
 
+def _water_level(bandwidths: np.ndarray, total: int, target: Fraction) -> tuple[Fraction, int]:
+    """``find_water_level`` over a descending positive int64 array.
+
+    The pivot is the smallest N with L(N) >= BW_{N+1}: that test, once
+    true, stays true for every larger N, and the upper test BW_N >= L(N),
+    once false, stays false.  The first N is found in float, then confirmed
+    in exact integers at N and N - 1; a miss falls back to the exact scan.
+    """
+    k = len(bandwidths)
+    if total > INT64_MAX or not 0 < target <= total:
+        return find_water_level(bandwidths.tolist(), target)
+    suffixes = np.zeros(k + 1, dtype=np.int64)  # suffixes[n] = sum of bandwidths after rank n
+    suffixes[:k] = np.cumsum(bandwidths[::-1])[::-1]
+    below = np.append(bandwidths[1:], 0)  # BW_{N+1} for N = 1..k
+    ranks = np.arange(1, k + 1)
+    feasible = (float(target) - suffixes[1:]) / ranks >= below
+    n = int(np.argmax(feasible)) + 1 if feasible.any() else k
+    p, q = target.numerator, target.denominator
+
+    def t(n: int) -> int:  # q * n * L(n)
+        return p - q * int(suffixes[n])
+
+    def lower(n: int) -> bool:
+        return t(n) >= q * n * int(below[n - 1])
+
+    if lower(n) and (n == 1 or not lower(n - 1)) and t(n) <= q * n * int(bandwidths[n - 1]):
+        return Fraction(t(n), q * n), n
+    return find_water_level(bandwidths.tolist(), target)
+
+
 def _solve_pool(
     snapshot: ConsensusSnapshot,
     pool: TargetPool,
     positional_weight: Fraction,
     source: PositionWeights,
 ) -> WaterfillSolution:
-    cols = snapshot.columns
-    dual = pool is TargetPool.DSET
-    members = np.flatnonzero(cols.guard & (cols.exit if dual else ~cols.exit)).tolist()
-    if not members:
+    table = snapshot.table
+    members = np.flatnonzero(table.pool == (GUARD | EXIT if pool is TargetPool.DSET else GUARD))
+    if not members.size:
         raise NotApplicableError(f"{pool.value} pool is empty")
-    fps, weights = cols.fingerprints, cols.weights
-    order = sorted(members, key=lambda i: (-weights[i], fps[i]))
-    bandwidths = [weights[i] for i in order]
-    positive = bandwidths[: len(bandwidths) - bandwidths.count(0)]  # zeros sort last
-    pool_total = sum(positive)
+    fps = table.fingerprints
+    # (-weight, fingerprint) order: a stable sort by falling weight over the
+    # members sorted by fingerprint in Python's string order
+    by_fingerprint = np.array(sorted(members.tolist(), key=fps.__getitem__), dtype=np.int64)
+    order = by_fingerprint[np.argsort(-table.weights[by_fingerprint], kind="stable")]
+    bandwidths = table.weights[order]
+    positive = bandwidths[: np.count_nonzero(bandwidths)]  # zeros sort last
+    pool_total = sum(positive.tolist())
     if pool_total == 0:
         raise NotApplicableError(f"{pool.value} pool has zero total weight")
     target = positional_weight * pool_total
-    level, pivot = find_water_level(positive, target)
+    level, pivot = _water_level(positive, pool_total, target)
     # sum(min(BW_i, L)) over L's denominator; each BW_i meets L directly, not
     # through the pivot, so this checks the scan rather than restating it
     p, q = level.numerator, level.denominator
-    kept = sum(min(q * bw, p) for bw in bandwidths)
+    capped = bandwidths >= -(-p // q)  # q * BW_i >= p
+    kept = int(capped.sum()) * p + q * sum(bandwidths[~capped].tolist())
     return WaterfillSolution(
         pool=pool,
-        fingerprints=tuple(fps[i] for i in order),
-        bandwidths=tuple(bandwidths),
+        fingerprints=tuple(map(fps.__getitem__, order.tolist())),
+        bandwidths=tuple(bandwidths.tolist()),
         water_level=level,
         pivot_index=pivot,
         target=target,
         conservation_residual=Fraction(kept, q) - target,
         source_weights=source,
+        table=table,
+        rows=order,
     )
 
 
@@ -205,25 +238,50 @@ def solve_dset_waterfill(snapshot: ConsensusSnapshot, w: PositionWeights) -> Wat
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """Selection probabilities over a fixed fingerprint order."""
+    """Selection probabilities over a fixed fingerprint order.
+
+    A vector from ``selection_distribution`` also carries the table it was
+    drawn from and its relays' rows there.
+    """
 
     fingerprints: tuple[str, ...]
     probabilities: np.ndarray  # float64, sums to 1
+    table: RelayTable | None = None
+    rows: np.ndarray | None = None
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.fingerprints, self.probabilities.tolist()))
 
+    def rows_in(self, table: RelayTable) -> np.ndarray:
+        """The vector's relays as rows of ``table``; KeyError names one absent."""
+        if table is self.table:
+            return self.rows
+        return np.array([table.row[fp] for fp in self.fingerprints], dtype=np.int64)
 
-def _scalar_factors(w: PositionWeights, position: Position) -> dict[str, Fraction]:
-    """Scalar weight factor per pool code (G/M/E/D); absent codes get 0.
+
+def _scalar_factors(w: PositionWeights, position: Position) -> dict[int, Fraction]:
+    """Scalar weight factor per pool code; absent codes get 0.
 
     Unflagged relays count fully toward the middle position.
     """
     if position is Position.ENTRY:
-        return {"G": w.Wgg, "D": w.Wgd}
+        return {GUARD: w.Wgg, GUARD | EXIT: w.Wgd}
     if position is Position.MIDDLE:
-        return {"G": w.Wmg, "D": w.Wmd, "E": w.Wme, "M": Fraction(1)}
-    return {"D": w.Wed, "E": w.Wee}
+        return {GUARD: w.Wmg, GUARD | EXIT: w.Wmd, EXIT: w.Wme, 0: Fraction(1)}
+    return {GUARD | EXIT: w.Wed, EXIT: w.Wee}
+
+
+def _solved_rows(table: RelayTable, sol: WaterfillSolution, code: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, solved rank) of each relay of pool ``code`` that ``sol`` lists."""
+    if sol.table is table:
+        return sol.rows, np.arange(len(sol.rows))
+    # a solution of another snapshot applies by fingerprint
+    hits = [
+        (i, rank)
+        for rank, fp in enumerate(sol.fingerprints)
+        if (i := table.row.get(fp)) is not None and table.pool[i] == code
+    ]
+    return tuple(np.array(hits, dtype=np.int64).reshape(-1, 2).T)
 
 
 def _weight_fractions(
@@ -235,35 +293,28 @@ def _weight_fractions(
     """Each relay's exact weight at a position, as numerator and denominator.
 
     The weight is consensus_weight times the relay's factor: the scalar
-    factor of its flag class, or, for a G (D) relay listed in the guard
-    (dual) solution, its waterfilled factor.  A relay above that
-    solution's pivot keeps ``bw * L / bw_sol`` at the end position(s) and
-    moves ``bw * (bw_sol - L) / bw_sol`` to the middle, where ``bw_sol`` is
-    its bandwidth when solved; any other listed relay keeps its whole
-    bandwidth at the end position(s).  Both arrays hold Python ints.
+    factor of its pool, or, for a G (D) relay listed in the guard (dual)
+    solution, its waterfilled factor.  A relay above that solution's pivot
+    keeps ``bw * L / bw_sol`` at the end position(s) and moves
+    ``bw * (bw_sol - L) / bw_sol`` to the middle, where ``bw_sol`` is its
+    bandwidth when solved; any other listed relay keeps its whole bandwidth
+    at the end position(s).  Both arrays hold Python ints.
     """
-    cols = snapshot.columns
-    guard, exit_ = cols.guard, cols.exit
-    classes = {"G": guard & ~exit_, "D": guard & exit_, "E": exit_ & ~guard, "M": ~(guard | exit_)}
+    table = snapshot.table
     scalars = _scalar_factors(w, position)
-    num = np.zeros(len(cols), dtype=object)
-    den = np.ones(len(cols), dtype=object)
+    num = np.zeros(len(table), dtype=object)
+    den = np.ones(len(table), dtype=object)
     for code, factor in scalars.items():
-        num[classes[code]] = factor.numerator
-        den[classes[code]] = factor.denominator
-    for code, pool in (("G", TargetPool.GUARDS), ("D", TargetPool.DSET)):
+        members = table.pool == code
+        num[members] = factor.numerator
+        den[members] = factor.denominator
+    for code, pool in ((GUARD, TargetPool.GUARDS), (GUARD | EXIT, TargetPool.DSET)):
         sol = solutions.get(pool)
         if sol is None or code not in scalars:
             continue
-        rank = sol._rank
-        hits = [
-            (i, r)
-            for i in np.flatnonzero(classes[code]).tolist()
-            if (r := rank.get(cols.fingerprints[i])) is not None
-        ]
-        if not hits:
+        rows, ranks = _solved_rows(table, sol, code)
+        if not rows.size:
             continue
-        rows, ranks = np.array(hits, dtype=np.int64).T
         middle = position is Position.MIDDLE
         share = Fraction(0) if middle else sol.end_share(position)
         num[rows] = share.numerator
@@ -271,14 +322,14 @@ def _weight_fractions(
         above = ranks < sol.pivot_index
         rows = rows[above]
         p, q = sol.water_level.numerator, sol.water_level.denominator
-        q_bw = np.array([q * sol.bandwidths[r] for r in ranks[above].tolist()], dtype=object)
+        q_bw = q * np.array(sol.bandwidths, dtype=object)[ranks[above]]
         if middle:
             num[rows] = q_bw - p
             den[rows] = q_bw
         else:
             num[rows] = share.numerator * p
             den[rows] = share.denominator * q_bw
-    return num * cols.weights, den
+    return num * table.weights.astype(object), den
 
 
 def selection_distribution(
@@ -301,7 +352,7 @@ def selection_distribution(
     if position is Position.EXIT:
         if stream is None:
             raise ValueError("exit position needs a destination port for policy filtering")
-        keep = snapshot.columns.accepts(stream)
+        keep = snapshot.table.accepts(stream)
 
     num, den = _weight_fractions(snapshot, w, position, solutions)
     keep = num > 0 if keep is None else keep & (num > 0)
@@ -311,8 +362,8 @@ def selection_distribution(
     if total <= 0:
         raise EmptyPoolError(f"no eligible relay carries weight for {position.value}")
     probs = np.asarray(raw, dtype=np.float64) / total
-    fingerprints = snapshot.columns.fingerprints
-    return ProbabilityVector(tuple(fingerprints[i] for i in rows.tolist()), probs)
+    fingerprints = tuple(map(snapshot.table.fingerprints.__getitem__, rows.tolist()))
+    return ProbabilityVector(fingerprints, probs, snapshot.table, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from waterweights.cli import (
     report_adversary_cost,
 )
 from waterweights.consensus import ConsensusSnapshot, serialize_native
-from waterweights.errors import ConfigMismatchError, NotApplicableError
+from waterweights.errors import ConfigMismatchError, NotApplicableError, WaterweightsError
 from waterweights.metrics import JointDistribution, joint_to_csv
 from waterweights.pathsim import CompromiseRecord
 
@@ -89,6 +89,19 @@ class TestCompareRuns:
         with pytest.raises(ConfigMismatchError):
             compare_runs(a, a * 2, horizon=10)
 
+    def test_different_clients_rejected(self):
+        a = [self.rec(0, None), self.rec(1, 100)]
+        b = [self.rec(7, None), self.rec(9, 100)]
+        with pytest.raises(ConfigMismatchError, match="different clients"):
+            compare_runs(a, b, horizon=1000)
+
+    @pytest.mark.parametrize("horizon,resolution", [(-5, None), (-1, 10), (1000, 0), (1000, -3)])
+    def test_bad_range_rejected(self, horizon, resolution):
+        records = [self.rec(0, None), self.rec(1, 100)]
+        with pytest.raises(WaterweightsError) as err:
+            compare_runs(records, records, horizon=horizon, resolution=resolution)
+        assert err.value.exit_code == 2
+
 
 class TestParseCommand:
     def test_native_roundtrip(self, runner, tmp_path):
@@ -113,6 +126,17 @@ class TestParseCommand:
         result = runner.invoke(main, ["--quiet", "parse", "--format", "v3", str(doc)])
         assert result.exit_code == 0
         assert result.stderr == ""
+
+    def test_wrong_typed_json_field_exits_2(self, runner, tmp_path):
+        native = tmp_path / "net.snapshot"
+        native.write_text(demo_snapshot_text())
+        doc = json.loads(runner.invoke(main, ["parse", str(native)]).stdout)
+        doc["relays"][0]["consensus_weight"] = 1.7
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["weights", str(snapshot)])
+        assert result.exit_code == 2
+        assert "relays[0].consensus_weight" in result.stderr
 
     def test_parse_error_exits_2(self, runner, tmp_path):
         doc = tmp_path / "bad.snapshot"
@@ -453,6 +477,30 @@ class TestSimulateAndCompare:
         assert result.exit_code == 2
         assert "line 3" in result.stderr
         assert problem in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--horizon", "-5"],
+        ["--horizon", "600", "--resolution", "0"],
+    ])
+    def test_compare_rejects_bad_ranges(self, runner, tmp_path, args):
+        from waterweights.pathsim import RECORDS_HEADER
+
+        records = tmp_path / "a.csv"
+        records.write_text(f"{RECORDS_HEADER}\n0,,5,0\n1,600,5,1\n")
+        result = runner.invoke(main, ["compare", str(records), str(records), *args])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+
+    def test_compare_rejects_different_clients(self, runner, tmp_path):
+        from waterweights.pathsim import RECORDS_HEADER
+
+        a = tmp_path / "a.csv"
+        a.write_text(f"{RECORDS_HEADER}\n0,,5,0\n1,600,5,1\n")
+        b = tmp_path / "b.csv"
+        b.write_text(f"{RECORDS_HEADER}\n7,,5,0\n9,600,5,1\n")
+        result = runner.invoke(main, ["compare", str(a), str(b), "--horizon", "600"])
+        assert result.exit_code == 2
+        assert "different clients" in result.stderr
 
     def test_report_command(self, runner, tmp_path):
         wf = tmp_path / "wf.json"

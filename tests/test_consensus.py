@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waterweights.consensus import (
+    EXIT,
     ConflictIndex,
     ConsensusSnapshot,
     LoadCase,
@@ -136,9 +139,9 @@ class TestPoolPartition:
 
     def test_explicit_totals_are_checked(self):
         relays = (make_relay("G1", 5, "g"), make_relay("E1", 7, "e"))
-        assert ConsensusSnapshot(0, relays, PoolTotals(G=5, E=7)).totals.T == 12
+        assert ConsensusSnapshot.from_relays(0, relays, PoolTotals(G=5, E=7)).totals.T == 12
         with pytest.raises(InvariantError, match="do not match"):
-            ConsensusSnapshot(0, relays, PoolTotals(G=5, E=8))
+            ConsensusSnapshot.from_relays(0, relays, PoolTotals(G=5, E=8))
 
 
 class TestParseV3:
@@ -310,6 +313,10 @@ def relay_lists(draw):
     ]
 
 
+def conflict_index(relays):
+    return ConflictIndex(ConsensusSnapshot.from_relays(0, relays).table)
+
+
 def reference_matrix(rows, cols):
     return np.array(
         [[relays_conflict(a, b) for b in cols] for a in rows], dtype=bool
@@ -320,7 +327,7 @@ class TestConflictIndex:
     @settings(max_examples=200, deadline=None)
     @given(relay_lists())
     def test_elementwise_matches_reference(self, relays):
-        index = ConflictIndex(relays)
+        index = conflict_index(relays)
         every = np.arange(len(relays))
         expected = reference_matrix(relays, relays)
         assert np.array_equal(index.conflict(every[:, None], every[None, :]), expected)
@@ -330,7 +337,7 @@ class TestConflictIndex:
     @settings(max_examples=200, deadline=None)
     @given(relay_lists(), st.data())
     def test_matrix_matches_reference(self, relays, data):
-        index = ConflictIndex(relays)
+        index = conflict_index(relays)
         positions = list(range(len(relays)))
         rows = data.draw(st.permutations(positions))[: data.draw(st.integers(0, len(relays)))]
         cols = data.draw(st.permutations(positions))[: data.draw(st.integers(0, len(relays)))]
@@ -342,17 +349,17 @@ class TestConflictIndex:
             make_relay("A", 1, "g", subnet="1.1", family=frozenset({"B", "GONE"})),
             make_relay("B", 1, "e", subnet="2.2"),
         ]
-        index = ConflictIndex(relays)
+        index = conflict_index(relays)
         assert index.conflict(0, 1) and index.conflict(1, 0)
         assert index.matrix([1], [0]).tolist() == [[True]]
 
     def test_unknown_subnets_never_match(self):
-        index = ConflictIndex([make_relay("A", 1, "g"), make_relay("B", 1, "e")])
+        index = conflict_index([make_relay("A", 1, "g"), make_relay("B", 1, "e")])
         assert index.matrix([0, 1], [0, 1]).tolist() == [[True, False], [False, True]]
 
     @pytest.mark.parametrize("family", [frozenset(), frozenset({"B"})])
     def test_matrix_rejects_a_repeated_relay(self, family):
-        index = ConflictIndex([make_relay("A", 1, "g", family=family), make_relay("B", 1, "e")])
+        index = conflict_index([make_relay("A", 1, "g", family=family), make_relay("B", 1, "e")])
         with pytest.raises(InvariantError):
             index.matrix([0, 0], [1])
         with pytest.raises(InvariantError):
@@ -376,12 +383,12 @@ class TestSnapshotColumns:
             make_relay(f"R{i}", weight, role, policy=parse_policy(text))
             for i, (weight, role, text) in enumerate(spec)
         ]
-        cols = ConsensusSnapshot.from_relays(0, relays).columns
+        cols = ConsensusSnapshot.from_relays(0, relays).table
         assert cols.fingerprints == tuple(r.fingerprint for r in relays)
         assert cols.weights.tolist() == [r.consensus_weight for r in relays]
-        assert all(type(w) is int for w in cols.weights)
+        assert all(type(w) is int for w in cols.weights.tolist())
         assert cols.guard.tolist() == [r.is_guard for r in relays]
-        assert cols.exit.tolist() == [r.is_exit for r in relays]
+        assert ((cols.pool & EXIT) != 0).tolist() == [r.is_exit for r in relays]
         assert cols.accepts(port).tolist() == [r.accepts_port(port) for r in relays]
         assert len(cols.policies) == len({r.exit_policy for r in relays})
 
@@ -397,3 +404,66 @@ class TestSnapshotColumns:
         a, b, c = parse(render(snap)).relays
         assert a.exit_policy == web and a.exit_policy is b.exit_policy
         assert c.exit_policy == parse_policy("accept:*")
+
+
+def one_relay_document(**fields):
+    """A valid two-relay snapshot document with ``fields`` set on relay 1."""
+    snap = ConsensusSnapshot.from_relays(100, [
+        make_relay("AAAA", 10, "g", subnet="1.1", country="de", as_number=3320),
+        make_relay("BBBB", 20, "e", subnet="2.2", family=frozenset({"AAAA"})),
+    ])
+    doc = json.loads(snapshot_to_json(snap))
+    del doc["totals"]
+    doc["relays"][1].update(fields)
+    return doc
+
+
+class TestJsonFieldTypes:
+    """Wrong-typed fields are rejected, naming the relay and the field."""
+
+    def test_the_fixture_parses(self):
+        snap = snapshot_from_json(json.dumps(one_relay_document()))
+        assert snap.totals == PoolTotals(G=10, E=20)
+
+    @pytest.mark.parametrize("field,value", [
+        ("consensus_weight", 1.7),
+        ("consensus_weight", "12"),
+        ("consensus_weight", True),
+        ("flags", "Guard"),
+        ("flags", ["Guard", 1]),
+        ("family", "BC"),
+        ("exit_policy", {"accept:*": 1}),
+        ("subnet16", 12),
+        ("country", 49),
+        ("as_number", "3320"),
+        ("as_number", True),
+        ("as_number", 3320.0),
+    ], ids=lambda v: repr(v))
+    def test_wrong_type_is_rejected(self, field, value):
+        with pytest.raises(ParseError, match=rf"relays\[1\]\.{field}"):
+            snapshot_from_json(json.dumps(one_relay_document(**{field: value})))
+
+    @pytest.mark.parametrize("value", [100.9, "100", True])
+    def test_valid_after_must_be_an_integer(self, value):
+        doc = one_relay_document()
+        doc["valid_after"] = value
+        with pytest.raises(ParseError, match="valid_after"):
+            snapshot_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("weight", [-1, 2**63])
+    def test_weight_outside_int64_is_rejected(self, weight):
+        with pytest.raises(ParseError, match=r"relays\[1\]\.consensus_weight"):
+            snapshot_from_json(json.dumps(one_relay_document(consensus_weight=weight)))
+
+    def test_largest_int64_weight_is_exact(self):
+        snap = snapshot_from_json(json.dumps(one_relay_document(consensus_weight=2**63 - 1)))
+        assert snap.totals.E == 2**63 - 1
+        assert snap.relays[1].consensus_weight == 2**63 - 1
+
+    def test_relay_list_weight_outside_int64_is_an_invariant_breach(self):
+        with pytest.raises(InvariantError, match="64 bits"):
+            ConsensusSnapshot.from_relays(0, [make_relay("A", 2**63, "g")])
+
+    def test_native_weight_outside_int64_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_native(f"snapshot 1\nrelay AA a {2**63}\n")

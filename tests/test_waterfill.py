@@ -25,8 +25,9 @@ from conftest import make_relay, make_snapshot, pareto_weights
 
 def share_for(sol, fingerprint):
     """The solved share of one relay, or None when the solution omits it."""
-    rank = sol._rank.get(fingerprint)
-    return None if rank is None else sol.shares[rank]
+    if fingerprint not in sol.fingerprints:
+        return None
+    return sol.shares[sol.fingerprints.index(fingerprint)]
 
 
 def oracle_level(bws, target):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from waterweights.consensus import LoadCase, PoolTotals
+from waterweights.consensus import LoadCase, PoolTotals, classify_load_case
 from waterweights.errors import InfeasibleWeightsError, UnsupportedLoadCaseError
 from waterweights.weights import (
     PositionWeights,
@@ -173,3 +175,52 @@ class TestContract:
         assert report.middle == totals.T
         assert report.entry_middle_residual == -totals.T
         assert report.entry_exit_residual == 0
+
+
+class TestBalanceIdentitiesProperty:
+    """The identities ``check_balance`` reports, over arbitrary pool totals.
+
+    Every supported case keeps the consistency identities exactly.  The
+    balanced case and 3bE=S balance all three positions at T/3; 3aE=SG>M
+    balances entry with middle in the standard mode and entry with exit in
+    the guard-exit-equalized mode, which falls back to standard (with a
+    note) when E+D > G.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 10**12), st.integers(0, 10**12),
+        st.integers(0, 10**12), st.integers(0, 10**12),
+        st.sampled_from(list(WeightMode)),
+    )
+    def test_identities_of_each_supported_case(self, g, m, e, d, mode):
+        totals = PoolTotals(G=g, M=m, E=e, D=d)
+        assume(totals.T > 0)
+        case, _ = classify_load_case(totals)
+        assume(case is not LoadCase.UNSUPPORTED)
+        try:
+            w = compute_weights(totals, case, mode)
+        except InfeasibleWeightsError:
+            assume(False)
+        assert w.Wmg == 1 - w.Wgg
+        assert w.Wme == 1 - w.Wee
+        assert w.Wgd + w.Wmd + w.Wed == 1
+        assert all(isinstance(v, Fraction) and 0 <= v <= 1 for v in w.as_dict().values())
+        report = check_balance(totals, w)
+        assert report.entry == w.Wgg * g + w.Wgd * d
+        assert report.middle == m + w.Wmg * g + w.Wme * e + w.Wmd * d
+        assert report.exit == w.Wee * e + w.Wed * d
+        # the three positions share out the whole network
+        assert report.entry + report.middle + report.exit == totals.T
+        third = Fraction(totals.T, 3)
+        if case in (LoadCase.BALANCED, LoadCase.CASE_3B):
+            assert report.entry == report.middle == report.exit == third
+        elif w.mode is WeightMode.GUARD_EXIT_EQUALIZED:
+            assert e + d <= g
+            assert report.entry_exit_residual == 0
+            assert report.entry == e + d
+        else:
+            assert (mode is WeightMode.STANDARD) == (not w.notes)
+            assert mode is WeightMode.STANDARD or e + d > g
+            assert report.entry_middle_residual == 0
+            assert report.entry == Fraction(g + m, 2)
