@@ -746,6 +746,10 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
                         current["weight"] = int(value)
                     except ValueError:
                         raise ParseError(f"bad Bandwidth value {value!r}", line=lineno) from None
+                    if not 0 <= current["weight"] <= INT64_MAX:
+                        raise ParseError(
+                            f"Bandwidth {value} is outside [0, 2**63 - 1]", line=lineno
+                        )
         elif keyword == "p" and current is not None:
             if len(fields) != 3 or fields[1] not in ("accept", "reject"):
                 raise ParseError("bad p line", line=lineno)
@@ -797,47 +801,33 @@ def snapshot_to_json(snapshot: ConsensusSnapshot) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_STRING = frozenset({str})
-_STRING_OR_NULL = frozenset({str, type(None)})
-_INTEGER = frozenset({int})  # type(True) is bool, so booleans fail
-_INTEGER_OR_NULL = frozenset({int, type(None)})
-_LIST = frozenset({list})
+# Each relay field's JSON types and their name; type(True) is bool, so
+# booleans are no integers.  The items of a list must be strings.
+_RELAY_FIELDS = (
+    ("fingerprint", (str,), "a string"),
+    ("nickname", (str,), "a string"),
+    ("consensus_weight", (int,), "an integer"),
+    ("flags", (list,), "a list of strings"),
+    ("exit_policy", (list,), "a list of strings"),
+    ("family", (list,), "a list of strings"),
+    ("subnet16", (str, type(None)), "a string or null"),
+    ("country", (str, type(None)), "a string or null"),
+    ("as_number", (int, type(None)), "an integer or null"),
+)
 
 
-def _checked(relays: list, field: str, allowed: frozenset, wanted: str, default=None) -> list:
-    """One field of every relay; a value of another type raises ParseError."""
-    values = [r.get(field, default) for r in relays]
-    if not set(map(type, values)) <= allowed:
-        i, value = next((i, v) for i, v in enumerate(values) if type(v) not in allowed)
-        raise ParseError(f"relays[{i}].{field} must be {wanted}, not {value!r}")
-    return values
-
-
-def _list_ids(lists: list[list], field: str, intern) -> list[int]:
-    """The id of each string list; ``intern`` gives each distinct one its id.
-
-    A ValueError from ``intern`` becomes a ParseError naming the first relay
-    with that list.  The tuple keys are made twice rather than kept, so that
-    they do not pile up as garbage-collector work.
-    """
-    try:
-        ids = dict.fromkeys(map(tuple, lists))
-    except TypeError:  # an unhashable item, which is no string
-        ids = None
-    if ids is not None and all(type(item) is str for key in ids for item in key):
-        for key in ids:
-            try:
-                ids[key] = intern(key)
-            except ValueError as exc:
-                i = next(i for i, items in enumerate(lists) if tuple(items) == key)
-                raise ParseError(f"relays[{i}].{field}: {exc}") from None
-        return list(map(ids.__getitem__, map(tuple, lists)))
-    i = next(i for i, items in enumerate(lists) if not all(type(item) is str for item in items))
-    raise ParseError(f"relays[{i}].{field} must be a list of strings, not {lists[i]!r}")
+def _field_error(r: dict, i: int) -> ParseError:
+    """The ParseError naming relay ``i``'s first field of a wrong type."""
+    return next(
+        ParseError(f"relays[{i}].{field} must be {wanted}, not {value!r}")
+        for field, types, wanted in _RELAY_FIELDS
+        for value in [r.get(field, [] if list in types else None)]
+        if type(value) not in types or list in types and not all(type(s) is str for s in value)
+    )
 
 
 def snapshot_from_json(text: str) -> ConsensusSnapshot:
-    """Read a snapshot document straight into a column table, field by field.
+    """Read a snapshot document straight into a column table, row by row.
 
     Field types are checked, not coerced: weights and ``valid_after`` are
     JSON integers, ``flags``, ``family`` and ``exit_policy`` lists of
@@ -854,46 +844,53 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
     valid_after = doc.get("valid_after")
     if type(valid_after) is not int:
         raise ParseError(f"valid_after must be an integer, not {valid_after!r}")
-    relays = doc["relays"]
-    for i, r in enumerate(relays):
+    b = _TableBuilder()
+    # flag and rule lists seen so far; a key holds strings only, so a hit
+    # needs no item check
+    flag_ids: dict[tuple, tuple[int, int]] = {}  # flags -> (pool code, flag-set id)
+    policy_ids: dict[tuple, int] = {}
+    texts: dict[str, tuple[PolicyRule, ...]] = {}
+    for i, r in enumerate(doc["relays"]):
         if type(r) is not dict:
             raise ParseError(f"relays[{i}] must be an object")
-    strings = "a list of strings"
-    b = _TableBuilder()
-    b.fingerprints = _checked(relays, "fingerprint", _STRING, "a string")
-    b.nicknames = _checked(relays, "nickname", _STRING, "a string")
-    b.weights = _checked(relays, "consensus_weight", _INTEGER, "an integer")
-    if b.weights and not 0 <= min(b.weights) <= max(b.weights) <= INT64_MAX:
-        i, weight = next((i, w) for i, w in enumerate(b.weights) if not 0 <= w <= INT64_MAX)
-        raise ParseError(f"relays[{i}].consensus_weight {weight} is outside [0, 2**63 - 1]")
-    flags = _checked(relays, "flags", _LIST, strings, [])
-    b.flag_id = _list_ids(flags, "flags", lambda key: b.flag_set(frozenset(key)))
-    codes = [_pool_code(f) for f in b.flag_ids]
-    b.pool = [codes[i] for i in b.flag_id]
-    texts: dict[str, tuple[PolicyRule, ...]] = {}
-
-    def policy(key: tuple) -> int:
-        return b.policy(_parse_policy_once(texts, ";".join(key)) if key else (REJECT_ALL,))
-
-    rules = _checked(relays, "exit_policy", _LIST, strings, [])
-    b.policy_id = _list_ids(rules, "exit_policy", policy)
-    for i, family in enumerate(_checked(relays, "family", _LIST, strings, [])):
+        fingerprint, nickname = r.get("fingerprint"), r.get("nickname")
+        weight, subnet16 = r.get("consensus_weight"), r.get("subnet16")
+        flags, rules, family = r.get("flags", []), r.get("exit_policy", []), r.get("family", [])
+        country, as_number = r.get("country"), r.get("as_number")
+        if (
+            type(fingerprint) is not str or type(nickname) is not str or type(weight) is not int
+            or type(flags) is not list or type(rules) is not list or type(family) is not list
+            or not (subnet16 is None or type(subnet16) is str)
+            or not (country is None or type(country) is str)
+            or not (as_number is None or type(as_number) is int)
+        ):
+            raise _field_error(r, i)
+        if not 0 <= weight <= INT64_MAX:
+            raise ParseError(f"relays[{i}].consensus_weight {weight} is outside [0, 2**63 - 1]")
+        try:
+            flags, rules = tuple(flags), tuple(rules)
+            codes, policy_id = flag_ids.get(flags), policy_ids.get(rules)
+        except TypeError:  # an unhashable item, which is no string
+            raise _field_error(r, i) from None
+        if codes is None:
+            if not all(type(s) is str for s in flags):
+                raise _field_error(r, i)
+            codes = flag_ids[flags] = _pool_code(flags), b.flag_set(frozenset(flags))
+        if policy_id is None:
+            if not all(type(s) is str for s in rules):
+                raise _field_error(r, i)
+            try:
+                policy = _parse_policy_once(texts, ";".join(rules)) if rules else (REJECT_ALL,)
+            except ValueError as exc:
+                raise ParseError(f"relays[{i}].exit_policy: {exc}") from None
+            policy_id = policy_ids[rules] = b.policy(policy)
         if family:
-            if not all(type(f) is str for f in family):
-                raise ParseError(f"relays[{i}].family must be {strings}, not {family!r}")
-            b.family[i] = frozenset(family)
-    codes = b.subnet_codes
-    b.subnet = [
-        -(i + 1) if name is None else codes.setdefault(name, len(codes))
-        for i, name in enumerate(_checked(relays, "subnet16", _STRING_OR_NULL, "a string or null"))
-    ]
-    b.country = _checked(relays, "country", _STRING_OR_NULL, "a string or null")
-    b.as_number = _checked(relays, "as_number", _INTEGER_OR_NULL, "an integer or null")
-    b.row = dict(zip(b.fingerprints, range(len(relays))))
-    if len(b.row) < len(relays):
-        seen = set()
-        duplicate = next(fp for fp in b.fingerprints if fp in seen or seen.add(fp))
-        raise DuplicateRelayError(f"duplicate fingerprint {duplicate}")
+            if not all(type(s) is str for s in family):
+                raise _field_error(r, i)
+            family = frozenset(family)
+        b.add(
+            fingerprint, nickname, weight, *codes, policy_id, family, subnet16, country, as_number
+        )
     table = b.finish()
     snapshot = ConsensusSnapshot(valid_after, table, table.totals())
     stored = doc.get("totals")

@@ -33,6 +33,7 @@ from .consensus import (
     ACCEPT_ALL,
     ConflictIndex,
     ConsensusSnapshot,
+    INT64_MAX,
     LoadCase,
     PolicyRule,
     REJECT_ALL,
@@ -155,6 +156,8 @@ class AdversarySpec:
                 raise ParseError(f"{where}.count must be at least 1, not {count}")
             if weight < 0:
                 raise ParseError(f"{where}.consensus_weight must not be negative, not {weight}")
+            if weight > INT64_MAX:
+                raise ParseError(f"{where}.consensus_weight {weight} does not fit in 64 bits")
             relays.extend(
                 AdversaryRelay(
                     role=RoleHint(item["role"]),

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .consensus import EXIT, GUARD, INT64_MAX, ConsensusSnapshot, RelayTable
+from .consensus import EXIT, GUARD, ConsensusSnapshot, RelayTable
 from .errors import EmptyPoolError, InvariantError, NotApplicableError
 from .weights import SCALE, PositionWeights
 
@@ -137,36 +137,6 @@ def find_water_level(bandwidths: Sequence[int], target: Fraction) -> tuple[Fract
     raise InvariantError("pivot scan found no feasible water level")
 
 
-def _water_level(bandwidths: np.ndarray, total: int, target: Fraction) -> tuple[Fraction, int]:
-    """``find_water_level`` over a descending positive int64 array.
-
-    The pivot is the smallest N with L(N) >= BW_{N+1}: that test, once
-    true, stays true for every larger N, and the upper test BW_N >= L(N),
-    once false, stays false.  The first N is found in float, then confirmed
-    in exact integers at N and N - 1; a miss falls back to the exact scan.
-    """
-    k = len(bandwidths)
-    if total > INT64_MAX or not 0 < target <= total:
-        return find_water_level(bandwidths.tolist(), target)
-    suffixes = np.zeros(k + 1, dtype=np.int64)  # suffixes[n] = sum of bandwidths after rank n
-    suffixes[:k] = np.cumsum(bandwidths[::-1])[::-1]
-    below = np.append(bandwidths[1:], 0)  # BW_{N+1} for N = 1..k
-    ranks = np.arange(1, k + 1)
-    feasible = (float(target) - suffixes[1:]) / ranks >= below
-    n = int(np.argmax(feasible)) + 1 if feasible.any() else k
-    p, q = target.numerator, target.denominator
-
-    def t(n: int) -> int:  # q * n * L(n)
-        return p - q * int(suffixes[n])
-
-    def lower(n: int) -> bool:
-        return t(n) >= q * n * int(below[n - 1])
-
-    if lower(n) and (n == 1 or not lower(n - 1)) and t(n) <= q * n * int(bandwidths[n - 1]):
-        return Fraction(t(n), q * n), n
-    return find_water_level(bandwidths.tolist(), target)
-
-
 def _solve_pool(
     snapshot: ConsensusSnapshot,
     pool: TargetPool,
@@ -188,7 +158,7 @@ def _solve_pool(
     if pool_total == 0:
         raise NotApplicableError(f"{pool.value} pool has zero total weight")
     target = positional_weight * pool_total
-    level, pivot = _water_level(positive, pool_total, target)
+    level, pivot = find_water_level(positive.tolist(), target)
     # sum(min(BW_i, L)) over L's denominator; each BW_i meets L directly, not
     # through the pivot, so this checks the scan rather than restating it
     p, q = level.numerator, level.denominator

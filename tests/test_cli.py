@@ -334,6 +334,7 @@ class TestSimulateAndCompare:
         ({"relays": [{"role": "guard", "consensus_weight": 400, "count": -3}]}, "count"),
         ({"relays": [{"role": "guard", "consensus_weight": 400, "count": 0}]}, "count"),
         ({"relays": [{"role": "exit", "consensus_weight": -1}]}, "consensus_weight"),
+        ({"relays": [{"role": "exit", "consensus_weight": 2**63}]}, "consensus_weight"),
     ])
     def test_malformed_adversary_exits_2(self, runner, tmp_path, doc, field):
         snaps, adv = self.write_inputs(tmp_path)

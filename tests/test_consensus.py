@@ -175,6 +175,16 @@ p reject 25
         snap = parse_v3_subset(doc)
         assert snap.totals == PoolTotals(D=77)
 
+    @pytest.mark.parametrize("bandwidth", [-1, 2**63])
+    def test_bandwidth_outside_int64_is_a_parse_error(self, bandwidth):
+        doc = self.MINIMAL.replace("Bandwidth=20", f"Bandwidth={bandwidth}")
+        with pytest.raises(ParseError, match="line 4"):
+            parse_v3_subset(doc)
+
+    def test_largest_int64_bandwidth_is_exact(self):
+        snap = parse_v3_subset(self.MINIMAL.replace("Bandwidth=20", f"Bandwidth={2**63 - 1}"))
+        assert snap.totals.G == 2**63 - 1
+
     def test_missing_w_defaults_zero_with_warning(self):
         doc = (
             "valid-after 2015-01-01 00:00:00\n"
@@ -438,6 +448,12 @@ class TestJsonFieldTypes:
         ("as_number", "3320"),
         ("as_number", True),
         ("as_number", 3320.0),
+        ("fingerprint", None),
+        ("nickname", 5),
+        ("flags", ["Guard", ["Exit"]]),
+        ("exit_policy", ["accept:*", 5]),
+        ("exit_policy", ["accept:bogus"]),
+        ("family", ["AAAA", None]),
     ], ids=lambda v: repr(v))
     def test_wrong_type_is_rejected(self, field, value):
         with pytest.raises(ParseError, match=rf"relays\[1\]\.{field}"):

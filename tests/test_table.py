@@ -39,7 +39,6 @@ from waterweights.pathsim import (
 from waterweights.waterfill import (
     ProbabilityVector,
     TargetPool,
-    _water_level,
     find_water_level,
     solve_dset_waterfill,
     solve_guard_waterfill,
@@ -242,31 +241,3 @@ class TestWaterfillOrder:
             assert sol.bandwidths == tuple(bandwidths)
             assert (sol.water_level, sol.pivot_index) == find_water_level(positive, sol.target)
             assert [snap.table.fingerprints[i] for i in sol.rows] == list(sol.fingerprints)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.integers(1, 4), st.integers(1, 2**57), st.just(2**57), st.just(2**62),
-                st.integers(2**55, 2**55 + 3),  # ties and near-ties float cannot tell apart
-            ),
-            min_size=1, max_size=40,
-        ),
-        st.fractions(min_value=0, max_value=1, max_denominator=2**70),
-    )
-    def test_level_matches_the_exact_scan(self, bandwidths, share):
-        bandwidths.sort(reverse=True)
-        total = sum(bandwidths)
-        target = share * total
-        array = np.array(bandwidths, dtype=np.int64)
-        if not 0 < target <= total:
-            return
-        assert _water_level(array, total, target) == find_water_level(bandwidths, target)
-
-    def test_a_float_miss_falls_back_to_the_exact_scan(self):
-        # float(target) rounds up to 2**54, which makes rank 1 look feasible
-        bandwidths = [2**53 + 1, 2**53]
-        target = Fraction(3 * 2**54 - 1, 3)
-        level, pivot = _water_level(np.array(bandwidths, dtype=np.int64), sum(bandwidths), target)
-        assert (level, pivot) == find_water_level(bandwidths, target)
-        assert pivot == 2
