@@ -477,6 +477,11 @@ def metrics(ctx, joint, snapshot):
     }
     if snapshot is not None:
         snap = _load_snapshot(snapshot)
+        absent = [fp for fp in jd.guards if fp not in snap.table.row]
+        if absent:
+            raise ConfigMismatchError(
+                f"{len(absent)} guard(s) of {joint} absent from {snapshot}, first {absent[0]}"
+            )
         marginal = ProbabilityVector(jd.guards, jd.p.sum(axis=1))
         doc["group_tables"] = {
             key: [{"group": g, "probability": p} for g, p in group_diversity(snap, marginal, key)]

@@ -17,6 +17,7 @@ network-status format (``valid-after`` plus ``r``/``s``/``w``/``p`` lines).
 from __future__ import annotations
 
 import enum
+import gc
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -835,6 +836,19 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
     integer or null.  A wrong type raises ParseError naming the relay
     index and the field.
     """
+    # The decoded document holds no reference cycles, so the collector's
+    # passes over it while it is built free nothing; pause it, and leave it
+    # as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _snapshot_from_json(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _snapshot_from_json(text: str) -> ConsensusSnapshot:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,9 +13,19 @@ Adversary relays are injected into every snapshot where they are live
 *before* pool totals and positional weights are computed, so the injected
 bandwidth reshapes the weights exactly as organic bandwidth would.
 
+The loop runs period by period.  In each period it walks the clients only
+for what is theirs alone: guard churn, rotation and refill, and their own
+random draws.  Everything else (the exit and middle lookups, the guard
+slots, the conflict checks and redraw rounds, the adversary mask and the
+per-client tallies) runs once over all clients' streams of the period.  A
+client whose guard deadline falls inside the period takes part in one more
+round, from the deadline on.
+
 Everything is deterministic given the seed: each client draws from its own
-substream derived from (seed, client_id), so results are independent of
-execution order and of the number of workers.
+substream derived from (seed, client_id), and makes the same calls, of the
+same sizes and in the same order, as it would alone.  What a client draws
+depends only on its own draws so far, so results are independent of which
+clients share a batch, of execution order and of the number of workers.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import enum
 import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +48,7 @@ from .consensus import (
     PolicyRule,
     REJECT_ALL,
     RelayEntry,
+    RelayTable,
     classify_load_case,
 )
 from .errors import (
@@ -279,9 +290,12 @@ class _Pool:
         self.indices = indices
         self.cumulative = cumulative
 
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """The relay rows that uniform draws ``u`` select."""
+        return self.indices[np.searchsorted(self.cumulative, u, side="right")]
+
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        picks = np.searchsorted(self.cumulative, rng.random(count), side="right")
-        return self.indices[picks]
+        return self.pick(rng.random(count))
 
 
 class NetworkState:
@@ -346,10 +360,6 @@ class NetworkState:
             except EmptyPoolError:
                 self._exit_pools[port] = None
         return self._exit_pools[port]
-
-    def has_guard(self, fingerprint: str) -> bool:
-        idx = self.table.row.get(fingerprint)
-        return idx is not None and bool(self.guard[idx])
 
     def summary(self) -> dict:
         """The period's load case, weights and water levels, as simulate reports them."""
@@ -432,136 +442,161 @@ def prepare_sequence(
 # Guard-list management
 # ---------------------------------------------------------------------------
 
+# Inside the simulation a guard list is a list of (table row, rotation
+# deadline) slots, in list order: a circuit draws its guard as a slot index,
+# so the order is part of every later draw.
+
 def _draw_guard(
-    state: NetworkState, rng: np.random.Generator, exclude: set[str]
-) -> str | None:
+    state: NetworkState, rng: np.random.Generator, exclude: set[int]
+) -> int | None:
     for _ in range(MAX_HOP_ATTEMPTS):
-        idx = int(state.entry.draw(rng, 1)[0])
-        fp = state.table.fingerprints[idx]
-        if fp not in exclude:
-            return fp
+        row = int(state.entry.draw(rng, 1)[0])
+        if row not in exclude:
+            return row
     return None
 
 
 def _refill_guards(
-    client: ClientState, state: NetworkState, rng: np.random.Generator, now: int
-):
-    current = {slot.fingerprint for slot in client.guard_list}
-    while len(client.guard_list) < client.num_entry_guards:
-        fp = _draw_guard(state, rng, current)
-        if fp is None:
+    slots: list[tuple[int, int]], size: int, state: NetworkState,
+    rng: np.random.Generator, now: int,
+) -> None:
+    current = {row for row, _ in slots}
+    while len(slots) < size:
+        row = _draw_guard(state, rng, current)
+        if row is None:
             break  # pool smaller than the list; run with what exists
-        current.add(fp)
-        deadline = now + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))
-        client.guard_list.append(GuardSlot(fp, deadline))
-
-
-def _apply_churn(client: ClientState, state: NetworkState, rng: np.random.Generator) -> int:
-    """Drop guards that left the guard pool and refill; returns the number dropped."""
-    kept = [slot for slot in client.guard_list if state.has_guard(slot.fingerprint)]
-    dropped = len(client.guard_list) - len(kept)
-    client.guard_list = kept
-    _refill_guards(client, state, rng, state.start)
-    return dropped
+        current.add(row)
+        slots.append((row, now + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))))
 
 
 def _rotate_expired(
-    client: ClientState, state: NetworkState, rng: np.random.Generator, now: int
+    slots: list[tuple[int, int]], state: NetworkState, rng: np.random.Generator, now: int
 ) -> int:
     """Draw a replacement for every slot past its deadline; returns how many expired."""
     # replacements advance the deadline by at least the rotation minimum, so
     # this terminates even after a long inactive gap
     rotated = 0
     while True:
-        expired = [slot for slot in client.guard_list if slot.rotation_deadline <= now]
+        expired = [slot for slot in slots if slot[1] <= now]
         if not expired:
             return rotated
         rotated += len(expired)
         for slot in expired:
-            client.guard_list.remove(slot)
-            current = {s.fingerprint for s in client.guard_list}
-            fp = _draw_guard(state, rng, current)
-            if fp is not None:
-                deadline = slot.rotation_deadline + int(
-                    rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX)
-                )
-                client.guard_list.append(GuardSlot(fp, deadline))
+            slots.remove(slot)
+            row = _draw_guard(state, rng, {r for r, _ in slots})
+            if row is not None:
+                deadline = slot[1] + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))
+                slots.append((row, deadline))
+
+
+class _GuardLists:
+    """Every client's guard list as arrays, one row per client.
+
+    Slot ``j`` of client ``c`` is ``(rows[c, j], deadlines[c, j])`` for
+    ``j < size[c]``; unused slots hold -1 and INT64_MAX, so a client's
+    smallest deadline is its next rotation.
+    """
+
+    def __init__(self, clients: int, capacity: int):
+        self.rows = np.full((clients, capacity), -1, dtype=np.int64)
+        self.deadlines = np.full((clients, capacity), INT64_MAX, dtype=np.int64)
+        self.size = np.zeros(clients, dtype=np.int64)
+
+    def get(self, c: int) -> list[tuple[int, int]]:
+        k = self.size[c]
+        return list(zip(self.rows[c, :k].tolist(), self.deadlines[c, :k].tolist()))
+
+    def put(self, c: int, slots: list[tuple[int, int]]) -> None:
+        k = len(slots)
+        self.rows[c] = -1
+        self.deadlines[c] = INT64_MAX
+        if k:
+            self.rows[c, :k], self.deadlines[c, :k] = zip(*slots)
+        self.size[c] = k
+
+    def move(self, old: RelayTable, new: RelayTable) -> None:
+        """Readdress the held rows from table ``old`` to ``new``; -1 where a relay left."""
+        held = self.rows >= 0
+        rows, inverse = np.unique(self.rows[held], return_inverse=True)
+        fps, row = old.fingerprints, new.row
+        moved = np.array([row.get(fps[r], -1) for r in rows.tolist()], dtype=np.int64)
+        self.rows[held] = moved[inverse]
 
 
 # ---------------------------------------------------------------------------
 # Circuit construction
 # ---------------------------------------------------------------------------
 
-class _BatchResult(NamedTuple):
-    times: np.ndarray  # successfully built circuits only
+class _Built(NamedTuple):
+    """One batch's circuits, one entry per stream, grouped by client."""
+
+    client: np.ndarray  # the stream's client, as a position in the batch
     guard: np.ndarray
     middle: np.ndarray
     exit: np.ndarray
-    compromised: np.ndarray
-    skipped: int
-    failed: int
-    failed_guard: int  # no list guard compatible with the exit
-    failed_middle: int  # guard found, but no compatible middle
+    guard_failed: np.ndarray  # no list guard compatible with the exit
+    middle_failed: np.ndarray  # no middle compatible with the guard and the exit
 
 
-def _build_batch(
+def _redraw(rngs: list, client: np.ndarray, draw) -> np.ndarray:
+    """``draw(rng, i, count)`` once per client in the sorted ``client`` array, concatenated."""
+    ids, counts = np.unique(client, return_counts=True)
+    return np.concatenate([draw(rngs[i], i, n) for i, n in zip(ids.tolist(), counts.tolist())])
+
+
+def _build_circuits(
     state: NetworkState,
-    times: np.ndarray,
-    guard_slots: list[GuardSlot],
-    rng: np.random.Generator,
-    port: int,
-) -> _BatchResult:
-    """Build one circuit per stream time against a fixed guard list."""
-    empty = np.empty(0, dtype=np.int64)
-    m = len(times)
-    if m == 0:
-        return _BatchResult(empty, empty, empty, empty, empty.astype(bool), 0, 0, 0, 0)
-    pool = state.exit_pool(port)
-    if pool is None or not guard_slots:
-        return _BatchResult(empty, empty, empty, empty, empty.astype(bool), m, 0, 0, 0)
+    pool: _Pool,
+    rngs: list[np.random.Generator],
+    members: np.ndarray,
+    sizes: list[int],
+    counts: np.ndarray,
+) -> _Built:
+    """Build ``counts[i]`` circuits for each client ``i`` of a batch.
 
-    exit_idx = pool.draw(rng, m)
-
-    row = state.table.row
-    members = np.array([row[s.fingerprint] for s in guard_slots], dtype=np.int64)
-    # conflict matrix between each list member and each chosen exit
-    conflicts = state.index.conflict(members[:, None], exit_idx[None, :])
-    columns = np.arange(m)
-    slot = rng.integers(0, len(members), size=m)
-    bad = conflicts[slot, columns]
-    for _ in range(MAX_HOP_ATTEMPTS - 1):
-        if not bad.any():
-            break
-        retry = np.nonzero(bad)[0]
-        slot[retry] = rng.integers(0, len(members), size=len(retry))
-        bad = conflicts[slot, columns]
-    guard_failed = bad
-    guard_idx = members[slot]
-
-    middle_idx = state.middle.draw(rng, m)
+    Client ``i`` draws from ``rngs[i]`` against its guard list
+    ``members[i, :sizes[i]]`` (table rows), making the calls a lone client
+    would make, in the same order and of the same sizes: exits, guard
+    slots, the slot redraws for guards that conflict with their exit,
+    middles, then the middle redraws.  Lookups and conflict checks run once
+    over the whole batch.  Batch composition therefore changes no draw.
+    """
+    client = np.repeat(np.arange(len(rngs)), counts)
+    draws = [
+        (rng.random(m), rng.integers(0, k, size=m))
+        for rng, k, m in zip(rngs, sizes, counts.tolist())
+    ]
+    exit_idx = pool.pick(np.concatenate([u for u, _ in draws]))
+    slot = np.concatenate([s for _, s in draws])
+    guard_idx = members[client, slot]
     conflict = state.index.conflict
+    bad = conflict(guard_idx, exit_idx)
+    for _ in range(MAX_HOP_ATTEMPTS - 1):
+        retry = np.flatnonzero(bad)
+        if not retry.size:
+            break
+        slot[retry] = _redraw(
+            rngs, client[retry], lambda rng, i, n: rng.integers(0, sizes[i], size=n)
+        )
+        guard_idx[retry] = members[client[retry], slot[retry]]
+        bad[retry] = conflict(guard_idx[retry], exit_idx[retry])
+    guard_failed = bad
+
+    middle_idx = state.middle.pick(
+        np.concatenate([rng.random(m) for rng, m in zip(rngs, counts.tolist())])
+    )
     bad = conflict(middle_idx, guard_idx) | conflict(middle_idx, exit_idx)
     for _ in range(MAX_HOP_ATTEMPTS - 1):
-        if not bad.any():
+        retry = np.flatnonzero(bad)
+        if not retry.size:
             break
-        retry = np.nonzero(bad)[0]
-        middle_idx[retry] = state.middle.draw(rng, len(retry))
+        middle_idx[retry] = state.middle.pick(
+            _redraw(rngs, client[retry], lambda rng, i, n: rng.random(n))
+        )
         bad[retry] = conflict(middle_idx[retry], guard_idx[retry]) | conflict(
             middle_idx[retry], exit_idx[retry]
         )
-    ok = ~(guard_failed | bad)
-    compromised = ok & state.adv_mask[guard_idx] & state.adv_mask[exit_idx]
-    return _BatchResult(
-        times[ok],
-        guard_idx[ok],
-        middle_idx[ok],
-        exit_idx[ok],
-        compromised[ok],
-        0,
-        int((~ok).sum()),
-        int(guard_failed.sum()),
-        int((bad & ~guard_failed).sum()),
-    )
+    return _Built(client, guard_idx, middle_idx, exit_idx, guard_failed, bad)
 
 
 def build_circuit(
@@ -578,29 +613,29 @@ def build_circuit(
     EmptyPoolError when no exit accepts the port and CircuitFailureError
     when rejection-resampling cannot satisfy the circuit constraints.
     """
-    _rotate_expired(client, state, rng, stream.time)
-    client.guard_list = [
-        slot for slot in client.guard_list if state.has_guard(slot.fingerprint)
-    ]
-    _refill_guards(client, state, rng, stream.time)
-    if state.exit_pool(stream.destination_port) is None:
+    table = state.table
+    slots = [(table.row.get(s.fingerprint, -1), s.rotation_deadline) for s in client.guard_list]
+    _rotate_expired(slots, state, rng, stream.time)
+    slots = [(row, deadline) for row, deadline in slots if row >= 0 and state.guard[row]]
+    _refill_guards(slots, client.num_entry_guards, state, rng, stream.time)
+    fps = table.fingerprints
+    client.guard_list = [GuardSlot(fps[row], deadline) for row, deadline in slots]
+    pool = state.exit_pool(stream.destination_port)
+    if pool is None:
         raise EmptyPoolError(f"no exit accepts port {stream.destination_port}")
-    result = _build_batch(
-        state,
-        np.array([stream.time], dtype=np.int64),
-        client.guard_list,
-        rng,
-        stream.destination_port,
-    )
-    if result.failed or len(result.times) == 0:
-        raise CircuitFailureError("circuit constraints unsatisfiable within attempt bound")
-    fps = state.table.fingerprints
-    return Circuit(
-        int(result.times[0]),
-        fps[int(result.guard[0])],
-        fps[int(result.middle[0])],
-        fps[int(result.exit[0])],
-    )
+    if slots:
+        built = _build_circuits(
+            state, pool, [rng], np.array([[row for row, _ in slots]]), [len(slots)],
+            np.ones(1, dtype=np.int64),
+        )
+        if not (built.guard_failed[0] or built.middle_failed[0]):
+            return Circuit(
+                stream.time,
+                fps[int(built.guard[0])],
+                fps[int(built.middle[0])],
+                fps[int(built.exit[0])],
+            )
+    raise CircuitFailureError("circuit constraints unsatisfiable within attempt bound")
 
 
 # ---------------------------------------------------------------------------
@@ -629,86 +664,124 @@ class SimulationTrace:
     guard_replacements: int = 0
     guard_rotations: int = 0
 
-    def add(self, record: CompromiseRecord, counts: Counter) -> None:
-        """Append one client's record and add its counts, keyed by field name."""
-        self.records.append(record)
-        for name, value in counts.items():
-            setattr(self, name, getattr(self, name) + value)
+    def merge(self, part: "SimulationTrace") -> None:
+        """Append the records and circuits of a later client range and add its counts."""
+        self.records.extend(part.records)
+        self.circuits.extend(part.circuits)
+        for f in fields(self)[2:]:  # the counts
+            setattr(self, f.name, getattr(self, f.name) + getattr(part, f.name))
 
 
-def _simulate_client(
-    client_id: int,
-    seed: int,
-    states: Sequence[NetworkState],
-    state_times: list[np.ndarray],
-    schedule: StreamSchedule,
-    num_entry_guards: int,
-    sim_start: int,
-    collect: bool,
-) -> tuple[CompromiseRecord, list[tuple[int, Circuit]], Counter]:
-    rng = np.random.default_rng([seed, client_id])
-    client = ClientState(num_entry_guards=num_entry_guards)
-    built = 0
-    compromised = 0
-    first_time: int | None = None
+class _Run(NamedTuple):
+    """What every client range of one simulation shares."""
+
+    seed: int
+    states: tuple[NetworkState, ...]
+    state_times: list[np.ndarray]  # each period's stream times, the same for every client
+    port: int
+    num_entry_guards: int
+    sim_start: int
+
+
+def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTrace:
+    """Simulate clients ``lo`` to ``hi - 1``, period by period.
+
+    Each period first drops every client's guards that left the guard pool
+    and refills the lists.  Then it builds circuits in rounds: in each
+    round, every client still short of the period's end rotates its expired
+    guards, refills its list, and takes the streams up to its next guard
+    deadline; one ``_build_circuits`` call serves them all.  A client whose
+    deadline falls inside the period takes part in one more round.
+    """
+    n, size = hi - lo, run.num_entry_guards
+    rngs = [np.random.default_rng([run.seed, client_id]) for client_id in range(lo, hi)]
+    guards = _GuardLists(n, size)
+    built = np.zeros(n, dtype=np.int64)
+    compromised = np.zeros(n, dtype=np.int64)
+    first = np.full(n, -1, dtype=np.int64)
+    circuits: list[list[tuple[int, Circuit]]] = [[] for _ in range(n)]
     counts: Counter = Counter()
-    circuits: list[tuple[int, Circuit]] = []
+    previous = None
 
-    for state, times in zip(states, state_times):
-        counts["guard_replacements"] += _apply_churn(client, state, rng)
-        position = 0
-        while position < len(times):
-            now = int(times[position])
-            counts["guard_rotations"] += _rotate_expired(client, state, rng, now)
-            _refill_guards(client, state, rng, now)
-            deadlines = [s.rotation_deadline for s in client.guard_list]
-            horizon = min(deadlines) if deadlines else None
-            if horizon is None:
-                stop = len(times)
-            else:
-                # rotate mid-state: batch only up to the next guard deadline
-                stop = int(np.searchsorted(times, horizon, side="left"))
-                stop = max(stop, position + 1)
-            batch = _build_batch(
-                state, times[position:stop], client.guard_list, rng, schedule.destination_port
+    for state, times in zip(run.states, run.state_times):
+        if previous is not None:
+            guards.move(previous.table, state.table)
+        previous = state
+        rows = guards.rows
+        keep = (rows >= 0) & state.guard[rows]  # -1 reads the last row, masked out
+        kept = keep.sum(axis=1)
+        counts["guard_replacements"] += int((guards.size - kept).sum())
+        for c in np.flatnonzero(kept < size).tolist():
+            slots = [slot for slot, k in zip(guards.get(c), keep[c].tolist()) if k]
+            _refill_guards(slots, size, state, rngs[c], state.start)
+            guards.put(c, slots)
+
+        pool = state.exit_pool(run.port)
+        position = np.zeros(n, dtype=np.int64)
+        active = np.arange(n if len(times) else 0)
+        while active.size:
+            start = position[active]
+            now = times[start]
+            due = (guards.deadlines[active].min(axis=1) <= now) | (guards.size[active] < size)
+            for c, t in zip(active[due].tolist(), now[due].tolist()):
+                slots = guards.get(c)
+                counts["guard_rotations"] += _rotate_expired(slots, state, rngs[c], t)
+                _refill_guards(slots, size, state, rngs[c], t)
+                guards.put(c, slots)
+            # rotate mid-period: each client's streams stop at its next guard deadline
+            horizon = guards.deadlines[active].min(axis=1)
+            stop = np.maximum(np.searchsorted(times, horizon, side="left"), start + 1)
+            position[active] = stop
+            m = stop - start
+            ready = (guards.size[active] > 0) & (pool is not None)
+            counts["streams_skipped"] += int(m[~ready].sum())
+            batch, start, m = active[ready], start[ready], m[ready]
+            active = active[stop < len(times)]
+            if not batch.size:
+                continue
+
+            made = _build_circuits(
+                state, pool, [rngs[c] for c in batch.tolist()], guards.rows[batch],
+                guards.size[batch].tolist(), m,
             )
-            built += len(batch.times)
-            compromised += int(batch.compromised.sum())
-            if first_time is None and batch.compromised.any():
-                first_time = int(batch.times[batch.compromised][0]) - sim_start
-            counts["streams_skipped"] += batch.skipped
-            counts["circuits_failed"] += batch.failed
-            counts["circuits_failed_guard"] += batch.failed_guard
-            counts["circuits_failed_middle"] += batch.failed_middle
+            owner = batch[made.client]
+            offsets = np.cumsum(m) - m
+            when = times[np.arange(len(owner)) + np.repeat(start - offsets, m)]
+            ok = ~(made.guard_failed | made.middle_failed)
+            hit = ok & state.adv_mask[made.guard] & state.adv_mask[made.exit]
+            built += np.bincount(owner[ok], minlength=n)
+            compromised += np.bincount(owner[hit], minlength=n)
+            counts["circuits_failed"] += int(len(ok) - ok.sum())
+            counts["circuits_failed_guard"] += int(made.guard_failed.sum())
+            counts["circuits_failed_middle"] += int((made.middle_failed & ~made.guard_failed).sum())
+            hits = np.flatnonzero(hit)
+            if hits.size:
+                # streams run client by client, in time order: the first hit is the earliest
+                who, at = np.unique(owner[hits], return_index=True)
+                unset = first[who] < 0
+                first[who[unset]] = when[hits[at[unset]]] - run.sim_start
             if collect:
                 fps = state.table.fingerprints
-                for t, g, mi, e in zip(
-                    batch.times.tolist(), batch.guard.tolist(),
-                    batch.middle.tolist(), batch.exit.tolist(),
+                for c, t, g, mi, e in zip(
+                    owner[ok].tolist(), when[ok].tolist(), made.guard[ok].tolist(),
+                    made.middle[ok].tolist(), made.exit[ok].tolist(),
                 ):
-                    circuits.append((client_id, Circuit(t, fps[g], fps[mi], fps[e])))
-            position = stop
+                    circuits[c].append((lo + c, Circuit(t, fps[g], fps[mi], fps[e])))
 
-    record = CompromiseRecord(client_id, first_time, built, compromised)
-    return record, circuits, counts
-
-
-# The run a process pool works on: (seed, states, state_times, schedule,
-# num_entry_guards, sim_start).  simulate_prepared sets it just before the
-# pool forks its workers, which inherit it; jobs carry only a client range.
-_RUN: tuple | None = None
+    records = [
+        CompromiseRecord(lo + c, f if f >= 0 else None, b, k)
+        for c, (f, b, k) in enumerate(zip(first.tolist(), built.tolist(), compromised.tolist()))
+    ]
+    return SimulationTrace(records, [x for mine in circuits for x in mine], **counts)
 
 
-def _simulate_range(bounds: tuple[int, int]) -> list[tuple[CompromiseRecord, Counter]]:
-    seed, states, state_times, schedule, num_entry_guards, sim_start = _RUN
-    out = []
-    for client_id in range(*bounds):
-        record, _, counts = _simulate_client(
-            client_id, seed, states, state_times, schedule,
-            num_entry_guards, sim_start, collect=False,
-        )
-        out.append((record, counts))
-    return out
+# The run a process pool works on.  simulate_prepared sets it just before
+# the pool forks its workers, which inherit it; jobs carry only a client range.
+_RUN: _Run | None = None
+
+
+def _pool_job(bounds: tuple[int, int]) -> SimulationTrace:
+    return _simulate_range(_RUN, *bounds, collect=False)
 
 
 def run_simulation(
@@ -762,36 +835,29 @@ def simulate_prepared(
     if num_entry_guards < 1:
         raise WaterweightsError("need at least one entry guard")
     schedule = schedule or StreamSchedule()
-    states, sim_start = prepared.states, prepared.sim_start
-    state_times = [schedule.stream_times(s.start, s.end) for s in states]
-    trace = SimulationTrace(records=[], circuits=[])
-
-    if (
+    states = prepared.states
+    run = _Run(
+        seed, states, [schedule.stream_times(s.start, s.end) for s in states],
+        schedule.destination_port, num_entry_guards, prepared.sim_start,
+    )
+    if not (
         workers > 1 and not collect and clients >= 2 * workers
         and "fork" in multiprocessing.get_all_start_methods()
     ):
-        bounds = np.linspace(0, clients, workers + 1, dtype=int)
-        jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        _RUN = (seed, states, state_times, schedule, num_entry_guards, sim_start)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                for chunk in pool.map(_simulate_range, jobs):
-                    for record, counts in chunk:
-                        trace.add(record, counts)
-        finally:
-            _RUN = None
-    else:
-        for client_id in range(clients):
-            record, circuits, counts = _simulate_client(
-                client_id, seed, states, state_times, schedule,
-                num_entry_guards, sim_start, collect,
-            )
-            trace.add(record, counts)
-            trace.circuits.extend(circuits)
+        return _simulate_range(run, 0, clients, collect)
 
-    trace.records.sort(key=lambda r: r.client_id)
+    bounds = np.linspace(0, clients, workers + 1, dtype=int)
+    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    trace = SimulationTrace(records=[], circuits=[])
+    _RUN = run
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            for part in pool.map(_pool_job, jobs):
+                trace.merge(part)
+    finally:
+        _RUN = None
     return trace
 
 

@@ -245,6 +245,19 @@ class TestMetricsCommand:
         assert payload["group_tables"]["country"][0]["group"] == "unknown"
         assert payload["group_tables"]["country"][0]["probability"] == pytest.approx(1.0)
 
+    def test_guard_absent_from_snapshot_is_a_mismatch(self, runner, tmp_path):
+        snap_doc = tmp_path / "one.snapshot"
+        snap_doc.write_text(serialize_native(make_snapshot([("G1", 10, "g")])))
+        jd = JointDistribution(("ZZZ",), ("E1", "E2"), np.array([[0.5, 0.5]]))
+        joint = tmp_path / "joint.csv"
+        joint.write_text(joint_to_csv(jd))
+        result = runner.invoke(
+            main, ["metrics", "--joint", str(joint), "--snapshot", str(snap_doc)]
+        )
+        assert result.exit_code == 2
+        assert "first ZZZ" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestSimulateAndCompare:
     def write_inputs(self, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -105,6 +106,19 @@ class TestRoundTrip:
         text = snapshot_to_json(parse_native(NATIVE_TWO_RELAY))
         with pytest.raises(ParseError, match="totals"):
             snapshot_from_json(text.replace('"G": 100', '"G": 999'))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_json_parse_leaves_the_collector_as_it_found_it(self, enabled):
+        text = snapshot_to_json(parse_native(NATIVE_TWO_RELAY))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            snapshot_from_json(text)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                snapshot_from_json(text.replace('"G": 100', '"G": 999'))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestPoolPartition:

@@ -492,7 +492,7 @@ class TestWorkers:
         def fail(*args, **kwargs):
             raise RuntimeError(f"client failed in process {os.getpid()}")
 
-        monkeypatch.setattr(pathsim, "_simulate_client", fail)
+        monkeypatch.setattr(pathsim, "_simulate_range", fail)
         with pytest.raises(RuntimeError, match="client failed in process") as err:
             simulate_prepared(MIXED, clients=8, seed=1, workers=2)
         assert str(err.value) != f"client failed in process {os.getpid()}"  # a worker's
@@ -518,6 +518,28 @@ class TestWorkers:
     def test_no_entry_guards_rejected(self):
         with pytest.raises(WaterweightsError, match="entry guard"):
             simulate_prepared(MIXED, clients=4, seed=1, num_entry_guards=0)
+
+
+class TestBatchComposition:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), guards=st.integers(1, 3), data=st.data())
+    def test_a_client_does_not_depend_on_who_shares_its_batch(self, seed, guards, data):
+        total = data.draw(st.integers(2, 24))
+        n = data.draw(st.integers(1, total - 1))
+        few = simulate_prepared(MIXED, n, seed, num_entry_guards=guards).records
+        many = simulate_prepared(MIXED, total, seed, num_entry_guards=guards).records
+        assert few == many[:n]
+
+    @pytest.mark.parametrize("guards", [1, 2, 3])
+    def test_collecting_circuits_changes_no_record_or_count(self, guards):
+        kept = simulate_prepared(MIXED, 30, 5, num_entry_guards=guards, collect=True)
+        plain = simulate_prepared(MIXED, 30, 5, num_entry_guards=guards)
+        assert kept.records == plain.records
+        assert counts(kept) == counts(plain)
+        assert len(kept.circuits) == sum(r.circuits_built for r in plain.records)
+        assert plain.guard_replacements > 0
+        if guards == 1:
+            assert plain.circuits_failed_guard > 0
 
 
 class TestCompromiseCurve:

@@ -181,9 +181,7 @@ class TestViews:
         adversary = frozenset(ADVERSARY.fingerprints)
         state = NetworkState(live, Algorithm.WATERFILLING, adversary, 0, 3600)
         assert state.adv_mask.tolist() == [r.fingerprint in adversary for r in live.relays]
-        for relay in live.relays:
-            assert state.has_guard(relay.fingerprint) == relay.is_guard
-        assert not state.has_guard("X0")
+        assert state.guard.tolist() == [r.is_guard for r in live.relays]
         # the entry pool holds rows of weighted guards, in document order
         rows = state.entry.indices.tolist()
         assert rows == sorted(rows)
