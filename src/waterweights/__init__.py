@@ -39,8 +39,6 @@ from .pathsim import (
     CompromiseRecord,
     RoleHint,
     StreamSchedule,
-    StreamSpec,
-    build_circuit,
     compromise_curve,
     inject_adversary,
     run_simulation,
@@ -69,12 +67,10 @@ __all__ = [
     "RelayEntry",
     "RoleHint",
     "StreamSchedule",
-    "StreamSpec",
     "TargetPool",
     "WaterfillSolution",
     "WeightMode",
     "__version__",
-    "build_circuit",
     "check_balance",
     "classify_load_case",
     "compromise_curve",

@@ -94,12 +94,17 @@ def report_adversary_cost(
     The target's effective guard weight is target * entry_weight (under
     scalar weights only that share of the relay serves the entry position),
     and the node count is the ceiling of effective weight over the water
-    level.
+    level.  The target weight must be at least 0 and the entry weight in
+    [0, 1].
     """
+    if target_guard_weight < 0:
+        raise WaterweightsError(f"target weight must be at least 0, not {target_guard_weight}")
+    entry_fraction = Fraction(entry_weight)
+    if not 0 <= entry_fraction <= 1:
+        raise WaterweightsError(f"entry weight must lie in [0, 1], not {float(entry_fraction)}")
     level = Fraction(water_level)
     if level <= 0:
         raise NotApplicableError("water level must be positive to price an adversary")
-    entry_fraction = Fraction(entry_weight)
     effective = target_guard_weight * entry_fraction
     nodes = math.ceil(effective / level)
     return CostReport(
@@ -493,9 +498,9 @@ def metrics(ctx, joint, snapshot):
 @main.command()
 @click.option("--waterfill", "waterfill_file", type=click.Path(exists=True, path_type=Path),
               required=True, help="JSON produced by the waterfill subcommand.")
-@click.option("--target-weight", type=int, required=True,
+@click.option("--target-weight", type=click.IntRange(min=0), required=True,
               help="Consensus weight of the relay the adversary wants to match.")
-@click.option("--entry-weight", type=float, default=None,
+@click.option("--entry-weight", type=click.FloatRange(0, 1), default=None,
               help="Scalar entry share of the target; defaults to the solution's Wgg.")
 @click.pass_context
 def report(ctx, waterfill_file, target_weight, entry_weight):
@@ -504,10 +509,15 @@ def report(ctx, waterfill_file, target_weight, entry_weight):
         doc = json.loads(waterfill_file.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad waterfill file {waterfill_file}: {exc}") from None
-    pools = doc.get("pools", {})
-    guards = pools.get("guards")
-    if not guards or "water_level" not in guards:
+    pools = doc.get("pools") if type(doc) is dict else None
+    guards = pools.get("guards") if type(pools) is dict else None
+    if type(guards) is not dict or "water_level" not in guards:
         raise ParseError(f"{waterfill_file} carries no solved guard pool")
+    wanted = ["water_level"] + (["source_Wgg"] if entry_weight is None else [])
+    for key in wanted:
+        value = guards.get(key)
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ParseError(f"{waterfill_file}: pools.guards.{key} must be a number, not {value!r}")
     if entry_weight is None:
         entry_weight = guards["source_Wgg"]
     cost = report_adversary_cost(guards["water_level"], target_weight, entry_weight)

@@ -33,8 +33,6 @@ from .errors import (
     ParseError,
 )
 
-KNOWN_FLAGS = frozenset({"Guard", "Exit", "Fast", "Stable", "Running", "Valid"})
-
 PORT_MIN = 1
 PORT_MAX = 65535
 
@@ -333,13 +331,20 @@ class _TableBuilder:
         self.country.append(country)
         self.as_number.append(as_number)
 
+    def add_flagged(self, fingerprint, nickname, weight, flags, policy, family=frozenset(),
+                    subnet16=None, country=None, as_number=None) -> None:
+        """``add`` with the flag set and exit policy given as values."""
+        self.add(
+            fingerprint, nickname, weight, _pool_code(flags), self.flag_set(flags),
+            self.policy(policy), family, subnet16, country, as_number,
+        )
+
     def add_relay(self, relay: "RelayEntry") -> None:
         if relay.consensus_weight > INT64_MAX:
             raise InvariantError(f"{relay.fingerprint}: consensus weight does not fit in 64 bits")
-        self.add(
-            relay.fingerprint, relay.nickname, relay.consensus_weight,
-            _pool_code(relay.flags), self.flag_set(relay.flags), self.policy(relay.exit_policy),
-            relay.family, relay.subnet16, relay.country, relay.as_number,
+        self.add_flagged(
+            relay.fingerprint, relay.nickname, relay.consensus_weight, relay.flags,
+            relay.exit_policy, relay.family, relay.subnet16, relay.country, relay.as_number,
         )
 
     def finish(self) -> RelayTable:
@@ -450,46 +455,37 @@ class ConflictIndex:
     the other as family, or when they share a known /16 subnet.  Relays
     are addressed by their table row.  Every /16 code matches itself, so
     comparing codes also covers the same-relay rule; family pairs are the
-    table's ``i*n + j`` keys.
+    table's ``i*n + j`` keys, looked up only where both relays have family
+    (``in_family``).
     """
 
-    __slots__ = ("subnet", "family_keys")
+    __slots__ = ("subnet", "family_keys", "in_family")
 
     def __init__(self, table: RelayTable):
         self.subnet = table.subnet
         self.family_keys = table.family_keys
+        self.in_family = np.zeros(len(table), dtype=bool)
+        if self.family_keys.size:  # keys run both ways, so i covers every member
+            self.in_family[self.family_keys // len(table)] = True
 
     def conflict(self, a, b) -> np.ndarray:
         """Element-wise conflict of relay rows ``a`` and ``b`` (broadcasts)."""
         a = np.asarray(a)
         b = np.asarray(b)
-        out = self.subnet[a] == self.subnet[b]
+        out = np.asarray(self.subnet[a] == self.subnet[b])
         keys = self.family_keys
         if keys.size:
-            wanted = a * len(self.subnet) + b
-            found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-            out |= keys[found] == wanted
+            # flat positions where both relays have family; the broadcast
+            # rows are read only there
+            both = np.flatnonzero(self.in_family[a] & self.in_family[b])
+            if both.size:
+                wanted = (
+                    np.broadcast_to(a, out.shape).flat[both] * len(self.subnet)
+                    + np.broadcast_to(b, out.shape).flat[both]
+                )
+                found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+                out.reshape(-1)[both] |= keys[found] == wanted
         return out
-
-    def matrix(self, rows, cols) -> np.ndarray:
-        """Conflict mask of shape (len(rows), len(cols)); rows must be distinct."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        out = self.subnet[rows][:, None] == self.subnet[cols][None, :]
-        i, j = np.divmod(self.family_keys, len(self.subnet))
-        r, c = self._slots(rows)[i], self._slots(cols)[j]
-        hit = (r >= 0) & (c >= 0)
-        out[r[hit], c[hit]] = True
-        return out
-
-    def _slots(self, idx: np.ndarray) -> np.ndarray:
-        """Where each relay sits in ``idx``, or -1."""
-        slots = np.full(len(self.subnet), -1, dtype=np.int64)
-        order = np.arange(len(idx))
-        slots[idx] = order
-        if (slots[idx] != order).any():
-            raise InvariantError("conflict matrix axes repeat a relay")
-        return slots
 
 
 class LoadCase(enum.Enum):
@@ -605,14 +601,7 @@ def _add_relay_line(
         raise ParseError("consensus weight must be non-negative", line=lineno)
     if weight > INT64_MAX:
         raise ParseError("consensus weight does not fit in 64 bits", line=lineno)
-    kwargs = {
-        "flags": frozenset(),
-        "exit_policy": (REJECT_ALL,),
-        "family": frozenset(),
-        "subnet16": None,
-        "country": None,
-        "as_number": None,
-    }
+    kwargs = {"flags": frozenset(), "policy": (REJECT_ALL,)}
     for token in fields[3:]:
         key, sep, value = token.partition("=")
         if not sep:
@@ -621,7 +610,7 @@ def _add_relay_line(
             if key == "flags":
                 kwargs["flags"] = frozenset(v for v in value.split(",") if v)
             elif key == "policy":
-                kwargs["exit_policy"] = _parse_policy_once(policies, value)
+                kwargs["policy"] = _parse_policy_once(policies, value)
             elif key == "family":
                 kwargs["family"] = frozenset(v for v in value.split(",") if v)
             elif key == "subnet":
@@ -634,12 +623,7 @@ def _add_relay_line(
                 raise ParseError(f"unknown field {key!r}", line=lineno)
         except (ValueError, TypeError) as exc:
             raise ParseError(f"bad {key} value {value!r}: {exc}", line=lineno) from None
-    flags = kwargs["flags"]
-    builder.add(
-        fingerprint, nickname, weight, _pool_code(flags), builder.flag_set(flags),
-        builder.policy(kwargs["exit_policy"]), kwargs["family"], kwargs["subnet16"],
-        kwargs["country"], kwargs["as_number"],
-    )
+    builder.add_flagged(fingerprint, nickname, weight, **kwargs)
 
 
 def serialize_native(snapshot: ConsensusSnapshot) -> str:
@@ -673,7 +657,7 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
     a note is appended to ``warnings`` when a list is supplied.
     """
     valid_after = None
-    relays = []
+    builder = _TableBuilder()
     seen_fp: dict[str, int] = {}
     current: dict | None = None
 
@@ -681,23 +665,15 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
         nonlocal current
         if current is None:
             return
+        line = current.pop("line")
         if current["weight"] is None:
             current["weight"] = 0
             if warnings is not None:
                 warnings.append(
-                    f"router {current['fingerprint']} (line {current['line']}) has no "
+                    f"router {current['fingerprint']} (line {line}) has no "
                     "w line; consensus weight defaults to 0"
                 )
-        relays.append(
-            RelayEntry(
-                fingerprint=current["fingerprint"],
-                nickname=current["nickname"],
-                consensus_weight=current["weight"],
-                flags=current["flags"],
-                exit_policy=current["policy"],
-                subnet16=current["subnet16"],
-            )
-        )
+        builder.add_flagged(**current)
         current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -765,7 +741,8 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
     flush()
     if valid_after is None:
         raise ParseError("missing valid-after line")
-    return ConsensusSnapshot.from_relays(valid_after, relays)
+    table = builder.finish()
+    return ConsensusSnapshot(valid_after, table, table.totals())
 
 
 # ---------------------------------------------------------------------------

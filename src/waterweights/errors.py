@@ -62,12 +62,6 @@ class EmptyPoolError(WaterweightsError):
     exit_code = 3
 
 
-class CircuitFailureError(WaterweightsError):
-    """Circuit constraints could not be satisfied within the attempt bound."""
-
-    exit_code = 3
-
-
 class UndefinedMetricError(WaterweightsError):
     exit_code = 3
 

@@ -15,6 +15,7 @@ Three views of how exposed circuit endpoints are:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -66,7 +67,9 @@ def estimate_joint_analytic(
     """
     table = snapshot.table
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    conflicts = ConflictIndex(table).matrix(entry.rows_in(table), exit_.rows_in(table))
+    conflicts = ConflictIndex(table).conflict(
+        entry.rows_in(table)[:, None], exit_.rows_in(table)[None, :]
+    )
     matrix[conflicts] = 0.0
     total = matrix.sum()
     if total <= 0:
@@ -206,11 +209,19 @@ def joint_from_csv(text: str) -> JointDistribution:
             raise UndefinedMetricError(f"row for {row[0]!r} has {len(row) - 1} cells, expected {len(exits)}")
         guards.append(row[0])
         try:
-            data.append([float(v) for v in row[1:]])
+            cells = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise UndefinedMetricError(f"row for {row[0]!r}: {exc}") from None
+        for exit_, v in zip(exits, cells):
+            if not 0 <= v < math.inf:  # also false for NaN
+                raise UndefinedMetricError(
+                    f"row for {row[0]!r}, column {exit_!r}: cell {v!r} is not a finite "
+                    "non-negative probability"
+                )
+        data.append(cells)
     matrix = np.asarray(data)
-    total = matrix.sum()
-    if total <= 0:
-        raise UndefinedMetricError("joint CSV carries no probability mass")
+    with np.errstate(over="ignore"):  # an overflowing total is rejected below
+        total = matrix.sum()
+    if not 0 < total < math.inf:
+        raise UndefinedMetricError(f"joint CSV cells sum to {float(total)}, not a positive finite total")
     return JointDistribution(tuple(guards), exits, matrix / total)

@@ -19,7 +19,9 @@ random draws.  Everything else (the exit and middle lookups, the guard
 slots, the conflict checks and redraw rounds, the adversary mask and the
 per-client tallies) runs once over all clients' streams of the period.  A
 client whose guard deadline falls inside the period takes part in one more
-round, from the deadline on.
+round, from the deadline on.  That period kernel is the only circuit
+builder, and its conflict checks are ``ConflictIndex.conflict``, the rule
+the joint metrics apply too.
 
 Everything is deterministic given the seed: each client draws from its own
 substream derived from (seed, client_id), and makes the same calls, of the
@@ -34,7 +36,7 @@ import enum
 import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,14 +47,12 @@ from .consensus import (
     ConsensusSnapshot,
     INT64_MAX,
     LoadCase,
-    PolicyRule,
     REJECT_ALL,
     RelayEntry,
     RelayTable,
     classify_load_case,
 )
 from .errors import (
-    CircuitFailureError,
     EmptyPoolError,
     InvariantError,
     NotApplicableError,
@@ -91,13 +91,11 @@ class RoleHint(enum.Enum):
 
 @dataclass(frozen=True)
 class AdversaryRelay:
-    """One relay the adversary operates; flags/policy default by role."""
+    """One relay the adversary operates; its role sets its flags and policy."""
 
     role: RoleHint
     consensus_weight: int
     join_time: int = 0
-    flags: frozenset[str] | None = None
-    exit_policy: tuple[PolicyRule, ...] | None = None
 
 
 _ADVERSARY_RELAY_KEYS = frozenset({"role", "consensus_weight", "join_time", "count"})
@@ -127,21 +125,14 @@ class AdversarySpec:
         for i, adv in enumerate(self.relays):
             if adv.join_time > at_time:
                 continue
-            if adv.flags is not None:
-                flags = adv.flags
-            else:
-                flags = GUARD_LIKE_FLAGS if adv.role is RoleHint.GUARD_LIKE else EXIT_LIKE_FLAGS
-            if adv.exit_policy is not None:
-                policy = adv.exit_policy
-            else:
-                policy = (ACCEPT_ALL,) if "Exit" in flags else (REJECT_ALL,)
+            guard = adv.role is RoleHint.GUARD_LIKE
             entries.append(
                 RelayEntry(
                     fingerprint=self.fingerprint(i),
                     nickname=f"adv{i:03d}",
                     consensus_weight=adv.consensus_weight,
-                    flags=flags,
-                    exit_policy=policy,
+                    flags=GUARD_LIKE_FLAGS if guard else EXIT_LIKE_FLAGS,
+                    exit_policy=(REJECT_ALL,) if guard else (ACCEPT_ALL,),
                     subnet16=f"250.{i}",  # one /16 each; 250.256 and up match no real address
                 )
             )
@@ -161,8 +152,18 @@ class AdversarySpec:
             _reject_unknown_keys(item, _ADVERSARY_RELAY_KEYS, where)
             if "role" not in item or "consensus_weight" not in item:
                 raise ParseError(f"{where} needs 'role' and 'consensus_weight'")
-            count = int(item.get("count", 1))
-            weight = int(item["consensus_weight"])
+            roles = [hint.value for hint in RoleHint]
+            if item["role"] not in roles:
+                raise ParseError(f"{where}.role must be one of {roles}, not {item['role']!r}")
+            numbers = {
+                "consensus_weight": item["consensus_weight"],
+                "count": item.get("count", 1),
+                "join_time": item.get("join_time", 0),
+            }
+            for key, value in numbers.items():
+                if type(value) is not int:  # type(True) is bool: booleans are no integers
+                    raise ParseError(f"{where}.{key} must be an integer, not {value!r}")
+            weight, count, join_time = numbers.values()
             if count < 1:
                 raise ParseError(f"{where}.count must be at least 1, not {count}")
             if weight < 0:
@@ -173,7 +174,7 @@ class AdversarySpec:
                 AdversaryRelay(
                     role=RoleHint(item["role"]),
                     consensus_weight=weight,
-                    join_time=int(item.get("join_time", 0)),
+                    join_time=join_time,
                 )
                 for _ in range(count)
             )
@@ -189,18 +190,6 @@ def inject_adversary(
     if not extra:
         return snapshot
     return snapshot.with_relays(extra)
-
-
-@dataclass(frozen=True)
-class StreamSpec:
-    """One application stream: when it happens and where it connects."""
-
-    time: int
-    destination_port: int
-
-    def __post_init__(self):
-        if not 1 <= self.destination_port <= 65_535:
-            raise InvariantError(f"destination port {self.destination_port} out of range")
 
 
 @dataclass(frozen=True)
@@ -232,20 +221,6 @@ class StreamSchedule:
         for lo, hi in self.active_windows:
             mask |= (hours >= lo) & (hours < hi)
         return times[mask]
-
-
-@dataclass
-class GuardSlot:
-    fingerprint: str
-    rotation_deadline: int
-
-
-@dataclass
-class ClientState:
-    """Mutable per-client state: the persistent guard list."""
-
-    num_entry_guards: int = 3
-    guard_list: list[GuardSlot] = field(default_factory=list)
 
 
 class Circuit(NamedTuple):
@@ -335,7 +310,6 @@ class NetworkState:
                     pass
 
         table = snapshot.table
-        self.table = table
         self.index = ConflictIndex(table)
         self.guard = table.guard
         self.adv_mask = np.zeros(len(table), dtype=bool)
@@ -442,9 +416,9 @@ def prepare_sequence(
 # Guard-list management
 # ---------------------------------------------------------------------------
 
-# Inside the simulation a guard list is a list of (table row, rotation
-# deadline) slots, in list order: a circuit draws its guard as a slot index,
-# so the order is part of every later draw.
+# A client's guard list is a list of (table row, rotation deadline) slots,
+# in list order: a circuit draws its guard as a slot index, so the order is
+# part of every later draw.
 
 def _draw_guard(
     state: NetworkState, rng: np.random.Generator, exclude: set[int]
@@ -599,45 +573,6 @@ def _build_circuits(
     return _Built(client, guard_idx, middle_idx, exit_idx, guard_failed, bad)
 
 
-def build_circuit(
-    client: ClientState,
-    state: NetworkState,
-    stream: StreamSpec,
-    rng: np.random.Generator,
-) -> Circuit:
-    """Build a single circuit for one client.
-
-    The exit hop is drawn first (filtered by the stream's destination
-    port), then a guard uniformly from the client's guard list (refilled
-    from the entry distribution when short), then the middle hop.  Raises
-    EmptyPoolError when no exit accepts the port and CircuitFailureError
-    when rejection-resampling cannot satisfy the circuit constraints.
-    """
-    table = state.table
-    slots = [(table.row.get(s.fingerprint, -1), s.rotation_deadline) for s in client.guard_list]
-    _rotate_expired(slots, state, rng, stream.time)
-    slots = [(row, deadline) for row, deadline in slots if row >= 0 and state.guard[row]]
-    _refill_guards(slots, client.num_entry_guards, state, rng, stream.time)
-    fps = table.fingerprints
-    client.guard_list = [GuardSlot(fps[row], deadline) for row, deadline in slots]
-    pool = state.exit_pool(stream.destination_port)
-    if pool is None:
-        raise EmptyPoolError(f"no exit accepts port {stream.destination_port}")
-    if slots:
-        built = _build_circuits(
-            state, pool, [rng], np.array([[row for row, _ in slots]]), [len(slots)],
-            np.ones(1, dtype=np.int64),
-        )
-        if not (built.guard_failed[0] or built.middle_failed[0]):
-            return Circuit(
-                stream.time,
-                fps[int(built.guard[0])],
-                fps[int(built.middle[0])],
-                fps[int(built.exit[0])],
-            )
-    raise CircuitFailureError("circuit constraints unsatisfiable within attempt bound")
-
-
 # ---------------------------------------------------------------------------
 # Full simulation
 # ---------------------------------------------------------------------------
@@ -705,7 +640,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
 
     for state, times in zip(run.states, run.state_times):
         if previous is not None:
-            guards.move(previous.table, state.table)
+            guards.move(previous.snapshot.table, state.snapshot.table)
         previous = state
         rows = guards.rows
         keep = (rows >= 0) & state.guard[rows]  # -1 reads the last row, masked out
@@ -761,7 +696,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
                 unset = first[who] < 0
                 first[who[unset]] = when[hits[at[unset]]] - run.sim_start
             if collect:
-                fps = state.table.fingerprints
+                fps = state.snapshot.table.fingerprints
                 for c, t, g, mi, e in zip(
                     owner[ok].tolist(), when[ok].tolist(), made.guard[ok].tolist(),
                     made.middle[ok].tolist(), made.exit[ok].tolist(),

@@ -241,19 +241,6 @@ def _scalar_factors(w: PositionWeights, position: Position) -> dict[int, Fractio
     return {GUARD | EXIT: w.Wed, EXIT: w.Wee}
 
 
-def _solved_rows(table: RelayTable, sol: WaterfillSolution, code: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, solved rank) of each relay of pool ``code`` that ``sol`` lists."""
-    if sol.table is table:
-        return sol.rows, np.arange(len(sol.rows))
-    # a solution of another snapshot applies by fingerprint
-    hits = [
-        (i, rank)
-        for rank, fp in enumerate(sol.fingerprints)
-        if (i := table.row.get(fp)) is not None and table.pool[i] == code
-    ]
-    return tuple(np.array(hits, dtype=np.int64).reshape(-1, 2).T)
-
-
 def _weight_fractions(
     snapshot: ConsensusSnapshot,
     w: PositionWeights,
@@ -263,12 +250,11 @@ def _weight_fractions(
     """Each relay's exact weight at a position, as numerator and denominator.
 
     The weight is consensus_weight times the relay's factor: the scalar
-    factor of its pool, or, for a G (D) relay listed in the guard (dual)
-    solution, its waterfilled factor.  A relay above that solution's pivot
-    keeps ``bw * L / bw_sol`` at the end position(s) and moves
-    ``bw * (bw_sol - L) / bw_sol`` to the middle, where ``bw_sol`` is its
-    bandwidth when solved; any other listed relay keeps its whole bandwidth
-    at the end position(s).  Both arrays hold Python ints.
+    factor of its pool, or, for a G (D) relay, the guard (dual) solution's
+    waterfilled factor.  A relay above that solution's pivot keeps ``L`` of
+    its bandwidth ``bw`` at the end position(s) and moves ``bw - L`` to the
+    middle; any other relay of the pool keeps its whole bandwidth at the end
+    position(s).  Both arrays hold Python ints.
     """
     table = snapshot.table
     scalars = _scalar_factors(w, position)
@@ -282,17 +268,13 @@ def _weight_fractions(
         sol = solutions.get(pool)
         if sol is None or code not in scalars:
             continue
-        rows, ranks = _solved_rows(table, sol, code)
-        if not rows.size:
-            continue
         middle = position is Position.MIDDLE
         share = Fraction(0) if middle else sol.end_share(position)
-        num[rows] = share.numerator
-        den[rows] = share.denominator
-        above = ranks < sol.pivot_index
-        rows = rows[above]
+        num[sol.rows] = share.numerator
+        den[sol.rows] = share.denominator
+        rows = sol.rows[: sol.pivot_index]  # the relays above the water level
         p, q = sol.water_level.numerator, sol.water_level.denominator
-        q_bw = q * np.array(sol.bandwidths, dtype=object)[ranks[above]]
+        q_bw = q * np.array(sol.bandwidths[: sol.pivot_index], dtype=object)
         if middle:
             num[rows] = q_bw - p
             den[rows] = q_bw
@@ -314,10 +296,13 @@ def selection_distribution(
     Each eligible relay is weighted by consensus_weight times its positional
     weight factor and the vector is normalized.  For the exit position,
     ``stream`` (the destination port) filters candidates through their exit
-    policies.  Weights are exact until each is converted to the nearest
-    float; the normalizing total sums those floats in document order.
+    policies.  The waterfills must be solved on this snapshot's table.
+    Weights are exact until each is converted to the nearest float; the
+    normalizing total sums those floats in document order.
     """
     solutions = {sol.pool: sol for sol in waterfills}
+    if any(sol.table is not snapshot.table for sol in solutions.values()):
+        raise ValueError("a waterfill solution was solved on another snapshot's table")
     keep = None
     if position is Position.EXIT:
         if stream is None:

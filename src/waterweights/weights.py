@@ -82,14 +82,6 @@ class BalanceReport:
     entry_middle_residual: Fraction  # entry - middle
     entry_exit_residual: Fraction  # entry - exit
 
-    @property
-    def entry_middle_equal(self) -> bool:
-        return self.entry_middle_residual == 0
-
-    @property
-    def entry_exit_equal(self) -> bool:
-        return self.entry_exit_residual == 0
-
 
 def check_balance(totals: PoolTotals, w: PositionWeights) -> BalanceReport:
     """Report how the weighted pools compare across the three positions."""

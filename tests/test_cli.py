@@ -64,6 +64,11 @@ class TestReportAdversaryCost:
     def test_returns_cost_report(self):
         assert isinstance(report_adversary_cost(100, 100, 1), CostReport)
 
+    @pytest.mark.parametrize("target,entry", [(-1000, 0.5), (100, -0.5), (100, 1.5)])
+    def test_out_of_range_inputs_rejected(self, target, entry):
+        with pytest.raises(WaterweightsError, match="must"):
+            report_adversary_cost(8710, target, entry)
+
 
 class TestCompareRuns:
     def rec(self, cid, t):
@@ -258,6 +263,23 @@ class TestMetricsCommand:
         assert "first ZZZ" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-0.25"])
+    def test_non_finite_or_negative_cell_rejected(self, runner, tmp_path, cell):
+        joint = tmp_path / "joint.csv"
+        joint.write_text(f"guard,E1,E2\nG1,0.25,0.25\nG2,0.25,{cell}\n")
+        result = runner.invoke(main, ["metrics", "--joint", str(joint)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "'G2', column 'E2'" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_overflowing_total_rejected(self, runner, tmp_path):
+        joint = tmp_path / "joint.csv"
+        joint.write_text("guard,E1,E2\nG1,1e308,1e308\nG2,1e308,1e308\n")
+        result = runner.invoke(main, ["metrics", "--joint", str(joint)])
+        assert result.exit_code == 3
+        assert "sum to inf" in result.stderr
+
 
 class TestSimulateAndCompare:
     def write_inputs(self, tmp_path):
@@ -348,6 +370,14 @@ class TestSimulateAndCompare:
         ({"relays": [{"role": "guard", "consensus_weight": 400, "count": 0}]}, "count"),
         ({"relays": [{"role": "exit", "consensus_weight": -1}]}, "consensus_weight"),
         ({"relays": [{"role": "exit", "consensus_weight": 2**63}]}, "consensus_weight"),
+        ({"relays": [{"role": "exit", "consensus_weight": 1.7}]}, "relays[0].consensus_weight"),
+        ({"relays": [{"role": "exit", "consensus_weight": "12"}]}, "relays[0].consensus_weight"),
+        ({"relays": [{"role": "exit", "consensus_weight": True}]}, "relays[0].consensus_weight"),
+        ({"relays": [{"role": "exit", "consensus_weight": 9, "count": 2.9}]}, "relays[0].count"),
+        ({"relays": [{"role": "exit", "consensus_weight": 9, "join_time": "5"}]},
+         "relays[0].join_time"),
+        ({"relays": [{"role": "middle", "consensus_weight": 9}]}, "relays[0].role"),
+        ({"relays": [{"role": ["guard"], "consensus_weight": 9}]}, "relays[0].role"),
     ])
     def test_malformed_adversary_exits_2(self, runner, tmp_path, doc, field):
         snaps, adv = self.write_inputs(tmp_path)
@@ -529,3 +559,31 @@ class TestSimulateAndCompare:
         assert payload["node_equivalents"] == 35
         assert payload["entry_weight"] == 0.622
         assert payload["version"]
+
+    @pytest.mark.parametrize("args", [
+        ["--target-weight", "-1000"],
+        ["--target-weight", "480310", "--entry-weight", "-0.5"],
+        ["--target-weight", "480310", "--entry-weight", "1.5"],
+    ])
+    def test_report_rejects_out_of_range_options(self, runner, tmp_path, args):
+        wf = tmp_path / "wf.json"
+        wf.write_text(json.dumps({"pools": {"guards": {"water_level": 8710.0, "source_Wgg": 0.6}}}))
+        result = runner.invoke(main, ["report", "--waterfill", str(wf), *args])
+        assert result.exit_code == 2
+        assert args[-2] in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("doc,problem", [
+        ({"pools": {"guards": {"water_level": "high", "source_Wgg": 0.6}}}, "water_level"),
+        ({"pools": {"guards": {"water_level": 8710.0}}}, "source_Wgg"),
+        ({"pools": {"guards": {"water_level": 8710.0, "source_Wgg": None}}}, "source_Wgg"),
+        ({"pools": ["guards"]}, "no solved guard pool"),
+        ([1, 2], "no solved guard pool"),
+    ])
+    def test_report_rejects_a_bad_waterfill_file(self, runner, tmp_path, doc, problem):
+        wf = tmp_path / "wf.json"
+        wf.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["report", "--waterfill", str(wf), "--target-weight", "9"])
+        assert result.exit_code == 2
+        assert problem in result.stderr
+        assert "Traceback" not in result.output

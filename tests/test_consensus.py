@@ -361,12 +361,13 @@ class TestConflictIndex:
     @settings(max_examples=200, deadline=None)
     @given(relay_lists(), st.data())
     def test_matrix_matches_reference(self, relays, data):
+        # rows and columns may repeat a relay
         index = conflict_index(relays)
-        positions = list(range(len(relays)))
-        rows = data.draw(st.permutations(positions))[: data.draw(st.integers(0, len(relays)))]
-        cols = data.draw(st.permutations(positions))[: data.draw(st.integers(0, len(relays)))]
+        axis = st.lists(st.integers(0, max(len(relays) - 1, 0)), max_size=10 if relays else 0)
+        rows = np.array(data.draw(axis), dtype=np.int64)
+        cols = np.array(data.draw(axis), dtype=np.int64)
         expected = reference_matrix([relays[i] for i in rows], [relays[j] for j in cols])
-        assert np.array_equal(index.matrix(rows, cols), expected)
+        assert np.array_equal(index.conflict(rows[:, None], cols[None, :]), expected)
 
     def test_family_declared_on_one_side_only(self):
         relays = [
@@ -375,19 +376,23 @@ class TestConflictIndex:
         ]
         index = conflict_index(relays)
         assert index.conflict(0, 1) and index.conflict(1, 0)
-        assert index.matrix([1], [0]).tolist() == [[True]]
+        assert index.conflict(np.array([[1]]), np.array([[0]])).tolist() == [[True]]
 
     def test_unknown_subnets_never_match(self):
         index = conflict_index([make_relay("A", 1, "g"), make_relay("B", 1, "e")])
-        assert index.matrix([0, 1], [0, 1]).tolist() == [[True, False], [False, True]]
+        every = np.arange(2)
+        assert index.conflict(every[:, None], every).tolist() == [[True, False], [False, True]]
 
     @pytest.mark.parametrize("family", [frozenset(), frozenset({"B"})])
-    def test_matrix_rejects_a_repeated_relay(self, family):
+    def test_broadcast_axes_may_repeat_a_relay(self, family):
         index = conflict_index([make_relay("A", 1, "g", family=family), make_relay("B", 1, "e")])
-        with pytest.raises(InvariantError):
-            index.matrix([0, 0], [1])
-        with pytest.raises(InvariantError):
-            index.matrix([0], [1, 1])
+        related = bool(family)
+        rows, cols = np.array([0, 0, 1]), np.array([1, 1, 0, 0])
+        assert index.conflict(rows[:, None], cols[None, :]).tolist() == [
+            [related, related, True, True],
+            [related, related, True, True],
+            [True, True, related, related],
+        ]
 
 
 POLICY_TEXTS = ["accept:*", "reject:*", "accept:80,443;reject:*", "reject:443;accept:1-1024"]

@@ -7,26 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waterweights.consensus import ConsensusSnapshot
-from waterweights.errors import (
-    CircuitFailureError,
-    EmptyPoolError,
-    InvariantError,
-    WaterweightsError,
-)
+from waterweights.errors import InvariantError, WaterweightsError
 from waterweights import pathsim
 from waterweights.pathsim import (
     AdversaryRelay,
     AdversarySpec,
     Algorithm,
-    ClientState,
     CompromiseRecord,
-    DEFAULT_SNAPSHOT_PERIOD,
-    GuardSlot,
-    NetworkState,
+    DAY,
     RoleHint,
     StreamSchedule,
-    StreamSpec,
-    build_circuit,
     compromise_curve,
     inject_adversary,
     network_summaries,
@@ -51,14 +41,6 @@ def traced(sequence, adversary, algorithm, clients, seed, *, duration=None, **kw
     """One run that keeps every built circuit, for audits."""
     prepared = prepare_sequence(sequence, adversary, algorithm, duration)
     return simulate_prepared(prepared, clients, seed, collect=True, **kwargs)
-
-
-def abwrs_state(snapshot):
-    """The scalar-weight state of one snapshot, over one snapshot period."""
-    start = snapshot.valid_after
-    return NetworkState(
-        snapshot, Algorithm.ABWRS, frozenset(), start, start + DEFAULT_SNAPSHOT_PERIOD
-    )
 
 
 def calibration_snapshot():
@@ -132,14 +114,13 @@ class TestAdversaryInjection:
         assert not relays_conflict(first, last)
 
     def test_first_and_257th_relay_share_a_circuit(self):
-        adv = adversary(guard_weights=(10,) * 256, exit_weights=(10,))
-        snap = inject_adversary(make_snapshot([("M1", 100, "m")]), adv)
-        client = ClientState(num_entry_guards=1)
-        client.guard_list = [GuardSlot("ADV000GUARD", rotation_deadline=10**12)]
-        circuit = build_circuit(
-            client, abwrs_state(snap), StreamSpec(snap.valid_after, 443), np.random.default_rng(5)
-        )
-        assert (circuit.guard, circuit.exit) == ("ADV000GUARD", "ADV256EXIT")
+        # every other adversary guard weighs 0, so ADV000GUARD is the only
+        # guard and ADV256EXIT the only exit
+        adv = adversary(guard_weights=(10,) + (0,) * 255, exit_weights=(10,))
+        trace = traced([make_snapshot([("M1", 5, "m")])], adv, Algorithm.ABWRS, 3, 5, duration=600)
+        assert counts(trace)["circuits_failed"] == 0
+        assert len(trace.circuits) == 3
+        assert {(c.guard, c.exit) for _, c in trace.circuits} == {("ADV000GUARD", "ADV256EXIT")}
 
     def test_from_json_dict_expands_count(self):
         adv = AdversarySpec.from_json_dict(
@@ -153,10 +134,9 @@ class TestAdversaryInjection:
 class TestBuildCircuit:
     def test_unique_circuit_forced(self):
         snap = make_snapshot([("G1", 100, "g"), ("M1", 100, "m"), ("E1", 100, "e")])
-        client = ClientState()
-        rng = np.random.default_rng(1)
-        circuit = build_circuit(client, abwrs_state(snap), StreamSpec(0, 443), rng)
-        assert (circuit.guard, circuit.middle, circuit.exit) == ("G1", "M1", "E1")
+        trace = traced([snap], AdversarySpec(), Algorithm.ABWRS, 4, 1)
+        assert len(trace.circuits) == 4 * 6 and counts(trace)["circuits_failed"] == 0
+        assert {(c.guard, c.middle, c.exit) for _, c in trace.circuits} == {("G1", "M1", "E1")}
 
     def test_impossible_middle_fails_after_bounded_attempts(self):
         relays = [
@@ -165,10 +145,12 @@ class TestBuildCircuit:
             make_relay("E1", 100, "e", subnet="10.1"),
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        with pytest.raises(CircuitFailureError):
-            build_circuit(
-                ClientState(), abwrs_state(snap), StreamSpec(0, 443), np.random.default_rng(1)
-            )
+        trace = traced([snap], AdversarySpec(), Algorithm.ABWRS, 4, 1)
+        assert trace.circuits == []
+        assert counts(trace) == {
+            "streams_skipped": 0, "circuits_failed": 4 * 6, "circuits_failed_guard": 0,
+            "circuits_failed_middle": 4 * 6, "guard_replacements": 0, "guard_rotations": 0,
+        }
 
     def test_no_exit_for_port(self):
         from waterweights.consensus import parse_policy
@@ -179,18 +161,22 @@ class TestBuildCircuit:
             make_relay("E1", 100, "e", policy=parse_policy("accept:80;reject:*")),
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        with pytest.raises(EmptyPoolError):
-            build_circuit(
-                ClientState(), abwrs_state(snap), StreamSpec(0, 443), np.random.default_rng(1)
-            )
+        trace = traced([snap], AdversarySpec(), Algorithm.ABWRS, 4, 1)
+        assert trace.circuits == []
+        assert counts(trace)["streams_skipped"] == 4 * 6
+        assert counts(trace)["circuits_failed"] == 0
 
     def test_expired_guard_is_rotated_before_use(self):
+        # a one-guard list over 100 days, one circuit a day: each client's
+        # guard expires once (deadlines fall 60 to 90 days out) and every
+        # circuit is still built
         snap = make_snapshot([("G1", 100, "g"), ("G2", 100, "g"), ("M1", 100, "m"), ("E1", 100, "e")])
-        client = ClientState(num_entry_guards=1)
-        client.guard_list = [GuardSlot("G1", rotation_deadline=5)]
-        build_circuit(client, abwrs_state(snap), StreamSpec(10, 443), np.random.default_rng(3))
-        assert len(client.guard_list) == 1
-        assert client.guard_list[0].rotation_deadline > 10
+        trace = traced(
+            [snap], AdversarySpec(), Algorithm.ABWRS, 5, 3, duration=100 * DAY,
+            schedule=StreamSchedule(circuit_interval=DAY), num_entry_guards=1,
+        )
+        assert counts(trace)["guard_rotations"] == 5
+        assert [r.circuits_built for r in trace.records] == [100] * 5
 
     def test_first_circuit_guard_matches_selection_probability(self):
         # adversary holds half the entry-position weight; with a single-entry
@@ -618,10 +604,9 @@ class TestStreamSchedule:
         assert times.tolist() == [8 * 3600, 9 * 3600]
 
     def test_port_validation(self):
+        assert StreamSchedule(destination_port=65_535).destination_port == 65_535
         with pytest.raises(InvariantError):
-            StreamSpec(0, 0)
-        with pytest.raises(InvariantError):
-            StreamSpec(0, 70_000)
+            StreamSchedule(destination_port=70_000)
 
     def test_schedule_validation(self):
         with pytest.raises(InvariantError):
