@@ -48,6 +48,8 @@ class JointDistribution:
         object.__setattr__(self, "p", matrix)
         if matrix.shape != (len(self.guards), len(self.exits)):
             raise InvariantError("matrix shape does not match the index maps")
+        if not np.isfinite(matrix).all():
+            raise InvariantError("non-finite cell probability")
         if (matrix < 0).any():
             raise InvariantError("negative cell probability")
         total = float(matrix.sum())
@@ -101,6 +103,8 @@ class GuessingTrace:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
         object.__setattr__(self, "q", q)
+        if not np.isfinite(q).all():
+            raise InvariantError("non-finite marginal gain")
         if q[0] != 0.0:
             raise InvariantError("the first pick alone can never succeed")
         if (q < -PROBABILITY_TOLERANCE).any():
@@ -116,52 +120,50 @@ def guessing_entropy(jd: JointDistribution) -> GuessingTrace:
     for a deterministic trace); afterwards each step picks whichever
     unpicked guard or exit adds the most mass against the opposite side
     already held.  Ties prefer the guard side, then the lowest index.
+
+    A step allocates no array: each side's gains are kept in place with every
+    picked relay at -inf, which the row and column additions leave at -inf,
+    so one argmax per side finds the best unpicked relay.
     """
     p = jd.p
     n_guards, n_exits = p.shape
-    guard_picked = np.zeros(n_guards, dtype=bool)
-    exit_picked = np.zeros(n_exits, dtype=bool)
     # gain[x] = newly covered mass if x were picked now
     guard_gain = np.zeros(n_guards)
     exit_gain = np.zeros(n_exits)
     picks: list[tuple[str, int]] = []
-    q: list[float] = []
+    q = np.empty(n_guards + n_exits)
 
     def take_guard(i: int, gain: float):
-        picks.append(("G", int(i)))
-        q.append(float(gain))
-        guard_picked[i] = True
-        exit_gain[:] += p[i, :]
+        q[len(picks)] = gain
+        picks.append(("G", i))
+        guard_gain[i] = -np.inf
+        np.add(exit_gain, p[i, :], out=exit_gain)
 
     def take_exit(j: int, gain: float):
-        picks.append(("E", int(j)))
-        q.append(float(gain))
-        exit_picked[j] = True
-        guard_gain[:] += p[:, j]
+        q[len(picks)] = gain
+        picks.append(("E", j))
+        exit_gain[j] = -np.inf
+        np.add(guard_gain, p[:, j], out=guard_gain)
 
     seed_guard, seed_exit = np.unravel_index(int(np.argmax(p)), p.shape)
-    take_guard(seed_guard, 0.0)
-    take_exit(seed_exit, exit_gain[seed_exit])
+    take_guard(int(seed_guard), 0.0)
+    take_exit(int(seed_exit), exit_gain[seed_exit])
 
-    for _ in range(n_guards + n_exits - 2):
-        best_g, gain_g = _argmax_unpicked(guard_gain, guard_picked)
-        best_e, gain_e = _argmax_unpicked(exit_gain, exit_picked)
-        if best_g >= 0 and (best_e < 0 or gain_g >= gain_e):
-            take_guard(best_g, gain_g)
+    guards_left, exits_left = n_guards - 1, n_exits - 1
+    while guards_left or exits_left:
+        if guards_left:
+            best_g = int(guard_gain.argmax())
+        if exits_left:
+            best_e = int(exit_gain.argmax())
+        if guards_left and (not exits_left or guard_gain[best_g] >= exit_gain[best_e]):
+            take_guard(best_g, guard_gain[best_g])
+            guards_left -= 1
         else:
-            take_exit(best_e, gain_e)
+            take_exit(best_e, exit_gain[best_e])
+            exits_left -= 1
 
-    gains = np.asarray(q)
-    g = float((np.arange(1, len(gains) + 1) * gains).sum())
-    return GuessingTrace(tuple(picks), gains, g)
-
-
-def _argmax_unpicked(gain: np.ndarray, picked: np.ndarray) -> tuple[int, float]:
-    if picked.all():
-        return -1, -1.0
-    masked = np.where(picked, -np.inf, gain)
-    idx = int(np.argmax(masked))
-    return idx, float(masked[idx])
+    g = float((np.arange(1, len(q) + 1) * q).sum())
+    return GuessingTrace(tuple(picks), q, g)
 
 
 def group_diversity(

@@ -33,9 +33,7 @@ clients share a batch, of execution order and of the number of workers.
 from __future__ import annotations
 
 import enum
-import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -775,10 +773,12 @@ def simulate_prepared(
         seed, states, [schedule.stream_times(s.start, s.end) for s in states],
         schedule.destination_port, num_entry_guards, prepared.sim_start,
     )
-    if not (
-        workers > 1 and not collect and clients >= 2 * workers
-        and "fork" in multiprocessing.get_all_start_methods()
-    ):
+    if workers == 1 or collect or clients < 2 * workers:
+        return _simulate_range(run, 0, clients, collect)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         return _simulate_range(run, 0, clients, collect)
 
     bounds = np.linspace(0, clients, workers + 1, dtype=int)

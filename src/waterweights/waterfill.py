@@ -78,21 +78,38 @@ class WaterfillSolution:
 
     @cached_property
     def shares(self) -> tuple[RelayShare, ...]:
-        """Per-relay fractions and derived weights, built on first read."""
+        """Per-relay fractions and derived weights, built on first read.
+
+        The relays below the pivot all keep their whole bandwidth, so they
+        share one set of (immutable) Fraction values.
+        """
+        ends, middle = self._weight_split()
+
+        def weights(fraction: Fraction) -> dict[str, Fraction]:
+            out = {name: fraction * part for name, part in ends}
+            out[middle] = 1 - fraction
+            return out
+
+        pivot = self.pivot_index
         out = []
-        for rank, (fp, bw) in enumerate(zip(self.fingerprints, self.bandwidths)):
-            fraction = self.water_level / bw if rank < self.pivot_index else Fraction(1)
-            out.append(RelayShare(fp, bw, fraction, self._derive(fraction)))
+        for fp, bw in zip(self.fingerprints[:pivot], self.bandwidths[:pivot]):
+            fraction = self.water_level / bw
+            out.append(RelayShare(fp, bw, fraction, weights(fraction)))
+        whole = Fraction(1)
+        whole_weights = weights(whole)
+        below = zip(self.fingerprints[pivot:], self.bandwidths[pivot:])
+        out.extend(RelayShare(fp, bw, whole, dict(whole_weights)) for fp, bw in below)
         return tuple(out)
 
-    def _derive(self, fraction: Fraction) -> dict[str, Fraction]:
+    def _weight_split(self) -> tuple[tuple[tuple[str, Fraction], ...], str]:
+        """The end-position weights, each with its share of the kept fraction,
+        and the name of the middle weight, which takes the rest."""
         if self.pool is TargetPool.GUARDS:
-            return {"Wgg": fraction, "Wmg": 1 - fraction}
-        return {
-            "Wgd": fraction * self.end_share(Position.ENTRY),
-            "Wed": fraction * self.end_share(Position.EXIT),
-            "Wmd": 1 - fraction,
-        }
+            return (("Wgg", Fraction(1)),), "Wmg"
+        return (
+            ("Wgd", self.end_share(Position.ENTRY)),
+            ("Wed", self.end_share(Position.EXIT)),
+        ), "Wmd"
 
     def end_share(self, position: Position) -> Fraction:
         """The part of the kept fraction that serves an end position.
@@ -325,21 +342,45 @@ def selection_distribution(
 # Consensus-document rendering
 # ---------------------------------------------------------------------------
 
+def _round_half_even(num: int, den: int) -> int:
+    """``round(Fraction(num, den))`` for ``den > 0``: ties go to the even integer."""
+    floor, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and floor & 1):
+        return floor + 1
+    return floor
+
+
 def wfbw_lines(solution: WaterfillSolution, scale: int = SCALE) -> list[str]:
-    """Per-relay ``wfbw`` status-entry lines with 0..scale integer weights."""
-    lines = []
-    for share in solution.shares:
-        items = " ".join(
-            f"{name}={round(value * scale)}" for name, value in sorted(share.weights.items())
-        )
-        lines.append(f"{share.fingerprint} wfbw {items}")
+    """Per-relay ``wfbw`` status-entry lines with 0..scale integer weights.
+
+    Each weight is its exact value times ``scale``, rounded half to even.
+    A relay of bandwidth ``bw`` above the pivot keeps the fraction
+    ``p/(q*bw)`` of the water level ``p/q``; every other relay keeps 1.
+    """
+    ends, middle = solution._weight_split()
+    p, q = solution.water_level.numerator, solution.water_level.denominator
+
+    def items(num: int, den: int) -> str:
+        values = [
+            (name, _round_half_even(scale * share.numerator * num, share.denominator * den))
+            for name, share in ends
+        ]
+        values.append((middle, _round_half_even(scale * (den - num), den)))
+        return " ".join(f"{name}={value}" for name, value in sorted(values))
+
+    pivot = solution.pivot_index
+    above = zip(solution.fingerprints[:pivot], solution.bandwidths[:pivot])
+    lines = [f"{fp} wfbw {items(p, q * bw)}" for fp, bw in above]
+    whole = items(1, 1)
+    lines.extend(f"{fp} wfbw {whole}" for fp in solution.fingerprints[pivot:])
     return lines
 
 
 def quantization_residual(solution: WaterfillSolution, scale: int = SCALE) -> Fraction:
     """Conservation error after rounding fractions to the integer grid."""
-    kept = sum(
-        (Fraction(round(s.fraction * scale), scale) * s.bandwidth for s in solution.shares),
-        Fraction(0),
+    p, q = solution.water_level.numerator, solution.water_level.denominator
+    pivot = solution.pivot_index
+    kept = scale * sum(solution.bandwidths[pivot:]) + sum(
+        _round_half_even(scale * p, q * bw) * bw for bw in solution.bandwidths[:pivot]
     )
-    return kept - solution.target
+    return Fraction(kept, scale) - solution.target

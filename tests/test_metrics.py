@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waterweights.consensus import ConsensusSnapshot
 from waterweights.errors import InvariantError, UndefinedMetricError
@@ -74,6 +76,71 @@ def exhaustive_greedy_g(p_fractions):
     return outcomes
 
 
+def reference_trace(p):
+    """The greedy trace with a masked copy of each side's gains per step.
+
+    The oracle for ``guessing_entropy``: same seed cell, same tie rule (guard
+    side first, then the lowest index), same order of float additions.
+    Returns (picks, q, g).
+    """
+    n_guards, n_exits = p.shape
+    guard_picked = np.zeros(n_guards, dtype=bool)
+    exit_picked = np.zeros(n_exits, dtype=bool)
+    guard_gain = np.zeros(n_guards)
+    exit_gain = np.zeros(n_exits)
+    picks, q = [], []
+
+    def argmax_unpicked(gain, picked):
+        if picked.all():
+            return -1, -1.0
+        masked = np.where(picked, -np.inf, gain)
+        idx = int(np.argmax(masked))
+        return idx, float(masked[idx])
+
+    def take(side, idx, gain):
+        picks.append((side, int(idx)))
+        q.append(float(gain))
+        if side == "G":
+            guard_picked[idx] = True
+            exit_gain[:] += p[idx, :]
+        else:
+            exit_picked[idx] = True
+            guard_gain[:] += p[:, idx]
+
+    seed_guard, seed_exit = np.unravel_index(int(np.argmax(p)), p.shape)
+    take("G", seed_guard, 0.0)
+    take("E", seed_exit, exit_gain[seed_exit])
+    for _ in range(n_guards + n_exits - 2):
+        best_g, gain_g = argmax_unpicked(guard_gain, guard_picked)
+        best_e, gain_e = argmax_unpicked(exit_gain, exit_picked)
+        if best_g >= 0 and (best_e < 0 or gain_g >= gain_e):
+            take("G", best_g, gain_g)
+        else:
+            take("E", best_e, gain_e)
+    gains = np.asarray(q)
+    return tuple(picks), gains, float((np.arange(1, len(gains) + 1) * gains).sum())
+
+
+@st.composite
+def joints(draw):
+    """Random joints: small integer cells (many ties) or floats, with some
+    rows and columns zeroed, in every shape up to 7 x 7 (1 x k and k x 1
+    included)."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = draw(st.sampled_from([
+        st.integers(0, 3).map(float),
+        st.floats(0, 1, allow_subnormal=False),
+    ]))
+    p = np.array(draw(st.lists(cell, min_size=n * k, max_size=n * k))).reshape(n, k)
+    p[draw(st.lists(st.integers(0, n - 1), max_size=n - 1)), :] = 0.0
+    p[:, draw(st.lists(st.integers(0, k - 1), max_size=k - 1))] = 0.0
+    if p.sum() == 0:
+        p[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = 1.0
+    return JointDistribution(
+        tuple(f"g{i}" for i in range(n)), tuple(f"e{j}" for j in range(k)), p / p.sum()
+    )
+
+
 class TestGuessingEntropy:
     def test_golden_instance_trace(self):
         trace = guessing_entropy(golden_joint())
@@ -131,6 +198,36 @@ class TestGuessingEntropy:
     def test_trace_invariants_enforced(self):
         with pytest.raises(InvariantError):
             GuessingTrace(picks=(("G", 0),), q=np.array([0.5]), g=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trace_rejects_non_finite_gain(self, bad):
+        with pytest.raises(InvariantError, match="non-finite"):
+            GuessingTrace(picks=(("G", 0), ("E", 0)), q=np.array([0.0, bad]), g=bad)
+
+    @settings(max_examples=400, deadline=None)
+    @given(joints())
+    def test_matches_masked_copy_reference(self, jd):
+        picks, q, g = reference_trace(jd.p)
+        trace = guessing_entropy(jd)
+        assert trace.picks == picks
+        assert np.array_equal(trace.q, q)
+        assert trace.g == g
+
+    def test_ties_go_to_the_guard_side(self):
+        # after the seed cell (g0, e0), g1 and e1 both add 1/4
+        trace = guessing_entropy(JointDistribution(("g0", "g1"), ("e0", "e1"), np.full((2, 2), 0.25)))
+        assert trace.picks == (("G", 0), ("E", 0), ("G", 1), ("E", 1))
+
+
+class TestJointDistribution:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        with pytest.raises(InvariantError, match="non-finite"):
+            JointDistribution(("a", "b"), ("x", "y"), [[bad, 0.5], [0.25, 0.25]])
+
+    def test_negative_cell_rejected(self):
+        with pytest.raises(InvariantError, match="negative"):
+            JointDistribution(("a", "b"), ("x", "y"), [[-0.25, 0.5], [0.5, 0.25]])
 
 
 class TestUniformityDegree:

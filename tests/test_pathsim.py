@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 
@@ -491,7 +492,7 @@ class TestWorkers:
             raise AssertionError("a process pool was created")
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(pathsim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         pooled = simulate_prepared(MIXED, clients=12, seed=4, num_entry_guards=1, workers=2)
         assert pooled.records == serial.records
         assert counts(pooled) == counts(serial)

@@ -18,7 +18,7 @@ from waterweights.waterfill import (
     solve_guard_waterfill,
     wfbw_lines,
 )
-from waterweights.weights import PositionWeights, compute_weights
+from waterweights.weights import SCALE, PositionWeights, compute_weights
 
 from conftest import make_relay, make_snapshot, pareto_weights
 
@@ -352,6 +352,37 @@ class TestRendering:
         line = wfbw_lines(sol)[0]
         assert line == "D1 wfbw Wed=3000 Wgd=2000 Wmd=5000"
 
+    def test_guard_half_ties_round_to_even(self):
+        # L = 8001, pivot 2: Ga keeps 8001/36576, so Wgg = 2187.5 and
+        # Wmg = 7812.5 on the grid; Gb keeps 8001/20000, so Wgg = 4000.5 and
+        # Wmg = 5999.5
+        snap = make_snapshot([("Ga", 36576, "g"), ("Gb", 20000, "g"), ("Gc", 5000, "g")])
+        sol = solve_guard_waterfill(snap, scalar_weights(Fraction(21002, 61576)))
+        assert (sol.water_level, sol.pivot_index) == (8001, 2)
+        halves = [s.weights[name] * SCALE for s in sol.shares[:2] for name in ("Wgg", "Wmg")]
+        assert [h.denominator for h in halves] == [2] * 4
+        assert {int(h) % 2 for h in halves} == {0, 1}  # k even and k odd in k + 1/2
+        assert wfbw_lines(sol) == [
+            "Ga wfbw Wgg=2188 Wmg=7812",
+            "Gb wfbw Wgg=4000 Wmg=6000",
+            "Gc wfbw Wgg=10000 Wmg=0",
+        ]
+        assert (wfbw_lines(sol), quantization_residual(sol)) == reference_rendering(snap, sol)
+
+    def test_dual_half_ties_round_to_even(self):
+        # L = 20, pivot 1; end shares 1/20000 and 19999/20000: a relay below
+        # the pivot keeps everything, so Wgd = 0.5 and Wed = 9999.5 on the grid
+        snap = make_snapshot([("D1", 30, "d"), ("D2", 10, "d"), ("D3", 10, "d")])
+        sol = solve_dset_waterfill(
+            snap, dual_weights(Fraction(1, 2), Fraction(1, 25000), Fraction(19999, 25000))
+        )
+        assert (sol.water_level, sol.pivot_index) == (20, 1)
+        below = sol.shares[1].weights
+        assert (below["Wgd"] * SCALE, below["Wed"] * SCALE) == (Fraction(1, 2), Fraction(19999, 2))
+        lines = wfbw_lines(sol)
+        assert lines[1:] == ["D2 wfbw Wed=10000 Wgd=0 Wmd=0", "D3 wfbw Wed=10000 Wgd=0 Wmd=0"]
+        assert (lines, quantization_residual(sol)) == reference_rendering(snap, sol)
+
 
 # ---------------------------------------------------------------------------
 # Exactness of the array form against the per-relay Fraction loop
@@ -423,6 +454,22 @@ def eager_shares(snapshot, sol):
             weights = {"Wgg": fraction, "Wmg": 1 - fraction}
         out.append(RelayShare(relay.fingerprint, bw, fraction, weights))
     return tuple(out)
+
+
+def reference_rendering(snapshot, sol, scale=SCALE):
+    """``wfbw`` lines and quantization residual by ``round(Fraction)``.
+
+    Rounds each of ``eager_shares``' exact weights and fractions the way
+    ``Fraction.__round__`` does: to the nearest integer, ties to even.
+    """
+    shares = eager_shares(snapshot, sol)
+    lines = [
+        f"{s.fingerprint} wfbw "
+        + " ".join(f"{name}={round(value * scale)}" for name, value in sorted(s.weights.items()))
+        for s in shares
+    ]
+    kept = sum((Fraction(round(s.fraction * scale), scale) * s.bandwidth for s in shares), Fraction(0))
+    return lines, kept - sol.target
 
 
 POLICIES = tuple(
@@ -524,3 +571,12 @@ class TestArrayFormIsExact:
         assert sol.water_level == oracle_level(bws, sol.target)
         assert sol.pivot_index == oracle_pivot(bws, sol.water_level)
         assert sol.bandwidths == tuple(sorted(bws, reverse=True)) + (0,) * zeros
+
+
+class TestRenderingIsExact:
+    @settings(max_examples=150, deadline=None)
+    @given(snapshots(), weight_sets(), st.sampled_from([SCALE, 1, 7, 10**6]))
+    def test_integer_rounding_matches_fraction_rounding(self, snapshot, w, scale):
+        for sol in solve_all(snapshot, w):
+            got = (wfbw_lines(sol, scale), quantization_residual(sol, scale))
+            assert got == reference_rendering(snapshot, sol, scale)
