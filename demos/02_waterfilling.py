@@ -47,8 +47,8 @@ print()
 print("rank bandwidth  kept-fraction  devoted-to-entry")
 for rank, share in enumerate(solution.shares[:12], start=1):
     marker = "<- pivot" if rank == solution.pivot_index else ""
-    print(f"{rank:4d} {share.bandwidth:9d}  {float(share.fraction):13.4f}"
-          f"  {float(share.fraction) * share.bandwidth:16.1f} {marker}")
+    print(f"{rank:4d} {share.bandwidth:9d}  {share.fraction:13.4f}"
+          f"  {share.fraction * share.bandwidth:16.1f} {marker}")
 print("...")
 print()
 

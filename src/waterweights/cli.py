@@ -59,7 +59,7 @@ from .waterfill import (
     solve_guard_waterfill,
     wfbw_lines,
 )
-from .weights import SCALE, WeightMode, check_balance, compute_weights
+from .weights import WeightMode, check_balance, compute_weights
 
 MODE_BY_FLAG = {
     "standard": WeightMode.STANDARD,
@@ -245,8 +245,8 @@ def _solution_json(sol: WaterfillSolution) -> dict:
             {
                 "fingerprint": s.fingerprint,
                 "bandwidth": s.bandwidth,
-                "fraction": float(s.fraction),
-                "scaled_10000": {k: round(v * SCALE) for k, v in sorted(s.weights.items())},
+                "fraction": s.fraction,
+                "scaled_10000": dict(s.scaled),
             }
             for s in sol.shares
         ],

@@ -888,9 +888,11 @@ def _snapshot_from_json(text: str) -> ConsensusSnapshot:
     if stored is not None:
         expected = {k: getattr(snapshot.totals, k) for k in "GMED"}
         expected["T"] = snapshot.totals.T
-        try:
-            if {k: int(stored[k]) for k in expected} != expected:
-                raise ParseError("stored totals do not match relay list")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad stored totals: {exc!r}") from None
+        if type(stored) is not dict:
+            raise ParseError("totals must be an object")
+        for k in expected:
+            if type(value := stored.get(k)) is not int:
+                raise ParseError(f"totals.{k} must be an integer, not {value!r}")
+        if {k: stored[k] for k in expected} != expected:
+            raise ParseError("stored totals do not match relay list")
     return snapshot

@@ -103,6 +103,10 @@ class GuessingTrace:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
         object.__setattr__(self, "q", q)
+        if q.ndim != 1 or not q.size:
+            raise InvariantError("a trace needs a non-empty vector of marginal gains")
+        if len(self.picks) != len(q):
+            raise InvariantError(f"{len(self.picks)} picks but {len(q)} marginal gains")
         if not np.isfinite(q).all():
             raise InvariantError("non-finite marginal gain")
         if q[0] != 0.0:
@@ -111,6 +115,9 @@ class GuessingTrace:
             raise InvariantError("negative marginal gain")
         if q.sum() > 1.0 + PROBABILITY_TOLERANCE:
             raise InvariantError("marginal gains exceed total probability")
+        expected = float((np.arange(1, len(q) + 1) * q).sum())
+        if not abs(self.g - expected) <= PROBABILITY_TOLERANCE * max(1.0, abs(expected)):
+            raise InvariantError(f"g = {self.g!r} is not sum((i + 1) * q[i]) = {expected!r}")
 
 
 def guessing_entropy(jd: JointDistribution) -> GuessingTrace:

@@ -192,15 +192,10 @@ def inject_adversary(
 
 @dataclass(frozen=True)
 class StreamSchedule:
-    """Circuit cadence: one circuit per interval inside the active windows.
-
-    Windows are (start_hour, end_hour) half-open ranges over the UTC day;
-    the default keeps the client active around the clock.
-    """
+    """Circuit cadence: one circuit per interval, around the clock."""
 
     circuit_interval: int = 600
     destination_port: int = 443
-    active_windows: tuple[tuple[float, float], ...] = ((0.0, 24.0),)
 
     def __post_init__(self):
         if self.circuit_interval < 1:
@@ -209,16 +204,8 @@ class StreamSchedule:
             raise InvariantError(f"destination port {self.destination_port} out of range")
 
     def stream_times(self, start: int, end: int) -> np.ndarray:
-        if end <= start:
-            return np.empty(0, dtype=np.int64)
-        count = -(-(end - start) // self.circuit_interval)
-        times = start + self.circuit_interval * np.arange(count, dtype=np.int64)
-        times = times[times < end]
-        hours = (times % DAY) / 3600.0
-        mask = np.zeros(len(times), dtype=bool)
-        for lo, hi in self.active_windows:
-            mask |= (hours >= lo) & (hours < hi)
-        return times[mask]
+        count = max(0, -(-(end - start) // self.circuit_interval))
+        return start + self.circuit_interval * np.arange(count, dtype=np.int64)
 
 
 class Circuit(NamedTuple):

@@ -15,7 +15,8 @@ contribution t, the pivot N is the smallest index such that
 
 (with BW_{K+1} taken as 0).  Relays 1..N get fraction L/BW_i, the rest get
 fraction 1, so every relay keeps exactly min(BW_i, L).  The scan and the
-resulting fractions are exact rationals.
+water level are exact rationals; each relay's rendering (``RelayShare``) is
+its nearest-float fraction and its weights rounded to the integer grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,14 +45,13 @@ class Position(enum.Enum):
     EXIT = "exit"
 
 
-@dataclass(frozen=True)
-class RelayShare:
-    """One relay's solved share: the kept fraction plus derived weights."""
+class RelayShare(NamedTuple):
+    """One relay's rendered share: the kept fraction and its grid weights."""
 
     fingerprint: str
     bandwidth: int
-    fraction: Fraction  # share of bandwidth kept in the solved position(s)
-    weights: dict[str, Fraction]  # e.g. {"Wgg": .., "Wmg": ..}
+    fraction: float  # nearest float of min(bandwidth, L) / bandwidth
+    scaled: tuple[tuple[str, int], ...]  # (name, weight on the 0..scale grid), by name
 
 
 @dataclass(frozen=True)
@@ -78,27 +78,35 @@ class WaterfillSolution:
 
     @cached_property
     def shares(self) -> tuple[RelayShare, ...]:
-        """Per-relay fractions and derived weights, built on first read.
+        """Each relay's rendering on the ``SCALE`` grid, built on first read."""
+        return self._render(SCALE)
 
-        The relays below the pivot all keep their whole bandwidth, so they
-        share one set of (immutable) Fraction values.
+    def _render(self, scale: int) -> tuple[RelayShare, ...]:
+        """Each relay's kept fraction and its weights on the 0..scale grid.
+
+        A relay of bandwidth ``bw`` above the pivot keeps the fraction
+        ``p/(q*bw)`` of the water level ``p/q``; every other relay keeps 1.
+        Each weight is its exact value times ``scale``, rounded half to even.
+        The relays below the pivot share one (immutable) set of weights.
         """
         ends, middle = self._weight_split()
 
-        def weights(fraction: Fraction) -> dict[str, Fraction]:
-            out = {name: fraction * part for name, part in ends}
-            out[middle] = 1 - fraction
-            return out
+        def scaled(num: int, den: int) -> tuple[tuple[str, int], ...]:
+            values = [
+                (name, _round_half_even(scale * share.numerator * num, share.denominator * den))
+                for name, share in ends
+            ]
+            values.append((middle, _round_half_even(scale * (den - num), den)))
+            return tuple(sorted(values))
 
+        p, q = self.water_level.numerator, self.water_level.denominator
         pivot = self.pivot_index
-        out = []
-        for fp, bw in zip(self.fingerprints[:pivot], self.bandwidths[:pivot]):
-            fraction = self.water_level / bw
-            out.append(RelayShare(fp, bw, fraction, weights(fraction)))
-        whole = Fraction(1)
-        whole_weights = weights(whole)
+        above = zip(self.fingerprints[:pivot], self.bandwidths[:pivot])
+        # int / int is correctly rounded, so this is float(Fraction(p, q * bw))
+        out = [RelayShare(fp, bw, p / (q * bw), scaled(p, q * bw)) for fp, bw in above]
+        whole = scaled(1, 1)
         below = zip(self.fingerprints[pivot:], self.bandwidths[pivot:])
-        out.extend(RelayShare(fp, bw, whole, dict(whole_weights)) for fp, bw in below)
+        out.extend(RelayShare(fp, bw, 1.0, whole) for fp, bw in below)
         return tuple(out)
 
     def _weight_split(self) -> tuple[tuple[tuple[str, Fraction], ...], str]:
@@ -351,29 +359,11 @@ def _round_half_even(num: int, den: int) -> int:
 
 
 def wfbw_lines(solution: WaterfillSolution, scale: int = SCALE) -> list[str]:
-    """Per-relay ``wfbw`` status-entry lines with 0..scale integer weights.
-
-    Each weight is its exact value times ``scale``, rounded half to even.
-    A relay of bandwidth ``bw`` above the pivot keeps the fraction
-    ``p/(q*bw)`` of the water level ``p/q``; every other relay keeps 1.
-    """
-    ends, middle = solution._weight_split()
-    p, q = solution.water_level.numerator, solution.water_level.denominator
-
-    def items(num: int, den: int) -> str:
-        values = [
-            (name, _round_half_even(scale * share.numerator * num, share.denominator * den))
-            for name, share in ends
-        ]
-        values.append((middle, _round_half_even(scale * (den - num), den)))
-        return " ".join(f"{name}={value}" for name, value in sorted(values))
-
-    pivot = solution.pivot_index
-    above = zip(solution.fingerprints[:pivot], solution.bandwidths[:pivot])
-    lines = [f"{fp} wfbw {items(p, q * bw)}" for fp, bw in above]
-    whole = items(1, 1)
-    lines.extend(f"{fp} wfbw {whole}" for fp in solution.fingerprints[pivot:])
-    return lines
+    """Per-relay ``wfbw`` status-entry lines with 0..scale integer weights."""
+    shares = solution.shares if scale == SCALE else solution._render(scale)
+    # the relays below the pivot share one weight set: format each set once
+    text = {w: " ".join(f"{k}={v}" for k, v in w) for w in {s.scaled for s in shares}}
+    return [f"{s.fingerprint} wfbw {text[s.scaled]}" for s in shares]
 
 
 def quantization_residual(solution: WaterfillSolution, scale: int = SCALE) -> Fraction:

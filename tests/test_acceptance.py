@@ -113,8 +113,13 @@ def test_criterion_03_hand_solved_instance_exact():
     solution = solve_guard_waterfill(snap, w)
     assert solution.water_level == Fraction(50)
     assert solution.pivot_index == 2
-    assert [s.fraction for s in solution.shares] == [
-        Fraction(1, 2), Fraction(5, 6), Fraction(1),
+    level = solution.water_level
+    kept = [min(Fraction(bw), level) / bw for bw in solution.bandwidths]
+    assert kept == [Fraction(1, 2), Fraction(5, 6), Fraction(1)]
+    assert [s.scaled for s in solution.shares] == [
+        (("Wgg", 5000), ("Wmg", 5000)),
+        (("Wgg", 8333), ("Wmg", 1667)),
+        (("Wgg", 10000), ("Wmg", 0)),
     ]
     assert solution.conservation_residual == 0
     ok(3, "level 50, pivot 2, fractions (1/2, 5/6, 1) by rational comparison")

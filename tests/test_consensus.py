@@ -485,6 +485,23 @@ class TestJsonFieldTypes:
         with pytest.raises(ParseError, match="valid_after"):
             snapshot_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key,value", [
+        ("G", 10.9), ("M", False), ("E", "20"), ("D", " 0 "), ("T", "30"), ("T", 30.0), ("T", None),
+    ], ids=repr)
+    def test_stored_totals_must_be_integers(self, key, value):
+        doc = one_relay_document()
+        doc["totals"] = {"G": 10, "M": 0, "E": 20, "D": 0, "T": 30}
+        assert snapshot_from_json(json.dumps(doc)).totals.T == 30
+        doc["totals"][key] = value
+        with pytest.raises(ParseError, match=rf"totals\.{key}"):
+            snapshot_from_json(json.dumps(doc))
+
+    def test_stored_totals_must_be_an_object(self):
+        doc = one_relay_document()
+        doc["totals"] = [10, 0, 20, 0, 30]
+        with pytest.raises(ParseError, match="totals"):
+            snapshot_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("weight", [-1, 2**63])
     def test_weight_outside_int64_is_rejected(self, weight):
         with pytest.raises(ParseError, match=r"relays\[1\]\.consensus_weight"):

@@ -199,6 +199,22 @@ class TestGuessingEntropy:
         with pytest.raises(InvariantError):
             GuessingTrace(picks=(("G", 0),), q=np.array([0.5]), g=0.5)
 
+    @pytest.mark.parametrize("picks,q,g,message", [
+        ((("G", 0), ("E", 0)), [0.0, 1.0], 5.0, "not sum"),
+        ((("G", 0), ("E", 0)), [0.0, 1.0], np.nan, "not sum"),
+        ((("G", 0), ("E", 0)), [0.0, 1.0], 2.0 + 1e-6, "not sum"),
+        ((("G", 0), ("E", 0), ("G", 1)), [0.0, 1.0], 2.0, "3 picks but 2"),
+        ((("G", 0),), [0.0, 1.0], 2.0, "1 picks but 2"),
+        ((), [], 0.0, "non-empty"),
+    ])
+    def test_trace_must_be_consistent(self, picks, q, g, message):
+        with pytest.raises(InvariantError, match=message):
+            GuessingTrace(picks=picks, q=np.array(q), g=g)
+
+    def test_trace_g_within_tolerance_is_accepted(self):
+        trace = GuessingTrace(picks=(("G", 0), ("E", 0)), q=np.array([0.0, 1.0]), g=2.0 + 1e-12)
+        assert trace.g == 2.0 + 1e-12
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_trace_rejects_non_finite_gain(self, bad):
         with pytest.raises(InvariantError, match="non-finite"):

@@ -598,11 +598,12 @@ class TestStreamSchedule:
     def test_interval_and_bounds(self):
         times = StreamSchedule(circuit_interval=600).stream_times(0, 3600)
         assert times.tolist() == [0, 600, 1200, 1800, 2400, 3000]
-
-    def test_active_windows_filter(self):
-        schedule = StreamSchedule(circuit_interval=3600, active_windows=((8.0, 10.0),))
-        times = schedule.stream_times(0, 86_400)
-        assert times.tolist() == [8 * 3600, 9 * 3600]
+        schedule = StreamSchedule(circuit_interval=3600)
+        assert schedule.stream_times(100, 7301).tolist() == [100, 3700, 7300]
+        assert schedule.stream_times(0, 86_400).tolist() == [h * 3600 for h in range(24)]
+        for start, end in ((5, 5), (5, 3)):
+            empty = schedule.stream_times(start, end)
+            assert empty.dtype == np.int64 and empty.size == 0
 
     def test_port_validation(self):
         assert StreamSchedule(destination_port=65_535).destination_port == 65_535

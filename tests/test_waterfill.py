@@ -1,15 +1,17 @@
+import json
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waterweights.cli import _solution_json
 from waterweights.consensus import ConsensusSnapshot, LoadCase, classify_load_case, parse_policy
 from waterweights.errors import EmptyPoolError, NotApplicableError
 from waterweights.waterfill import (
     Position,
-    RelayShare,
     TargetPool,
     find_water_level,
     quantization_residual,
@@ -28,6 +30,12 @@ def share_for(sol, fingerprint):
     if fingerprint not in sol.fingerprints:
         return None
     return sol.shares[sol.fingerprints.index(fingerprint)]
+
+
+def kept_fractions(sol):
+    """Each relay's exact kept fraction min(BW_i, L) / BW_i, in solved order."""
+    level = sol.water_level
+    return [min(Fraction(bw), level) / bw if bw else Fraction(1) for bw in sol.bandwidths]
 
 
 def oracle_level(bws, target):
@@ -138,16 +146,24 @@ class TestGuardWaterfill:
         sol = solve_guard_waterfill(snap, w)
         assert sol.water_level == Fraction(50)
         assert sol.pivot_index == 2
-        fractions = [s.fraction for s in sol.shares]
-        assert fractions == [Fraction(1, 2), Fraction(5, 6), Fraction(1)]
+        assert kept_fractions(sol) == [Fraction(1, 2), Fraction(5, 6), Fraction(1)]
+        assert [s.fraction for s in sol.shares] == [0.5, float(Fraction(5, 6)), 1.0]
+        assert [s.scaled for s in sol.shares] == [
+            (("Wgg", 5000), ("Wmg", 5000)),
+            (("Wgg", 8333), ("Wmg", 1667)),
+            (("Wgg", 10000), ("Wmg", 0)),
+        ]
         assert sol.conservation_residual == 0
         assert sol.target == Fraction(120)
 
     def test_derived_middle_weights(self):
         sol = solve_guard_waterfill(self.snapshot(), scalar_weights(Fraction(2, 3)))
-        for share in sol.shares:
-            assert share.weights["Wmg"] == 1 - share.weights["Wgg"]
-            assert share.weights["Wgg"] == share.fraction
+        for share, kept in zip(sol.shares, kept_fractions(sol), strict=True):
+            weights = dict(share.scaled)
+            assert weights["Wgg"] == round(kept * SCALE)
+            assert weights["Wmg"] == round((1 - kept) * SCALE)
+            assert weights["Wgg"] + weights["Wmg"] == SCALE
+            assert share.fraction == float(kept)
 
     def test_boundary_wgg_not_applicable(self):
         snap = self.snapshot()
@@ -179,8 +195,8 @@ class TestGuardWaterfill:
             other = solve_guard_waterfill(make_snapshot(shuffled), w)
             assert other.water_level == base.water_level
             assert other.pivot_index == base.pivot_index
-            assert {s.fingerprint: s.fraction for s in other.shares} == {
-                s.fingerprint: s.fraction for s in base.shares
+            assert {s.fingerprint: s for s in other.shares} == {
+                s.fingerprint: s for s in base.shares
             }
 
     def test_equal_bandwidth_ties_get_identical_fractions(self):
@@ -188,7 +204,8 @@ class TestGuardWaterfill:
         sol = solve_guard_waterfill(snap, scalar_weights(Fraction(1, 2)))
         # sorted by descending weight then fingerprint: A, B, C
         assert [s.fingerprint for s in sol.shares] == ["A", "B", "C"]
-        assert share_for(sol, "A").fraction == share_for(sol, "B").fraction
+        a, b = share_for(sol, "A"), share_for(sol, "B")
+        assert (a.fraction, a.scaled) == (b.fraction, b.scaled)
 
 
 class TestDsetWaterfill:
@@ -198,25 +215,28 @@ class TestDsetWaterfill:
         sol = solve_dset_waterfill(snap, w)
         assert sol.target == Fraction(50)
         assert sol.water_level == Fraction(25)
-        for share in sol.shares:
-            assert share.fraction == Fraction(1, 2)
-            assert share.weights["Wgd"] == Fraction(1, 5)
-            assert share.weights["Wed"] == Fraction(3, 10)
-            assert share.weights["Wmd"] == Fraction(1, 2)
+        for share, kept in zip(sol.shares, kept_fractions(sol), strict=True):
+            assert kept == Fraction(1, 2)
+            assert kept * sol.end_share(Position.ENTRY) == Fraction(1, 5)
+            assert kept * sol.end_share(Position.EXIT) == Fraction(3, 10)
+            assert share.fraction == 0.5
+            assert share.scaled == (("Wed", 3000), ("Wgd", 2000), ("Wmd", 5000))
 
     def test_full_end_share_is_identity(self):
         snap = make_snapshot([("D1", 90, "d"), ("D2", 30, "d")])
         w = dual_weights(Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
         sol = solve_dset_waterfill(snap, w)
-        assert all(s.fraction == 1 for s in sol.shares)
-        assert all(s.weights["Wmd"] == 0 for s in sol.shares)
+        assert kept_fractions(sol) == [1, 1]
+        assert all(s.fraction == 1.0 for s in sol.shares)
+        assert [s.scaled for s in sol.shares] == [(("Wed", 7500), ("Wgd", 2500), ("Wmd", 0))] * 2
         assert sol.water_level == Fraction(90)  # the largest dual relay
 
     def test_single_dual_keeps_combined_weight(self):
         snap = make_snapshot([("D1", 70, "d")])
         w = dual_weights(Fraction(1, 2), Fraction(1, 8), Fraction(1, 4))
         sol = solve_dset_waterfill(snap, w)
-        assert sol.shares[0].fraction == Fraction(3, 8)  # Wgd + Wed exactly
+        assert kept_fractions(sol) == [Fraction(3, 8)]  # Wgd + Wed exactly
+        assert sol.shares[0].scaled == (("Wed", 2500), ("Wgd", 1250), ("Wmd", 6250))
 
     def test_zero_end_share_not_applicable(self):
         snap = make_snapshot([("D1", 70, "d")])
@@ -242,13 +262,18 @@ class TestConservationProperty:
         sol = solve_guard_waterfill(snap, scalar_weights(Wgg))
 
         assert sol.conservation_residual == 0
-        bws = [s.bandwidth for s in sol.shares]
+        bws = list(sol.bandwidths)
         assert bws == sorted(bws, reverse=True)
         n = sol.pivot_index
         level = sol.water_level
         # plateau above the pivot, whole relays below it
-        assert {s.fraction * s.bandwidth for s in sol.shares[:n]} == {level}
-        assert all(s.fraction == 1 for s in sol.shares[n:])
+        kept = [f * bw for f, bw in zip(kept_fractions(sol), bws)]
+        assert set(kept[:n]) == {level}
+        assert kept[n:] == bws[n:]
+        assert sum(kept) == sol.target
+        assert [s.bandwidth for s in sol.shares] == bws
+        above = [float(level / bw) for bw in bws[:n]]
+        assert [s.fraction for s in sol.shares] == above + [1.0] * (len(bws) - n)
         # boundary ordering
         assert level <= bws[0] if n == 0 else level <= bws[n - 1]
         if n < len(bws):
@@ -359,7 +384,7 @@ class TestRendering:
         snap = make_snapshot([("Ga", 36576, "g"), ("Gb", 20000, "g"), ("Gc", 5000, "g")])
         sol = solve_guard_waterfill(snap, scalar_weights(Fraction(21002, 61576)))
         assert (sol.water_level, sol.pivot_index) == (8001, 2)
-        halves = [s.weights[name] * SCALE for s in sol.shares[:2] for name in ("Wgg", "Wmg")]
+        halves = [part * SCALE for kept in kept_fractions(sol)[:2] for part in (kept, 1 - kept)]
         assert [h.denominator for h in halves] == [2] * 4
         assert {int(h) % 2 for h in halves} == {0, 1}  # k even and k odd in k + 1/2
         assert wfbw_lines(sol) == [
@@ -377,8 +402,9 @@ class TestRendering:
             snap, dual_weights(Fraction(1, 2), Fraction(1, 25000), Fraction(19999, 25000))
         )
         assert (sol.water_level, sol.pivot_index) == (20, 1)
-        below = sol.shares[1].weights
-        assert (below["Wgd"] * SCALE, below["Wed"] * SCALE) == (Fraction(1, 2), Fraction(19999, 2))
+        assert kept_fractions(sol)[1:] == [1, 1]
+        below = [sol.end_share(position) * SCALE for position in (Position.ENTRY, Position.EXIT)]
+        assert below == [Fraction(1, 2), Fraction(19999, 2)]
         lines = wfbw_lines(sol)
         assert lines[1:] == ["D2 wfbw Wed=10000 Wgd=0 Wmd=0", "D3 wfbw Wed=10000 Wgd=0 Wmd=0"]
         assert (lines, quantization_residual(sol)) == reference_rendering(snap, sol)
@@ -388,20 +414,21 @@ class TestRendering:
 # Exactness of the array form against the per-relay Fraction loop
 # ---------------------------------------------------------------------------
 
-def position_weight(relay, position, w, waterfills):
-    """The per-relay weight factor, one Fraction at a time (the reference)."""
+def position_weight(relay, position, w, shares):
+    """The per-relay weight factor, one Fraction at a time (the reference).
+
+    ``shares`` maps each solved pool to its ``eager_shares`` by fingerprint.
+    """
     guard, exit_ = relay.is_guard, relay.is_exit
     if guard and exit_:
-        sol = waterfills.get(TargetPool.DSET)
-        share = share_for(sol, relay.fingerprint) if sol else None
+        share = shares.get(TargetPool.DSET, {}).get(relay.fingerprint)
         if position is Position.ENTRY:
             return share.weights["Wgd"] if share else w.Wgd
         if position is Position.MIDDLE:
             return share.weights["Wmd"] if share else w.Wmd
         return share.weights["Wed"] if share else w.Wed
     if guard:
-        sol = waterfills.get(TargetPool.GUARDS)
-        share = share_for(sol, relay.fingerprint) if sol else None
+        share = shares.get(TargetPool.GUARDS, {}).get(relay.fingerprint)
         if position is Position.ENTRY:
             return share.weights["Wgg"] if share else w.Wgg
         if position is Position.MIDDLE:
@@ -418,7 +445,9 @@ def position_weight(relay, position, w, waterfills):
 
 def oracle_distribution(snapshot, w, position, solutions, port):
     """(fingerprints, probabilities) from the reference loop; None if empty."""
-    by_pool = {sol.pool: sol for sol in solutions}
+    by_pool = {
+        sol.pool: {s.fingerprint: s for s in eager_shares(snapshot, sol)} for sol in solutions
+    }
     fingerprints, raw = [], []
     for relay in snapshot.relays:
         if port is not None and not relay.accepts_port(port):
@@ -433,8 +462,17 @@ def oracle_distribution(snapshot, w, position, solutions, port):
     return tuple(fingerprints), np.asarray(raw, dtype=np.float64) / total
 
 
+class ExactShare(NamedTuple):
+    """One relay's exact kept fraction and weights (the oracle's row)."""
+
+    fingerprint: str
+    bandwidth: int
+    fraction: Fraction
+    weights: dict[str, Fraction]
+
+
 def eager_shares(snapshot, sol):
-    """The shares as the solver used to build them, straight from the relays."""
+    """Each relay's exact kept fraction and weights, straight from the relays."""
     dual = sol.pool is TargetPool.DSET
     relays = [r for r in snapshot.relays if r.is_guard and r.is_exit == dual]
     relays.sort(key=lambda r: (-r.consensus_weight, r.fingerprint))
@@ -452,7 +490,7 @@ def eager_shares(snapshot, sol):
             }
         else:
             weights = {"Wgg": fraction, "Wmg": 1 - fraction}
-        out.append(RelayShare(relay.fingerprint, bw, fraction, weights))
+        out.append(ExactShare(relay.fingerprint, bw, fraction, weights))
     return tuple(out)
 
 
@@ -542,7 +580,6 @@ class TestArrayFormIsExact:
     def test_own_solutions(self, snapshot, w):
         solutions = solve_all(snapshot, w)
         for sol in solutions:
-            assert sol.shares == eager_shares(snapshot, sol)
             assert sol.conservation_residual == 0
         self.check(snapshot, w, solutions)
         self.check(snapshot, w, [])
@@ -573,7 +610,73 @@ class TestArrayFormIsExact:
         assert sol.bandwidths == tuple(sorted(bws, reverse=True)) + (0,) * zeros
 
 
+@st.composite
+def half_tie_cases(draw):
+    """A snapshot and weights whose grid weights sit exactly on k + 1/2.
+
+    The top guard, of bandwidth 2 * SCALE * c, keeps the water level
+    L = (2k + 1) * c, so its Wgg and Wmg are k + 1/2 and SCALE - k - 1/2 on
+    the grid.  The dual pool splits its kept fraction (2a + 1) : (2 SCALE -
+    2a - 1) between entry and exit, so every dual relay that keeps its whole
+    bandwidth has Wgd = a + 1/2 and Wed = SCALE - a - 1/2.
+    """
+    c = draw(st.integers(1, 50))
+    k = draw(st.integers(0, SCALE - 1))
+    level = (2 * k + 1) * c
+    rest = draw(st.lists(st.integers(1, level), max_size=8))
+    guards = [2 * SCALE * c] + rest
+    a = draw(st.integers(0, SCALE - 1))
+    combined = draw(st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool))
+    entry = Fraction(2 * a + 1, 2 * SCALE)
+    duals = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8))
+    spec = [(f"G{i:02d}", bw, "g") for i, bw in enumerate(guards)]
+    spec += [(f"D{i:02d}", bw, "d") for i, bw in enumerate(duals)]
+    Wgg = Fraction(level + sum(rest), sum(guards))
+    return make_snapshot(spec), dual_weights(Wgg, combined * entry, combined * (1 - entry))
+
+
+def oracle_json_rows(snapshot, sol):
+    """The ``waterfill`` JSON rows by ``float(Fraction)`` and ``round(Fraction)``."""
+    return [
+        {
+            "fingerprint": s.fingerprint,
+            "bandwidth": s.bandwidth,
+            "fraction": float(s.fraction),
+            "scaled_10000": {k: round(v * SCALE) for k, v in sorted(s.weights.items())},
+        }
+        for s in eager_shares(snapshot, sol)
+    ]
+
+
 class TestRenderingIsExact:
+    def check_rows(self, snapshot, sol):
+        expected = oracle_json_rows(snapshot, sol)
+        assert [
+            (s.fingerprint, s.bandwidth, s.fraction, dict(s.scaled)) for s in sol.shares
+        ] == [tuple(row.values()) for row in expected]
+        assert all(type(s.fraction) is float for s in sol.shares)
+        assert all(type(v) is int for s in sol.shares for _, v in s.scaled)
+        # byte for byte, key order included
+        assert json.dumps(_solution_json(sol)["relays"]) == json.dumps(expected)
+        assert wfbw_lines(sol) == reference_rendering(snapshot, sol)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(snapshots(), weight_sets())
+    def test_rows_and_json_match_the_fraction_oracle(self, snapshot, w):
+        for sol in solve_all(snapshot, w):
+            self.check_rows(snapshot, sol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(half_tie_cases())
+    def test_half_ties_in_rows_and_json_match_the_fraction_oracle(self, case):
+        snapshot, w = case
+        solutions = solve_all(snapshot, w)
+        assert [sol.pool for sol in solutions] == [TargetPool.GUARDS, TargetPool.DSET]
+        top = eager_shares(snapshot, solutions[0])[0]
+        assert (top.weights["Wgg"] * SCALE).denominator == 2
+        for sol in solutions:
+            self.check_rows(snapshot, sol)
+
     @settings(max_examples=150, deadline=None)
     @given(snapshots(), weight_sets(), st.sampled_from([SCALE, 1, 7, 10**6]))
     def test_integer_rounding_matches_fraction_rounding(self, snapshot, w, scale):
