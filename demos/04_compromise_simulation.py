@@ -57,5 +57,8 @@ for t, a, b in zip(result.times, result.curve_a, result.curve_b):
     print(f"  {t / 3600:6.1f}   {a:.4f}   {b:.4f}")
 print()
 print(f"terminal difference (scalar - waterfilling): {result.terminal_delta:+.4f}")
-print(f"sign test: scalar above in {result.points_a_above} grid points, "
-      f"p = {result.p_value:.2e}, verdict: {result.verdict}")
+low, high = result.delta_ci95
+print(f"95% interval on that difference: [{low:+.4f}, {high:+.4f}]")
+print(f"log-rank test on time to first compromise: {result.events_a} vs {result.events_b} "
+      f"clients compromised, z = {result.z:+.2f}, p = {result.p_value:.2e}, "
+      f"verdict: {result.verdict}")

@@ -118,9 +118,41 @@ def report_adversary_cost(
     )
 
 
-def _binomial_tail(successes: int, trials: int) -> float:
-    """P(X >= successes) for X ~ Binomial(trials, 1/2)."""
-    return sum(math.comb(trials, k) for k in range(successes, trials + 1)) / 2.0**trials
+Z_95 = 1.959963984540054  # the standard normal's 97.5% quantile
+
+
+def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion hits / n."""
+    z2 = Z_95 * Z_95
+    center = (hits + z2 / 2) / (n + z2)
+    half = Z_95 * math.sqrt(hits * (n - hits) / n + z2 / 4) / (n + z2)
+    return center - half, center + half
+
+
+def _logrank(times_a: np.ndarray, times_b: np.ndarray, n: int):
+    """Log-rank statistic for two arms of n clients each, given each arm's
+    sorted event times; every other client is censored after the last.
+
+    Returns (expected events in A, hypergeometric variance, z), with z the
+    standardized excess of A's observed events over that expectation.
+    """
+    event_times = np.unique(np.concatenate([times_a, times_b]))
+    if not event_times.size:
+        return 0.0, 0.0, 0.0
+    earlier_a = np.searchsorted(times_a, event_times, side="left")
+    earlier_b = np.searchsorted(times_b, event_times, side="left")
+    deaths = (
+        np.searchsorted(times_a, event_times, side="right") - earlier_a
+        + np.searchsorted(times_b, event_times, side="right") - earlier_b
+    )
+    # each arm's clients still uncompromised just before each event time
+    risk_a, risk_b = n - earlier_a, n - earlier_b
+    at_risk = risk_a + risk_b
+    share_a, share_b = risk_a / at_risk, risk_b / at_risk
+    expected = float((deaths * share_a).sum())
+    variance = float((deaths * share_a * share_b * (at_risk - deaths) / np.maximum(at_risk - 1, 1)).sum())
+    z = (len(times_a) - expected) / math.sqrt(variance) if variance > 0 else 0.0
+    return expected, variance, z
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +161,13 @@ class ComparisonReport:
     curve_a: np.ndarray
     curve_b: np.ndarray
     terminal_delta: float  # a minus b at the horizon
-    points_a_above: int
-    points_b_above: int
-    ties: int
-    p_value: float  # two-sided sign test over the grid points
+    delta_ci95: tuple[float, float]  # Newcombe hybrid score interval on terminal_delta
+    events_a: int  # clients first compromised by the horizon
+    events_b: int
+    expected_a: float  # A's expected events under equal hazards
+    variance: float  # hypergeometric variance of A's events
+    z: float  # (events_a - expected_a) / sqrt(variance); 0 when the variance is 0
+    p_value: float  # two-sided log-rank p-value
     verdict: str  # "a_above", "b_above", or "indistinguishable"
 
 
@@ -145,6 +180,10 @@ def compare_runs(
 ) -> ComparisonReport:
     """Pair two simulations' compromise curves and judge their ordering.
 
+    The verdict is a log-rank test on each client's time to first
+    compromise, right-censored at the horizon (ties take the hypergeometric
+    variance).  The terminal difference gets a 95% Newcombe hybrid score
+    interval, which stays wide when an arm has no compromised client.
     Both record sets must cover the same client ids.  ``horizon`` must be
     at least 0 and ``resolution``, when given, at least 1.
     """
@@ -168,27 +207,38 @@ def compare_runs(
         raise WaterweightsError(f"resolution must be at least 1, not {resolution}")
     curve_a = compromise_curve(records_a, horizon, resolution)
     curve_b = compromise_curve(records_b, horizon, resolution)
-    diffs = curve_a.values - curve_b.values
-    a_above = int((diffs > 0).sum())
-    b_above = int((diffs < 0).sum())
-    ties = int((diffs == 0).sum())
-    informative = a_above + b_above
-    if informative == 0:
-        p_value = 1.0
-    else:
-        p_value = min(1.0, 2.0 * _binomial_tail(max(a_above, b_above), informative))
-    if p_value < alpha and a_above != b_above:
-        verdict = "a_above" if a_above > b_above else "b_above"
+
+    def event_times(records) -> np.ndarray:
+        times = [r.first_compromise_time for r in records]
+        return np.sort(np.array([t for t in times if t is not None and t <= horizon], dtype=np.int64))
+
+    times_a, times_b = event_times(records_a), event_times(records_b)
+    n = len(records_a)
+    expected_a, variance, z = _logrank(times_a, times_b, n)
+    p_value = math.erfc(abs(z) / math.sqrt(2.0))
+    if p_value < alpha:
+        verdict = "a_above" if z > 0 else "b_above"
     else:
         verdict = "indistinguishable"
+    share_a, share_b = len(times_a) / n, len(times_b) / n
+    low_a, high_a = _wilson_interval(len(times_a), n)
+    low_b, high_b = _wilson_interval(len(times_b), n)
+    delta = share_a - share_b
+    ci = (  # clipped, so rounding cannot push a bound past +-1
+        max(-1.0, delta - math.hypot(share_a - low_a, high_b - share_b)),
+        min(1.0, delta + math.hypot(high_a - share_a, share_b - low_b)),
+    )
     return ComparisonReport(
         times=curve_a.times,
         curve_a=curve_a.values,
         curve_b=curve_b.values,
-        terminal_delta=float(curve_a.values[-1] - curve_b.values[-1]),
-        points_a_above=a_above,
-        points_b_above=b_above,
-        ties=ties,
+        terminal_delta=delta,
+        delta_ci95=ci,
+        events_a=len(times_a),
+        events_b=len(times_b),
+        expected_a=expected_a,
+        variance=variance,
+        z=z,
         p_value=p_value,
         verdict=verdict,
     )
@@ -555,10 +605,13 @@ def compare(ctx, records_a, records_b, horizon, resolution):
                 "records_b": str(records_b),
                 "horizon": horizon,
                 "terminal_delta": result.terminal_delta,
-                "sign_test": {
-                    "a_above": result.points_a_above,
-                    "b_above": result.points_b_above,
-                    "ties": result.ties,
+                "terminal_delta_ci95": list(result.delta_ci95),
+                "logrank": {
+                    "events_a": result.events_a,
+                    "events_b": result.events_b,
+                    "expected_a": result.expected_a,
+                    "variance": result.variance,
+                    "z": result.z,
                     "p_value": result.p_value,
                     "verdict": result.verdict,
                 },

@@ -27,12 +27,24 @@ from .waterfill import ProbabilityVector
 
 PROBABILITY_TOLERANCE = 1e-9
 
+# Cells per block in the analysis kernels: a block's temporaries stay small
+# next to a Tor-size joint, which is never copied whole.
+BLOCK_CELLS = 1 << 16
+
 
 def shannon_entropy(probabilities) -> float:
-    """Base-2 entropy with the 0*log(0) = 0 convention."""
+    """Base-2 entropy with the 0*log(0) = 0 convention.
+
+    The positive cells are gathered into one 1-D buffer, and each of its
+    blocks becomes ``x * log2(x)`` in place; summing that buffer adds the
+    same products in the same order as summing ``p * log2(p)`` would.
+    """
     p = np.asarray(probabilities, dtype=np.float64).ravel()
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    terms = p[p > 0]
+    for start in range(0, terms.size, BLOCK_CELLS):
+        block = terms[start : start + BLOCK_CELLS]
+        block *= np.log2(block)
+    return float(-terms.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +60,13 @@ class JointDistribution:
         object.__setattr__(self, "p", matrix)
         if matrix.shape != (len(self.guards), len(self.exits)):
             raise InvariantError("matrix shape does not match the index maps")
-        if not np.isfinite(matrix).all():
-            raise InvariantError("non-finite cell probability")
-        if (matrix < 0).any():
-            raise InvariantError("negative cell probability")
+        if matrix.size:
+            # a NaN carries through both reductions and fails both bounds
+            low, high = matrix.min(), matrix.max()
+            if not (-math.inf < low and high < math.inf):
+                raise InvariantError("non-finite cell probability")
+            if low < 0:
+                raise InvariantError("negative cell probability")
         total = float(matrix.sum())
         if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise InvariantError(f"cell probabilities sum to {total!r}, not 1")
@@ -65,18 +80,24 @@ def estimate_joint_analytic(
     """Independent product of the two positions with conflicting pairs zeroed.
 
     Pairs that could never share a circuit (same relay, same family, same
-    /16) get probability zero and the rest is renormalized.
+    /16) get probability zero and the rest is renormalized.  The product is
+    the only full-size array: conflicts are found and zeroed one block of
+    guard rows at a time, and the renormalization divides in place.
     """
     table = snapshot.table
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    conflicts = ConflictIndex(table).conflict(
-        entry.rows_in(table)[:, None], exit_.rows_in(table)[None, :]
-    )
-    matrix[conflicts] = 0.0
+    index = ConflictIndex(table)
+    guard_rows = entry.rows_in(table)[:, None]
+    exit_rows = exit_.rows_in(table)[None, :]
+    step = max(1, BLOCK_CELLS // max(1, exit_rows.size))
+    for start in range(0, len(guard_rows), step):
+        block = matrix[start : start + step]
+        block[index.conflict(guard_rows[start : start + step], exit_rows)] = 0.0
     total = matrix.sum()
     if total <= 0:
         raise UndefinedMetricError("every guard-exit pair conflicts; no circuit exists")
-    return JointDistribution(entry.fingerprints, exit_.fingerprints, matrix / total)
+    matrix /= total
+    return JointDistribution(entry.fingerprints, exit_.fingerprints, matrix)
 
 
 def uniformity_degree(jd: JointDistribution) -> float:
@@ -233,4 +254,5 @@ def joint_from_csv(text: str) -> JointDistribution:
         total = matrix.sum()
     if not 0 < total < math.inf:
         raise UndefinedMetricError(f"joint CSV cells sum to {float(total)}, not a positive finite total")
-    return JointDistribution(tuple(guards), exits, matrix / total)
+    matrix /= total
+    return JointDistribution(tuple(guards), exits, matrix)

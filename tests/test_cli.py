@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -78,8 +79,12 @@ class TestCompareRuns:
         records = [self.rec(i, 100 * i) for i in range(10)]
         result = compare_runs(records, list(records), horizon=1000, resolution=100)
         assert result.terminal_delta == 0.0
-        assert result.points_a_above == result.points_b_above == 0
+        assert result.events_a == result.events_b == 10
+        assert result.expected_a == 10.0
+        assert result.z == 0.0 and result.p_value == 1.0
         assert result.verdict == "indistinguishable"
+        low, high = result.delta_ci95
+        assert low < 0.0 < high and low == -high
 
     def test_total_separation(self):
         a = [self.rec(i, 0) for i in range(10)]
@@ -87,7 +92,52 @@ class TestCompareRuns:
         result = compare_runs(a, b, horizon=1000, resolution=100)
         assert result.terminal_delta == 1.0
         assert result.verdict == "a_above"
+        # one tied event time: E_A = 5, V = 10 * 1/4 * 10/19
+        assert result.expected_a == 5.0
+        assert result.variance == pytest.approx(25 / 19)
+        assert result.z == pytest.approx(5 / math.sqrt(25 / 19))
         assert result.p_value < 0.01
+        low, high = result.delta_ci95
+        assert 0.5 < low < 1.0 and high == 1.0
+        swapped = compare_runs(b, a, horizon=1000, resolution=100)
+        assert swapped.verdict == "b_above"
+        assert swapped.z == -result.z
+        assert swapped.delta_ci95 == (-high, -low)
+
+    def test_one_early_compromise_is_not_a_separation(self):
+        # one of 200 clients in A compromised at t = 5, none in B: every grid
+        # point after t = 5 has A above, but one event is no evidence
+        a = [self.rec(i, 5 if i == 0 else None) for i in range(200)]
+        b = [self.rec(i, None) for i in range(200)]
+        result = compare_runs(a, b, horizon=1000)
+        assert result.verdict == "indistinguishable"
+        assert result.z == pytest.approx(1.0)
+        assert result.p_value == pytest.approx(math.erfc(1 / math.sqrt(2)))
+        low, high = result.delta_ci95
+        assert low < 0.0 < result.terminal_delta == 0.005 < high
+
+    def test_compromise_after_the_horizon_is_censored(self):
+        a = [self.rec(i, 2000) for i in range(10)]
+        b = [self.rec(i, None) for i in range(10)]
+        result = compare_runs(a, b, horizon=1000)
+        assert result.events_a == 0
+        assert result.variance == 0.0 and result.z == 0.0
+        assert result.verdict == "indistinguishable"
+
+    def test_logrank_matches_hand_computation(self):
+        # A: events at 10, 20, 20; B: events at 20, 30; five clients each
+        a = [self.rec(0, 10), self.rec(1, 20), self.rec(2, 20), self.rec(3, None), self.rec(4, 5000)]
+        b = [self.rec(0, 20), self.rec(1, 30), self.rec(2, None), self.rec(3, None), self.rec(4, None)]
+        result = compare_runs(a, b, horizon=1000)
+        # (deaths, at risk in A, at risk in B) at t = 10, 20, 30
+        table = [(1, 5, 5), (3, 4, 5), (1, 2, 4)]
+        expected = sum(d * na / (na + nb) for d, na, nb in table)
+        variance = sum(
+            d * na * nb * (na + nb - d) / ((na + nb) ** 2 * (na + nb - 1)) for d, na, nb in table
+        )
+        assert result.expected_a == pytest.approx(expected)
+        assert result.variance == pytest.approx(variance)
+        assert result.z == pytest.approx((3 - expected) / math.sqrt(variance))
 
     def test_mismatched_sizes_rejected(self):
         a = [self.rec(0, None)]
@@ -502,7 +552,10 @@ class TestSimulateAndCompare:
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
         assert payload["terminal_delta"] == 0.0
-        assert payload["sign_test"]["verdict"] == "indistinguishable"
+        assert payload["logrank"]["verdict"] == "indistinguishable"
+        assert payload["logrank"]["z"] == 0.0
+        low, high = payload["terminal_delta_ci95"]
+        assert low <= 0.0 <= high
 
     @pytest.mark.parametrize("row,problem", [
         ("0,,5,0", "client_id 0 repeats"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waterweights.consensus import ConsensusSnapshot
+from waterweights.consensus import ConflictIndex, ConsensusSnapshot
 from waterweights.errors import InvariantError, UndefinedMetricError
 from waterweights.metrics import (
+    BLOCK_CELLS,
     GuessingTrace,
     JointDistribution,
     estimate_joint_analytic,
@@ -236,14 +238,28 @@ class TestGuessingEntropy:
 
 
 class TestJointDistribution:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_cell_rejected(self, bad):
-        with pytest.raises(InvariantError, match="non-finite"):
+        with pytest.raises(InvariantError, match="^non-finite cell probability$"):
             JointDistribution(("a", "b"), ("x", "y"), [[bad, 0.5], [0.25, 0.25]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_checked_before_negative(self, bad):
+        with pytest.raises(InvariantError, match="^non-finite cell probability$"):
+            JointDistribution(("a", "b"), ("x", "y"), [[-0.25, 0.5], [0.5, bad]])
+
     def test_negative_cell_rejected(self):
-        with pytest.raises(InvariantError, match="negative"):
+        with pytest.raises(InvariantError, match="^negative cell probability$"):
             JointDistribution(("a", "b"), ("x", "y"), [[-0.25, 0.5], [0.5, 0.25]])
+
+    def test_negative_zero_is_not_negative(self):
+        jd = JointDistribution(("a",), ("x", "y"), [[-0.0, 1.0]])
+        assert jd.p[0, 1] == 1.0
+
+    @pytest.mark.parametrize("guards,exits", [((), ()), ((), ("x", "y")), (("a",), ())])
+    def test_empty_matrix_reaches_the_sum_check(self, guards, exits):
+        with pytest.raises(InvariantError, match="^cell probabilities sum to 0.0, not 1$"):
+            JointDistribution(guards, exits, np.zeros((len(guards), len(exits))))
 
 
 class TestUniformityDegree:
@@ -342,6 +358,147 @@ class TestEstimateJoint:
         jd = estimate_joint_analytic(snap, entry, exit_)
         assert jd.p[0, 0] == 0.0
         assert jd.p[0, 1] == 1.0
+
+
+def reference_joint(snapshot, entry, exit_):
+    """The joint with one full-grid conflict mask and a dividing copy."""
+    table = snapshot.table
+    matrix = np.outer(entry.probabilities, exit_.probabilities)
+    conflicts = ConflictIndex(table).conflict(
+        entry.rows_in(table)[:, None], exit_.rows_in(table)[None, :]
+    )
+    matrix[conflicts] = 0.0
+    total = matrix.sum()
+    return matrix / total if total > 0 else None
+
+
+def reference_entropy(probabilities):
+    p = np.asarray(probabilities, dtype=np.float64).ravel()
+    return float(-(p[p > 0] * np.log2(p[p > 0])).sum())
+
+
+def random_positions(rng, n_guards, n_exits, n_duals, zero_share, subnets):
+    """A snapshot and entry/exit vectors over its guards, exits and duals.
+
+    Dual relays sit on both sides (the same-relay rule), /16s are drawn
+    from ``subnets`` codes and about one relay in ten has family, so every
+    conflict rule fires; ``zero_share`` of each side's probabilities are
+    zero, which zeroes whole rows and columns of the joint.
+    """
+    fps = [f"g{i}" for i in range(n_guards)] + [f"e{j}" for j in range(n_exits)]
+    fps += [f"d{k}" for k in range(n_duals)]
+    roles = ["g"] * n_guards + ["e"] * n_exits + ["d"] * n_duals
+    relays = []
+    for fp, role in zip(fps, roles):
+        family = frozenset()
+        if rng.random() < 0.1:
+            family = frozenset(fps[k] for k in rng.integers(len(fps), size=int(rng.integers(1, 4)))) - {fp}
+        subnet = f"10.{int(rng.integers(subnets))}"
+        relays.append(make_relay(fp, 10, role, subnet=subnet, family=family))
+    snap = ConsensusSnapshot.from_relays(0, relays)
+
+    def side(names):
+        p = rng.pareto(1.2, len(names)) + 1.0
+        p[rng.random(len(names)) < zero_share] = 0.0
+        if not p.any():
+            p[0] = 1.0
+        return ProbabilityVector(tuple(names), p / p.sum())
+
+    duals = fps[n_guards + n_exits:]
+    return snap, side(fps[:n_guards] + duals), side(fps[n_guards:n_guards + n_exits] + duals)
+
+
+def block_edge_shapes():
+    """(guards, exits, duals) whose joints sit below, at and just past a
+    block of guard rows, and past one and two blocks of cells."""
+    step = BLOCK_CELLS // 256
+    return [
+        (1, 1, 0), (3, 4, 2), (0, 0, 3),
+        (step - 1, 256, 0), (step, 256, 0), (step + 1, 256, 0),  # 1 block = 2^16 cells
+        (step - 2, 255, 1), (step - 1, 255, 1), (step, 255, 1),
+        (BLOCK_CELLS // 300, 300, 0), (BLOCK_CELLS // 300 + 1, 300, 0),  # 2^16 - 136 cells, then two blocks
+        (2 * step + 1, 256, 0),
+    ]
+
+
+class TestInPlaceKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(block_edge_shapes()),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.3, 0.9]),
+        st.sampled_from([1, 4, 64, 65536]),
+    )
+    def test_joint_is_the_masked_copy_bit_for_bit(self, shape, seed, zero_share, subnets):
+        snap, entry, exit_ = random_positions(np.random.default_rng(seed), *shape, zero_share, subnets)
+        oracle = reference_joint(snap, entry, exit_)
+        if oracle is None:  # every pair with mass conflicts
+            with pytest.raises(UndefinedMetricError):
+                estimate_joint_analytic(snap, entry, exit_)
+            return
+        jd = estimate_joint_analytic(snap, entry, exit_)
+        assert jd.p.shape == oracle.shape
+        assert jd.p.tobytes() == oracle.tobytes()
+
+    def test_joint_spans_many_blocks_when_exits_outnumber_a_block(self):
+        snap, entry, exit_ = random_positions(np.random.default_rng(5), 3, BLOCK_CELLS + 1, 2, 0.3, 64)
+        jd = estimate_joint_analytic(snap, entry, exit_)
+        assert jd.p.tobytes() == reference_joint(snap, entry, exit_).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 2 * BLOCK_CELLS + 7])
+        | st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5]),
+        st.booleans(),
+    )
+    def test_entropy_is_the_product_sum_bit_for_bit(self, positive, seed, zero_share, as_joint):
+        rng = np.random.default_rng(seed)
+        values = rng.pareto(1.2, positive) + 1.0
+        values /= values.sum()
+        p = np.zeros(positive + int(positive * zero_share))
+        p[np.sort(rng.choice(len(p), positive, replace=False))] = values
+        if as_joint and len(p) % 2 == 0:
+            p = p.reshape(2, -1)
+        assert shannon_entropy(p) == reference_entropy(p)
+
+    def test_csv_normalization_is_the_dividing_copy(self):
+        cells = np.random.default_rng(3).uniform(0, 7, size=(4, 5))
+        text = "guard," + ",".join(f"e{j}" for j in range(5)) + "\n"
+        text += "".join(f"g{i}," + ",".join(repr(float(v)) for v in row) + "\n" for i, row in enumerate(cells))
+        assert joint_from_csv(text).p.tobytes() == (cells / cells.sum()).tobytes()
+
+
+class TestAnalysisMemory:
+    """Allocation peaks on a joint the size of the Tor-size bench input
+    (3,431 entry x 641 exit relays, about 17.6 MB of cells)."""
+
+    @pytest.fixture(scope="class")
+    def tor_size(self):
+        return random_positions(np.random.default_rng(11), 3431 - 150, 641 - 150, 150, 0.0, 20000)
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_joint_allocates_little_past_its_own_cells(self, tor_size):
+        jd, peak = self.traced_peak(lambda: estimate_joint_analytic(*tor_size))
+        assert jd.p.shape == (3431, 641)
+        assert peak <= 1.1 * jd.p.nbytes, f"peak {peak / jd.p.nbytes:.2f}x the joint"
+
+    def test_uniformity_needs_at_most_one_more_vector(self, tor_size):
+        jd = estimate_joint_analytic(*tor_size)
+        degree, peak = self.traced_peak(lambda: uniformity_degree(jd))
+        assert 0 < degree < 1
+        assert peak <= 1.25 * jd.p.nbytes, f"peak {peak / jd.p.nbytes:.2f}x the joint"
 
 
 class TestGroupDiversity:
