@@ -119,6 +119,7 @@ def report_adversary_cost(
 
 
 Z_95 = 1.959963984540054  # the standard normal's 97.5% quantile
+LOGRANK_ALPHA = 0.01  # significance level of compare's verdict
 
 
 def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
@@ -176,14 +177,14 @@ def compare_runs(
     records_b,
     horizon: int,
     resolution: int | None = None,
-    alpha: float = 0.01,
 ) -> ComparisonReport:
     """Pair two simulations' compromise curves and judge their ordering.
 
     The verdict is a log-rank test on each client's time to first
     compromise, right-censored at the horizon (ties take the hypergeometric
-    variance).  The terminal difference gets a 95% Newcombe hybrid score
-    interval, which stays wide when an arm has no compromised client.
+    variance), at level ``LOGRANK_ALPHA``.  The terminal difference gets a
+    95% Newcombe hybrid score interval, which stays wide when an arm has no
+    compromised client.
     Both record sets must cover the same client ids.  ``horizon`` must be
     at least 0 and ``resolution``, when given, at least 1.
     """
@@ -216,7 +217,7 @@ def compare_runs(
     n = len(records_a)
     expected_a, variance, z = _logrank(times_a, times_b, n)
     p_value = math.erfc(abs(z) / math.sqrt(2.0))
-    if p_value < alpha:
+    if p_value < LOGRANK_ALPHA:
         verdict = "a_above" if z > 0 else "b_above"
     else:
         verdict = "indistinguishable"
@@ -389,6 +390,11 @@ def waterfill(ctx, mode, pools, snapshot):
     unknown = [p for p in requested if p not in solvers]
     if unknown:
         raise click.BadOptionUsage("--pools", f"unknown pool(s): {', '.join(unknown)}")
+    if not requested:
+        raise click.BadOptionUsage("--pools", "no pool named; give one or both of guards, dset")
+    repeated = sorted({p for p in requested if requested.count(p) > 1})
+    if repeated:
+        raise click.BadOptionUsage("--pools", f"pool(s) named twice: {', '.join(repeated)}")
     results = {}
     solved = []
     for pool in requested:

@@ -173,6 +173,7 @@ class PoolTotals:
 
     @staticmethod
     def from_relays(relays) -> "PoolTotals":
+        """Totals summed relay by relay: a reference for ``RelayTable.totals``."""
         sums = {"G": 0, "M": 0, "E": 0, "D": 0}
         for relay in relays:
             sums[relay.pool()] += relay.consensus_weight
@@ -202,14 +203,15 @@ class RelayTable:
     which matches only itself.  ``family`` keeps each non-empty family set
     as published; ``family_keys`` holds the resolved pairs as sorted
     ``i*n + j`` keys in both directions, and ``dangling`` the (row, name)
-    entries that name no relay here, in case a later row does.  ``row``
+    entries that name no relay here, in case a later row does;
+    ``in_family`` marks the rows that take part in a resolved pair.  ``row``
     maps each fingerprint to its row.
     """
 
     __slots__ = (
         "fingerprints", "nicknames", "weights", "pool", "flag_id", "flag_sets",
         "policy_id", "policies", "subnet", "subnet_codes", "family", "family_keys",
-        "dangling", "country", "as_number", "row",
+        "in_family", "dangling", "country", "as_number", "row",
     )
 
     def __init__(self, **columns):
@@ -229,6 +231,32 @@ class RelayTable:
             name: sum(self.weights[self.pool == code].tolist())
             for code, name in enumerate(POOL_NAMES)
         })
+
+    def conflict(self, a, b) -> np.ndarray:
+        """Element-wise conflict of relay rows ``a`` and ``b`` (broadcasts).
+
+        Two relays may not share a circuit when they are the same relay,
+        when either lists the other as family, or when they share a known
+        /16 subnet.  Every /16 code matches itself, so comparing codes also
+        covers the same-relay rule; family pairs are looked up in
+        ``family_keys`` only where both relays have family.
+        """
+        a = np.asarray(a)
+        b = np.asarray(b)
+        out = np.asarray(self.subnet[a] == self.subnet[b])
+        keys = self.family_keys
+        if keys.size:
+            # flat positions where both relays have family; the broadcast
+            # rows are read only there
+            both = np.flatnonzero(self.in_family[a] & self.in_family[b])
+            if both.size:
+                wanted = (
+                    np.broadcast_to(a, out.shape).flat[both] * len(self)
+                    + np.broadcast_to(b, out.shape).flat[both]
+                )
+                found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+                out.reshape(-1)[both] |= keys[found] == wanted
+        return out
 
     def accepts(self, port: int) -> np.ndarray:
         """Mask of the relays whose exit policy accepts ``port``."""
@@ -369,6 +397,11 @@ class _TableBuilder:
             i, j = np.divmod(base.family_keys, first)  # re-encode for the new row count
             keys.append(i * n + j)
 
+        family_keys = np.unique(np.concatenate(keys))
+        in_family = np.zeros(n, dtype=bool)
+        if family_keys.size:  # keys run both ways, so i covers every member
+            in_family[family_keys // n] = True
+
         def column(name, dtype):
             fresh = np.array(getattr(self, name), dtype=dtype)
             return fresh if base is None else np.concatenate([getattr(base, name), fresh])
@@ -389,12 +422,20 @@ class _TableBuilder:
             subnet=column("subnet", np.int64),
             subnet_codes=self.subnet_codes,
             family=self.family if base is None else {**base.family, **self.family},
-            family_keys=np.unique(np.concatenate(keys)),
+            family_keys=family_keys,
+            in_family=in_family,
             dangling=tuple(dangling),
             country=values("country"),
             as_number=values("as_number"),
             row=row,
         )
+
+
+def _build_snapshot(valid_after: int, builder: _TableBuilder, relays) -> "ConsensusSnapshot":
+    for relay in relays:
+        builder.add_relay(relay)
+    table = builder.finish()
+    return ConsensusSnapshot(valid_after, table, table.totals())
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,25 +452,13 @@ class ConsensusSnapshot:
     totals: PoolTotals
 
     @staticmethod
-    def from_relays(valid_after: int, relays, totals: PoolTotals | None = None) -> "ConsensusSnapshot":
-        """Snapshot of a relay list; ``totals``, when given, must match it."""
-        relays = tuple(relays)
-        builder = _TableBuilder()
-        for relay in relays:
-            builder.add_relay(relay)
-        table = builder.finish()
-        computed = PoolTotals.from_relays(relays)
-        if totals is not None and totals != computed:
-            raise InvariantError(f"stored totals {totals} do not match relays ({computed})")
-        return ConsensusSnapshot(valid_after, table, computed)
+    def from_relays(valid_after: int, relays) -> "ConsensusSnapshot":
+        """Snapshot of a relay list, read once."""
+        return _build_snapshot(valid_after, _TableBuilder(), relays)
 
     def with_relays(self, relays) -> "ConsensusSnapshot":
         """This snapshot with ``relays`` appended after its own."""
-        builder = _TableBuilder(self.table)
-        for relay in relays:
-            builder.add_relay(relay)
-        table = builder.finish()
-        return ConsensusSnapshot(self.valid_after, table, table.totals())
+        return _build_snapshot(self.valid_after, _TableBuilder(self.table), relays)
 
     @cached_property
     def relays(self) -> tuple[RelayEntry, ...]:
@@ -446,46 +475,6 @@ class ConsensusSnapshot:
         )
 
     __hash__ = None
-
-
-class ConflictIndex:
-    """Which relays of one table may not share a circuit.
-
-    Two relays conflict when they are the same relay, when either lists
-    the other as family, or when they share a known /16 subnet.  Relays
-    are addressed by their table row.  Every /16 code matches itself, so
-    comparing codes also covers the same-relay rule; family pairs are the
-    table's ``i*n + j`` keys, looked up only where both relays have family
-    (``in_family``).
-    """
-
-    __slots__ = ("subnet", "family_keys", "in_family")
-
-    def __init__(self, table: RelayTable):
-        self.subnet = table.subnet
-        self.family_keys = table.family_keys
-        self.in_family = np.zeros(len(table), dtype=bool)
-        if self.family_keys.size:  # keys run both ways, so i covers every member
-            self.in_family[self.family_keys // len(table)] = True
-
-    def conflict(self, a, b) -> np.ndarray:
-        """Element-wise conflict of relay rows ``a`` and ``b`` (broadcasts)."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = np.asarray(self.subnet[a] == self.subnet[b])
-        keys = self.family_keys
-        if keys.size:
-            # flat positions where both relays have family; the broadcast
-            # rows are read only there
-            both = np.flatnonzero(self.in_family[a] & self.in_family[b])
-            if both.size:
-                wanted = (
-                    np.broadcast_to(a, out.shape).flat[both] * len(self.subnet)
-                    + np.broadcast_to(b, out.shape).flat[both]
-                )
-                found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-                out.reshape(-1)[both] |= keys[found] == wanted
-        return out
 
 
 class LoadCase(enum.Enum):

@@ -16,12 +16,13 @@ Three views of how exposed circuit endpoints are:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .consensus import ConflictIndex, ConsensusSnapshot
+from .consensus import ConsensusSnapshot
 from .errors import InvariantError, UndefinedMetricError
 from .waterfill import ProbabilityVector
 
@@ -86,13 +87,12 @@ def estimate_joint_analytic(
     """
     table = snapshot.table
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    index = ConflictIndex(table)
     guard_rows = entry.rows_in(table)[:, None]
     exit_rows = exit_.rows_in(table)[None, :]
     step = max(1, BLOCK_CELLS // max(1, exit_rows.size))
     for start in range(0, len(guard_rows), step):
         block = matrix[start : start + step]
-        block[index.conflict(guard_rows[start : start + step], exit_rows)] = 0.0
+        block[table.conflict(guard_rows[start : start + step], exit_rows)] = 0.0
     total = matrix.sum()
     if total <= 0:
         raise UndefinedMetricError("every guard-exit pair conflicts; no circuit exists")
@@ -249,6 +249,11 @@ def joint_from_csv(text: str) -> JointDistribution:
                     "non-negative probability"
                 )
         data.append(cells)
+    for side, labels in (("guard row", guards), ("exit column", exits)):
+        counts = Counter(labels)
+        repeated = next((fp for fp in labels if counts[fp] > 1), None)
+        if repeated is not None:
+            raise UndefinedMetricError(f"joint CSV has more than one {side} for {repeated!r}")
     matrix = np.asarray(data)
     with np.errstate(over="ignore"):  # an overflowing total is rejected below
         total = matrix.sum()

@@ -20,7 +20,7 @@ slots, the conflict checks and redraw rounds, the adversary mask and the
 per-client tallies) runs once over all clients' streams of the period.  A
 client whose guard deadline falls inside the period takes part in one more
 round, from the deadline on.  That period kernel is the only circuit
-builder, and its conflict checks are ``ConflictIndex.conflict``, the rule
+builder, and its conflict checks are ``RelayTable.conflict``, the rule
 the joint metrics apply too.
 
 Everything is deterministic given the seed: each client draws from its own
@@ -41,7 +41,6 @@ import numpy as np
 
 from .consensus import (
     ACCEPT_ALL,
-    ConflictIndex,
     ConsensusSnapshot,
     INT64_MAX,
     LoadCase,
@@ -179,12 +178,10 @@ class AdversarySpec:
         return AdversarySpec(tuple(relays))
 
 
-def inject_adversary(
-    snapshot: ConsensusSnapshot, adversary: AdversarySpec, at_time: int | None = None
-) -> ConsensusSnapshot:
-    """Append the adversary's live relays as rows; the totals count them."""
-    when = snapshot.valid_after if at_time is None else at_time
-    extra = adversary.relay_entries(when)
+def inject_adversary(snapshot: ConsensusSnapshot, adversary: AdversarySpec) -> ConsensusSnapshot:
+    """Append the adversary's relays live at the snapshot's time as rows;
+    the totals count them."""
+    extra = adversary.relay_entries(snapshot.valid_after)
     if not extra:
         return snapshot
     return snapshot.with_relays(extra)
@@ -295,7 +292,6 @@ class NetworkState:
                     pass
 
         table = snapshot.table
-        self.index = ConflictIndex(table)
         self.guard = table.guard
         self.adv_mask = np.zeros(len(table), dtype=bool)
         self.adv_mask[[table.row[fp] for fp in adversary_fps if fp in table.row]] = True
@@ -349,7 +345,6 @@ class PreparedSequence:
 
     states: tuple[NetworkState, ...]
     sim_start: int
-    sim_end: int
 
 
 def prepare_sequence(
@@ -394,7 +389,7 @@ def prepare_sequence(
         states.append(NetworkState(live, algorithm, adv_fps, start, end))
     if not states:
         raise WaterweightsError("simulation duration covers no snapshot")
-    return PreparedSequence(tuple(states), sim_start, sim_end)
+    return PreparedSequence(tuple(states), sim_start)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +523,7 @@ def _build_circuits(
     exit_idx = pool.pick(np.concatenate([u for u, _ in draws]))
     slot = np.concatenate([s for _, s in draws])
     guard_idx = members[client, slot]
-    conflict = state.index.conflict
+    conflict = state.snapshot.table.conflict
     bad = conflict(guard_idx, exit_idx)
     for _ in range(MAX_HOP_ATTEMPTS - 1):
         retry = np.flatnonzero(bad)

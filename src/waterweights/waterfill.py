@@ -51,7 +51,7 @@ class RelayShare(NamedTuple):
     fingerprint: str
     bandwidth: int
     fraction: float  # nearest float of min(bandwidth, L) / bandwidth
-    scaled: tuple[tuple[str, int], ...]  # (name, weight on the 0..scale grid), by name
+    scaled: tuple[tuple[str, int], ...]  # (name, weight on the 0..SCALE grid), by name
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,22 @@ class WaterfillSolution:
 
     @cached_property
     def shares(self) -> tuple[RelayShare, ...]:
-        """Each relay's rendering on the ``SCALE`` grid, built on first read."""
-        return self._render(SCALE)
-
-    def _render(self, scale: int) -> tuple[RelayShare, ...]:
-        """Each relay's kept fraction and its weights on the 0..scale grid.
+        """Each relay's kept fraction and its weights on the 0..SCALE grid,
+        built on first read.
 
         A relay of bandwidth ``bw`` above the pivot keeps the fraction
         ``p/(q*bw)`` of the water level ``p/q``; every other relay keeps 1.
-        Each weight is its exact value times ``scale``, rounded half to even.
+        Each weight is its exact value times ``SCALE``, rounded half to even.
         The relays below the pivot share one (immutable) set of weights.
         """
         ends, middle = self._weight_split()
 
         def scaled(num: int, den: int) -> tuple[tuple[str, int], ...]:
             values = [
-                (name, _round_half_even(scale * share.numerator * num, share.denominator * den))
+                (name, _round_half_even(SCALE * share.numerator * num, share.denominator * den))
                 for name, share in ends
             ]
-            values.append((middle, _round_half_even(scale * (den - num), den)))
+            values.append((middle, _round_half_even(SCALE * (den - num), den)))
             return tuple(sorted(values))
 
         p, q = self.water_level.numerator, self.water_level.denominator
@@ -358,19 +355,20 @@ def _round_half_even(num: int, den: int) -> int:
     return floor
 
 
-def wfbw_lines(solution: WaterfillSolution, scale: int = SCALE) -> list[str]:
-    """Per-relay ``wfbw`` status-entry lines with 0..scale integer weights."""
-    shares = solution.shares if scale == SCALE else solution._render(scale)
+def wfbw_lines(solution: WaterfillSolution) -> list[str]:
+    """Per-relay ``wfbw`` status-entry lines with 0..SCALE integer weights."""
+    shares = solution.shares
     # the relays below the pivot share one weight set: format each set once
     text = {w: " ".join(f"{k}={v}" for k, v in w) for w in {s.scaled for s in shares}}
     return [f"{s.fingerprint} wfbw {text[s.scaled]}" for s in shares]
 
 
-def quantization_residual(solution: WaterfillSolution, scale: int = SCALE) -> Fraction:
-    """Conservation error after rounding fractions to the integer grid."""
+def quantization_residual(solution: WaterfillSolution) -> Fraction:
+    """Conservation error after rounding each relay's kept fraction once
+    to the 0..SCALE grid."""
     p, q = solution.water_level.numerator, solution.water_level.denominator
     pivot = solution.pivot_index
-    kept = scale * sum(solution.bandwidths[pivot:]) + sum(
-        _round_half_even(scale * p, q * bw) * bw for bw in solution.bandwidths[:pivot]
+    kept = SCALE * sum(solution.bandwidths[pivot:]) + sum(
+        _round_half_even(SCALE * p, q * bw) * bw for bw in solution.bandwidths[:pivot]
     )
-    return Fraction(kept, scale) - solution.target
+    return Fraction(kept, SCALE) - solution.target

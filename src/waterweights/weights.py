@@ -67,9 +67,9 @@ class PositionWeights:
     def as_dict(self) -> dict[str, Fraction]:
         return {name: getattr(self, name) for name in WEIGHT_NAMES}
 
-    def scaled(self, scale: int = SCALE) -> dict[str, int]:
-        """Integer weights on the consensus 0..scale grid, round-half-even."""
-        return {name: round(getattr(self, name) * scale) for name in WEIGHT_NAMES}
+    def scaled(self) -> dict[str, int]:
+        """Integer weights on the consensus 0..SCALE grid, round-half-even."""
+        return {name: round(getattr(self, name) * SCALE) for name in WEIGHT_NAMES}
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ def make_snapshot(spec, valid_after=1_432_548_000, distinct_subnets=True):
 def relays_conflict(a, b):
     """Whether two relays may not share a circuit, one pair at a time.
 
-    The reference for ``ConflictIndex``: the same relay, either relay
+    The reference for ``RelayTable.conflict``: the same relay, either relay
     listing the other as family, or a shared /16 (unknown subnets never
     match).
     """

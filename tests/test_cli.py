@@ -271,6 +271,21 @@ class TestWaterfillCommand:
         result = runner.invoke(main, ["waterfill", str(doc), "--pools", "guards,dset"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("pools,message", [
+        ("guards,guards", "named twice: guards"),
+        ("dset, guards ,dset", "named twice: dset"),
+        ("", "no pool named"),
+        (",", "no pool named"),
+        (" , ", "no pool named"),
+    ])
+    def test_empty_or_repeated_pool_list_rejected(self, runner, tmp_path, pools, message):
+        doc = tmp_path / "net.snapshot"
+        doc.write_text(demo_snapshot_text())
+        result = runner.invoke(main, ["waterfill", str(doc), "--pools", pools])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert message in result.stderr
+
 
 class TestMetricsCommand:
     def test_metrics_from_joint_csv(self, runner, tmp_path):
@@ -322,6 +337,18 @@ class TestMetricsCommand:
         assert result.stdout == ""
         assert "'G2', column 'E2'" in result.stderr
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("text,side", [
+        ("guard,E1,E2\nG1,0.25,0.25\nG1,0.25,0.25\n", "guard row for 'G1'"),
+        ("guard,E1,E1\nG1,0.25,0.25\nG2,0.25,0.25\n", "exit column for 'E1'"),
+    ], ids=["guard", "exit"])
+    def test_repeated_fingerprint_rejected(self, runner, tmp_path, text, side):
+        joint = tmp_path / "joint.csv"
+        joint.write_text(text)
+        result = runner.invoke(main, ["metrics", "--joint", str(joint)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert side in result.stderr
 
     def test_overflowing_total_rejected(self, runner, tmp_path):
         joint = tmp_path / "joint.csv"

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from waterweights.consensus import (
     EXIT,
-    ConflictIndex,
     ConsensusSnapshot,
     LoadCase,
     PoolTotals,
-    RelayEntry,
     classify_load_case,
     parse_native,
     parse_policy,
@@ -137,25 +135,12 @@ class TestPoolPartition:
         totals = PoolTotals.from_relays(relays)
         assert totals.T == sum(int(w) for w in weights)
 
-    def test_from_relays_walks_the_relays_once(self, monkeypatch):
+    def test_from_relays_walks_the_relays_once(self):
+        # a one-shot iterator: a second pass over it would see no relay
         relays = [make_relay(f"R{i}", 10 * i, "gmed"[i % 4]) for i in range(8)]
-        calls = []
-        original = RelayEntry.pool
-
-        def counting(self):
-            calls.append(self.fingerprint)
-            return original(self)
-
-        monkeypatch.setattr(RelayEntry, "pool", counting)
-        snap = ConsensusSnapshot.from_relays(0, relays)
-        assert sorted(calls) == sorted(r.fingerprint for r in relays)
-        assert snap.totals == PoolTotals(G=40, M=60, E=80, D=100)
-
-    def test_explicit_totals_are_checked(self):
-        relays = (make_relay("G1", 5, "g"), make_relay("E1", 7, "e"))
-        assert ConsensusSnapshot.from_relays(0, relays, PoolTotals(G=5, E=7)).totals.T == 12
-        with pytest.raises(InvariantError, match="do not match"):
-            ConsensusSnapshot.from_relays(0, relays, PoolTotals(G=5, E=8))
+        snap = ConsensusSnapshot.from_relays(0, iter(relays))
+        assert snap.relays == tuple(relays)
+        assert snap.totals == PoolTotals.from_relays(relays) == PoolTotals(G=40, M=60, E=80, D=100)
 
 
 class TestParseV3:
@@ -337,8 +322,8 @@ def relay_lists(draw):
     ]
 
 
-def conflict_index(relays):
-    return ConflictIndex(ConsensusSnapshot.from_relays(0, relays).table)
+def table_of(relays):
+    return ConsensusSnapshot.from_relays(0, relays).table
 
 
 def reference_matrix(rows, cols):
@@ -348,47 +333,49 @@ def reference_matrix(rows, cols):
 
 
 class TestConflictIndex:
+    """``RelayTable.conflict`` against the pairwise reference."""
+
     @settings(max_examples=200, deadline=None)
     @given(relay_lists())
     def test_elementwise_matches_reference(self, relays):
-        index = conflict_index(relays)
+        table = table_of(relays)
         every = np.arange(len(relays))
         expected = reference_matrix(relays, relays)
-        assert np.array_equal(index.conflict(every[:, None], every[None, :]), expected)
+        assert np.array_equal(table.conflict(every[:, None], every[None, :]), expected)
         a, b = np.repeat(every, len(relays)), np.tile(every, len(relays))
-        assert np.array_equal(index.conflict(a, b), expected.ravel())
+        assert np.array_equal(table.conflict(a, b), expected.ravel())
 
     @settings(max_examples=200, deadline=None)
     @given(relay_lists(), st.data())
     def test_matrix_matches_reference(self, relays, data):
         # rows and columns may repeat a relay
-        index = conflict_index(relays)
+        table = table_of(relays)
         axis = st.lists(st.integers(0, max(len(relays) - 1, 0)), max_size=10 if relays else 0)
         rows = np.array(data.draw(axis), dtype=np.int64)
         cols = np.array(data.draw(axis), dtype=np.int64)
         expected = reference_matrix([relays[i] for i in rows], [relays[j] for j in cols])
-        assert np.array_equal(index.conflict(rows[:, None], cols[None, :]), expected)
+        assert np.array_equal(table.conflict(rows[:, None], cols[None, :]), expected)
 
     def test_family_declared_on_one_side_only(self):
         relays = [
             make_relay("A", 1, "g", subnet="1.1", family=frozenset({"B", "GONE"})),
             make_relay("B", 1, "e", subnet="2.2"),
         ]
-        index = conflict_index(relays)
-        assert index.conflict(0, 1) and index.conflict(1, 0)
-        assert index.conflict(np.array([[1]]), np.array([[0]])).tolist() == [[True]]
+        table = table_of(relays)
+        assert table.conflict(0, 1) and table.conflict(1, 0)
+        assert table.conflict(np.array([[1]]), np.array([[0]])).tolist() == [[True]]
 
     def test_unknown_subnets_never_match(self):
-        index = conflict_index([make_relay("A", 1, "g"), make_relay("B", 1, "e")])
+        table = table_of([make_relay("A", 1, "g"), make_relay("B", 1, "e")])
         every = np.arange(2)
-        assert index.conflict(every[:, None], every).tolist() == [[True, False], [False, True]]
+        assert table.conflict(every[:, None], every).tolist() == [[True, False], [False, True]]
 
     @pytest.mark.parametrize("family", [frozenset(), frozenset({"B"})])
     def test_broadcast_axes_may_repeat_a_relay(self, family):
-        index = conflict_index([make_relay("A", 1, "g", family=family), make_relay("B", 1, "e")])
+        table = table_of([make_relay("A", 1, "g", family=family), make_relay("B", 1, "e")])
         related = bool(family)
         rows, cols = np.array([0, 0, 1]), np.array([1, 1, 0, 0])
-        assert index.conflict(rows[:, None], cols[None, :]).tolist() == [
+        assert table.conflict(rows[:, None], cols[None, :]).tolist() == [
             [related, related, True, True],
             [related, related, True, True],
             [True, True, related, related],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waterweights.consensus import ConflictIndex, ConsensusSnapshot
+from waterweights.consensus import ConsensusSnapshot
 from waterweights.errors import InvariantError, UndefinedMetricError
 from waterweights.metrics import (
     BLOCK_CELLS,
@@ -364,7 +364,7 @@ def reference_joint(snapshot, entry, exit_):
     """The joint with one full-grid conflict mask and a dividing copy."""
     table = snapshot.table
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    conflicts = ConflictIndex(table).conflict(
+    conflicts = table.conflict(
         entry.rows_in(table)[:, None], exit_.rows_in(table)[None, :]
     )
     matrix[conflicts] = 0.0
@@ -550,6 +550,15 @@ class TestJointCsv:
     def test_header_required(self):
         with pytest.raises(UndefinedMetricError):
             joint_from_csv("g1,0.5\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("guard,E1,E2\nG1,0.1,0.2\nG2,0.3,0.1\nG1,0.2,0.1\n", "more than one guard row for 'G1'"),
+        ("guard,E1,E2,E1\nG1,0.1,0.2,0.1\nG2,0.3,0.1,0.2\n", "more than one exit column for 'E1'"),
+    ], ids=["guard", "exit"])
+    def test_repeated_fingerprint_rejected(self, text, message):
+        # one relay scored as two would skew both metrics
+        with pytest.raises(UndefinedMetricError, match=message):
+            joint_from_csv(text)
 
 
 def test_shannon_entropy_conventions():

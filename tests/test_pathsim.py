@@ -97,7 +97,10 @@ class TestAdversaryInjection:
         joins_at = snap.valid_after + 7_200
         late = AdversarySpec((AdversaryRelay(RoleHint.GUARD_LIKE, 300, join_time=joins_at),))
         assert inject_adversary(snap, late).totals == snap.totals
-        assert inject_adversary(snap, late, at_time=joins_at).totals.G == snap.totals.G + 300
+        before = ConsensusSnapshot.from_relays(joins_at - 1, snap.relays)
+        assert inject_adversary(before, late).totals == snap.totals
+        at_join = ConsensusSnapshot.from_relays(joins_at, snap.relays)
+        assert inject_adversary(at_join, late).totals.G == snap.totals.G + 300
 
     def test_adversary_relays_carry_distinct_subnets(self):
         adv = adversary(guard_weights=(10, 10), exit_weights=(10,))

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waterweights.consensus import (
-    ConflictIndex,
     ConsensusSnapshot,
     PoolTotals,
     RelayEntry,
@@ -85,7 +84,7 @@ def relay_lists(draw, max_size=8, heavy=True):
 def conflicts_match(snapshot):
     relays = snapshot.relays
     rows = np.arange(len(relays))
-    got = ConflictIndex(snapshot.table).conflict(rows[:, None], rows[None, :])
+    got = snapshot.table.conflict(rows[:, None], rows[None, :])
     expected = [[relays_conflict(a, b) for b in relays] for a in relays]
     return got.tolist() == expected
 
@@ -198,7 +197,9 @@ def test_prepared_states_survive_pickling():
     again = pickle.loads(pickle.dumps(state))
     assert again.snapshot == live and again.snapshot.relays == live.relays
     assert again.adv_mask.tolist() == state.adv_mask.tolist()
-    assert np.array_equal(again.index.family_keys, state.index.family_keys)
+    table, before = again.snapshot.table, state.snapshot.table
+    assert np.array_equal(table.family_keys, before.family_keys)
+    assert np.array_equal(table.in_family, before.in_family)
     assert again.waterfills[0].table is again.snapshot.table
     assert again.summary() == state.summary()
 

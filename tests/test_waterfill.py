@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waterweights.cli import _solution_json
@@ -13,6 +13,7 @@ from waterweights.errors import EmptyPoolError, NotApplicableError
 from waterweights.waterfill import (
     Position,
     TargetPool,
+    _round_half_even,
     find_water_level,
     quantization_residual,
     selection_distribution,
@@ -494,7 +495,7 @@ def eager_shares(snapshot, sol):
     return tuple(out)
 
 
-def reference_rendering(snapshot, sol, scale=SCALE):
+def reference_rendering(snapshot, sol):
     """``wfbw`` lines and quantization residual by ``round(Fraction)``.
 
     Rounds each of ``eager_shares``' exact weights and fractions the way
@@ -503,10 +504,10 @@ def reference_rendering(snapshot, sol, scale=SCALE):
     shares = eager_shares(snapshot, sol)
     lines = [
         f"{s.fingerprint} wfbw "
-        + " ".join(f"{name}={round(value * scale)}" for name, value in sorted(s.weights.items()))
+        + " ".join(f"{name}={round(value * SCALE)}" for name, value in sorted(s.weights.items()))
         for s in shares
     ]
-    kept = sum((Fraction(round(s.fraction * scale), scale) * s.bandwidth for s in shares), Fraction(0))
+    kept = sum((Fraction(round(s.fraction * SCALE), SCALE) * s.bandwidth for s in shares), Fraction(0))
     return lines, kept - sol.target
 
 
@@ -648,6 +649,16 @@ def oracle_json_rows(snapshot, sol):
     ]
 
 
+@st.composite
+def rounding_cases(draw):
+    """(num, den) with den > 0 over wide ranges, and exact k + 1/2 ties."""
+    wide = st.integers(-(10**40), 10**40)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 10**20))
+        return (2 * draw(wide) + 1) * m, 2 * m  # (k + 1/2) * 2m / 2m
+    return draw(wide), draw(st.integers(1, 10**40))
+
+
 class TestRenderingIsExact:
     def check_rows(self, snapshot, sol):
         expected = oracle_json_rows(snapshot, sol)
@@ -658,7 +669,7 @@ class TestRenderingIsExact:
         assert all(type(v) is int for s in sol.shares for _, v in s.scaled)
         # byte for byte, key order included
         assert json.dumps(_solution_json(sol)["relays"]) == json.dumps(expected)
-        assert wfbw_lines(sol) == reference_rendering(snapshot, sol)[0]
+        assert (wfbw_lines(sol), quantization_residual(sol)) == reference_rendering(snapshot, sol)
 
     @settings(max_examples=150, deadline=None)
     @given(snapshots(), weight_sets())
@@ -677,9 +688,12 @@ class TestRenderingIsExact:
         for sol in solutions:
             self.check_rows(snapshot, sol)
 
-    @settings(max_examples=150, deadline=None)
-    @given(snapshots(), weight_sets(), st.sampled_from([SCALE, 1, 7, 10**6]))
-    def test_integer_rounding_matches_fraction_rounding(self, snapshot, w, scale):
-        for sol in solve_all(snapshot, w):
-            got = (wfbw_lines(sol, scale), quantization_residual(sol, scale))
-            assert got == reference_rendering(snapshot, sol, scale)
+    @settings(max_examples=500, deadline=None)
+    @given(rounding_cases())
+    @example((5, 2)).via("2.5 rounds down to even")
+    @example((7, 2)).via("3.5 rounds up to even")
+    @example((-5, 2)).via("a negative tie")
+    @example((0, 1)).via("zero")
+    def test_round_half_even_matches_fraction_rounding(self, case):
+        num, den = case
+        assert _round_half_even(num, den) == round(Fraction(num, den))
