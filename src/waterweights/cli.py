@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -94,11 +95,14 @@ def report_adversary_cost(
     The target's effective guard weight is target * entry_weight (under
     scalar weights only that share of the relay serves the entry position),
     and the node count is the ceiling of effective weight over the water
-    level.  The target weight must be at least 0 and the entry weight in
-    [0, 1].
+    level.  The target weight must be at least 0, the entry weight in
+    [0, 1] and both numbers finite.
     """
     if target_guard_weight < 0:
         raise WaterweightsError(f"target weight must be at least 0, not {target_guard_weight}")
+    for name, value in (("water level", water_level), ("entry weight", entry_weight)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise WaterweightsError(f"{name} must be finite, not {value}")
     entry_fraction = Fraction(entry_weight)
     if not 0 <= entry_fraction <= 1:
         raise WaterweightsError(f"entry weight must lie in [0, 1], not {float(entry_fraction)}")
@@ -185,15 +189,18 @@ def compare_runs(
     variance), at level ``LOGRANK_ALPHA``.  The terminal difference gets a
     95% Newcombe hybrid score interval, which stays wide when an arm has no
     compromised client.
-    Both record sets must cover the same client ids.  ``horizon`` must be
-    at least 0 and ``resolution``, when given, at least 1.
+    Both record sets must cover the same client ids, each once.
+    ``horizon`` must be at least 0 and ``resolution``, when given, at least 1.
     """
     if len(records_a) != len(records_b):
         raise ConfigMismatchError(
             f"record sets cover {len(records_a)} vs {len(records_b)} clients"
         )
-    ids_a = {r.client_id for r in records_a}
-    ids_b = {r.client_id for r in records_b}
+    ids_a, ids_b = {r.client_id for r in records_a}, {r.client_id for r in records_b}
+    for arm, records, ids in (("A", records_a, ids_a), ("B", records_b, ids_b)):
+        if len(ids) < len(records):
+            repeated = min(k for k, n in Counter(r.client_id for r in records).items() if n > 1)
+            raise ConfigMismatchError(f"record set {arm} repeats client {repeated}")
     if ids_a != ids_b:
         only_a, only_b = sorted(ids_a - ids_b), sorted(ids_b - ids_a)
         raise ConfigMismatchError(
@@ -302,6 +309,12 @@ def _solution_json(sol: WaterfillSolution) -> dict:
             for s in sol.shares
         ],
     }
+
+
+def _not_nan(ctx, param, value):
+    if value is not None and math.isnan(value):  # NaN passes every range check
+        raise click.BadParameter("nan is not a number")
+    return value
 
 
 def _load_snapshot(path: Path):
@@ -452,16 +465,16 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     except (json.JSONDecodeError, ParseError, TypeError, ValueError) as exc:
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
-    prepared = prepare_sequence(sequence, adversary_spec, Algorithm(algo), duration)
+    states = prepare_sequence(sequence, adversary_spec, Algorithm(algo), duration)
     trace = simulate_prepared(
-        prepared, clients, seed,
+        states, clients, seed,
         schedule=schedule, num_entry_guards=num_guards, workers=workers,
     )
     records = trace.records
     out.write_text(records_to_csv(records))
     compromised = sum(1 for r in records if r.circuits_compromised > 0)
-    periods = [state.summary() for state in prepared.states]
-    scheduled = clients * sum(len(schedule.stream_times(s.start, s.end)) for s in prepared.states)
+    periods = [state.summary() for state in states]
+    scheduled = clients * sum(len(schedule.stream_times(s.start, s.end)) for s in states)
     unbuilt = scheduled - sum(r.circuits_built for r in records)
     skipped, failed = trace.streams_skipped, trace.circuits_failed
     on_guard, on_middle = trace.circuits_failed_guard, trace.circuits_failed_middle
@@ -556,7 +569,7 @@ def metrics(ctx, joint, snapshot):
               required=True, help="JSON produced by the waterfill subcommand.")
 @click.option("--target-weight", type=click.IntRange(min=0), required=True,
               help="Consensus weight of the relay the adversary wants to match.")
-@click.option("--entry-weight", type=click.FloatRange(0, 1), default=None,
+@click.option("--entry-weight", type=click.FloatRange(0, 1), default=None, callback=_not_nan,
               help="Scalar entry share of the target; defaults to the solution's Wgg.")
 @click.pass_context
 def report(ctx, waterfill_file, target_weight, entry_weight):

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -79,18 +79,6 @@ def parse_policy(text: str) -> tuple[PolicyRule, ...]:
     if not rules or rules[-1].ports:
         rules.append(REJECT_ALL)
     return tuple(rules)
-
-
-def _parse_policy_once(parsed: dict[str, tuple[PolicyRule, ...]], text: str):
-    """parse_policy through a per-document cache.
-
-    Rules are frozen, so relays with the same policy text can share one
-    parsed tuple.
-    """
-    policy = parsed.get(text)
-    if policy is None:
-        policy = parsed[text] = parse_policy(text)
-    return policy
 
 
 def _parse_port_spans(spans: str) -> tuple[tuple[int, int], ...]:
@@ -305,6 +293,22 @@ class RelayTable:
     __hash__ = None
 
 
+class _RowError(ParseError):
+    """A row value the table cannot hold; ``field`` names the relay field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _strings(values) -> frozenset[str]:
+    """``values`` as a frozenset; TypeError unless every item is a string."""
+    out = frozenset(values)
+    if not all(isinstance(s, str) for s in out):
+        raise TypeError(f"expected strings, not {values!r}")
+    return out
+
+
 class _TableBuilder:
     """Collects rows in document order, after the rows of an optional base."""
 
@@ -321,6 +325,9 @@ class _TableBuilder:
         self.country: list = []
         self.as_number: list = []
         self.family: dict[int, frozenset[str]] = {}
+        # interned values: by the value an add passed, then by content
+        self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set id)
+        self.policy_keys: dict = {}  # passed policy -> policy id
         if base is None:
             self.row: dict[str, int] = {}
             self.flag_ids: dict[frozenset[str], int] = {}
@@ -332,23 +339,40 @@ class _TableBuilder:
             self.policy_ids = {policy: i for i, policy in enumerate(base.policies)}
             self.subnet_codes = dict(base.subnet_codes)
 
-    def flag_set(self, flags: frozenset[str]) -> int:
-        return self.flag_ids.setdefault(flags, len(self.flag_ids))
+    def add(self, fingerprint, nickname, weight, flags=frozenset(), policy=(REJECT_ALL,),
+            family=(), subnet16=None, country=None, as_number=None) -> None:
+        """Append one row: the only way a row enters a table.
 
-    def policy(self, policy: tuple[PolicyRule, ...]) -> int:
-        return self.policy_ids.setdefault(policy, len(self.policy_ids))
-
-    def add(self, fingerprint, nickname, weight, pool, flag_id, policy_id, family,
-            subnet16, country, as_number) -> None:
-        """Append one row; a repeated fingerprint raises DuplicateRelayError."""
+        ``flags`` is any hashable collection of flag names; ``policy`` a
+        policy text or a tuple of rule texts or of ``PolicyRule``s.  A weight
+        outside [0, 2**63 - 1] or a policy that does not parse raises
+        _RowError, an item that is no string TypeError, and a repeated
+        fingerprint DuplicateRelayError (``row`` keeps its first row).
+        """
+        if not 0 <= weight <= INT64_MAX:
+            raise _RowError(
+                "consensus_weight",
+                f"consensus weight {weight} is outside [0, 2**63 - 1] (64 bits)",
+            )
+        codes = self.flag_keys.get(flags)
+        if codes is None:
+            content = _strings(flags)
+            codes = self.flag_keys[flags] = (
+                _pool_code(content), self.flag_ids.setdefault(content, len(self.flag_ids))
+            )
+        policy_id = self.policy_keys.get(policy)
+        if policy_id is None:
+            policy_id = self.policy_keys[policy] = self._policy_id(policy)
+        if family:
+            family = _strings(family)
         i = self.first + len(self.fingerprints)
         if self.row.setdefault(fingerprint, i) != i:
             raise DuplicateRelayError(f"duplicate fingerprint {fingerprint}")
         self.fingerprints.append(fingerprint)
         self.nicknames.append(nickname)
         self.weights.append(weight)
-        self.pool.append(pool)
-        self.flag_id.append(flag_id)
+        self.pool.append(codes[0])
+        self.flag_id.append(codes[1])
         self.policy_id.append(policy_id)
         if family:
             self.family[i] = family
@@ -359,23 +383,28 @@ class _TableBuilder:
         self.country.append(country)
         self.as_number.append(as_number)
 
-    def add_flagged(self, fingerprint, nickname, weight, flags, policy, family=frozenset(),
-                    subnet16=None, country=None, as_number=None) -> None:
-        """``add`` with the flag set and exit policy given as values."""
-        self.add(
-            fingerprint, nickname, weight, _pool_code(flags), self.flag_set(flags),
-            self.policy(policy), family, subnet16, country, as_number,
-        )
+    def _policy_id(self, policy) -> int:
+        if not (policy and all(isinstance(rule, PolicyRule) for rule in policy)):
+            # a policy text, or a tuple of rule texts
+            text = policy if isinstance(policy, str) else ";".join(policy)
+            try:
+                policy = parse_policy(text)
+            except ValueError as exc:
+                raise _RowError("exit_policy", f"bad policy value {text!r}: {exc}") from None
+        return self.policy_ids.setdefault(policy, len(self.policy_ids))
 
-    def add_relay(self, relay: "RelayEntry") -> None:
-        if relay.consensus_weight > INT64_MAX:
-            raise InvariantError(f"{relay.fingerprint}: consensus weight does not fit in 64 bits")
-        self.add_flagged(
-            relay.fingerprint, relay.nickname, relay.consensus_weight, relay.flags,
-            relay.exit_policy, relay.family, relay.subnet16, relay.country, relay.as_number,
-        )
-
-    def finish(self) -> RelayTable:
+    def snapshot(self, valid_after: int, relays=()) -> "ConsensusSnapshot":
+        """The snapshot of the rows so far, then of ``relays`` (``RelayEntry``
+        objects, read once; a weight the table cannot hold breaks an invariant).
+        """
+        for r in relays:
+            try:
+                self.add(
+                    r.fingerprint, r.nickname, r.consensus_weight, r.flags, r.exit_policy,
+                    r.family, r.subnet16, r.country, r.as_number,
+                )
+            except _RowError as err:
+                raise InvariantError(f"{r.fingerprint}: {err}") from None
         base, first, row = self.base, self.first, self.row
         n = first + len(self.fingerprints)
         families = self.family.items()
@@ -410,7 +439,7 @@ class _TableBuilder:
             fresh = tuple(getattr(self, name))
             return fresh if base is None else getattr(base, name) + fresh
 
-        return RelayTable(
+        table = RelayTable(
             fingerprints=values("fingerprints"),
             nicknames=values("nicknames"),
             weights=column("weights", np.int64),
@@ -429,13 +458,7 @@ class _TableBuilder:
             as_number=values("as_number"),
             row=row,
         )
-
-
-def _build_snapshot(valid_after: int, builder: _TableBuilder, relays) -> "ConsensusSnapshot":
-    for relay in relays:
-        builder.add_relay(relay)
-    table = builder.finish()
-    return ConsensusSnapshot(valid_after, table, table.totals())
+        return ConsensusSnapshot(valid_after, table, table.totals())
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,11 +477,11 @@ class ConsensusSnapshot:
     @staticmethod
     def from_relays(valid_after: int, relays) -> "ConsensusSnapshot":
         """Snapshot of a relay list, read once."""
-        return _build_snapshot(valid_after, _TableBuilder(), relays)
+        return _TableBuilder().snapshot(valid_after, relays)
 
     def with_relays(self, relays) -> "ConsensusSnapshot":
         """This snapshot with ``relays`` appended after its own."""
-        return _build_snapshot(self.valid_after, _TableBuilder(self.table), relays)
+        return _TableBuilder(self.table).snapshot(self.valid_after, relays)
 
     @cached_property
     def relays(self) -> tuple[RelayEntry, ...]:
@@ -536,8 +559,6 @@ def parse_native(text: str) -> ConsensusSnapshot:
     """
     valid_after = None
     builder = _TableBuilder()
-    seen_lines: dict[str, int] = {}
-    policies: dict[str, tuple[PolicyRule, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -556,29 +577,25 @@ def parse_native(text: str) -> ConsensusSnapshot:
         elif keyword == "relay":
             if valid_after is None:
                 raise ParseError("relay line before snapshot header", line=lineno)
-            fingerprint = fields[1] if len(fields) > 1 else None
-            if fingerprint in seen_lines:
-                raise DuplicateRelayError(
-                    f"fingerprint {fingerprint} already declared on line "
-                    f"{seen_lines[fingerprint]}",
-                    line=lineno,
-                )
-            _add_relay_line(builder, fields[1:], lineno, policies)
-            seen_lines[fingerprint] = lineno
+            _add_located(
+                builder, _relay_args(fields[1:], lineno), {"fingerprint": lineno}, text, "relay"
+            )
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno)
     if valid_after is None:
         raise ParseError("missing snapshot header")
-    table = builder.finish()
-    return ConsensusSnapshot(valid_after, table, table.totals())
+    return builder.snapshot(valid_after)
 
 
-def _add_relay_line(
-    builder: _TableBuilder,
-    fields: list[str],
-    lineno: int,
-    policies: dict[str, tuple[PolicyRule, ...]],
-) -> None:
+# a relay line's optional keys, and the ``_TableBuilder.add`` argument each sets
+_NATIVE_KEYS = {
+    "flags": "flags", "policy": "policy", "family": "family", "subnet": "subnet16",
+    "country": "country", "as": "as_number",
+}
+
+
+def _relay_args(fields: list[str], lineno: int) -> dict:
+    """The ``_TableBuilder.add`` arguments of a relay line's fields."""
     if len(fields) < 3:
         raise ParseError("relay line needs fingerprint, nickname, and weight", line=lineno)
     fingerprint, nickname, weight_text = fields[0], fields[1], fields[2]
@@ -586,33 +603,42 @@ def _add_relay_line(
         weight = int(weight_text)
     except ValueError:
         raise ParseError(f"bad consensus weight {weight_text!r}", line=lineno) from None
-    if weight < 0:
-        raise ParseError("consensus weight must be non-negative", line=lineno)
-    if weight > INT64_MAX:
-        raise ParseError("consensus weight does not fit in 64 bits", line=lineno)
-    kwargs = {"flags": frozenset(), "policy": (REJECT_ALL,)}
+    args = {"fingerprint": fingerprint, "nickname": nickname, "weight": weight}
     for token in fields[3:]:
         key, sep, value = token.partition("=")
         if not sep:
             raise ParseError(f"expected key=value, got {token!r}", line=lineno)
-        try:
-            if key == "flags":
-                kwargs["flags"] = frozenset(v for v in value.split(",") if v)
-            elif key == "policy":
-                kwargs["policy"] = _parse_policy_once(policies, value)
-            elif key == "family":
-                kwargs["family"] = frozenset(v for v in value.split(",") if v)
-            elif key == "subnet":
-                kwargs["subnet16"] = value
-            elif key == "country":
-                kwargs["country"] = value
-            elif key == "as":
-                kwargs["as_number"] = int(value)
-            else:
-                raise ParseError(f"unknown field {key!r}", line=lineno)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"bad {key} value {value!r}: {exc}", line=lineno) from None
-    builder.add_flagged(fingerprint, nickname, weight, **kwargs)
+        if key not in _NATIVE_KEYS:
+            raise ParseError(f"unknown field {key!r}", line=lineno)
+        if key in ("flags", "family"):
+            value = frozenset(v for v in value.split(",") if v)
+        elif key == "as":
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise ParseError(f"bad as value {value!r}: {exc}", line=lineno) from None
+        args[_NATIVE_KEYS[key]] = value
+    return args
+
+
+def _add_located(builder: _TableBuilder, args: dict, lines: dict[str, int], text: str,
+                 keyword: str) -> None:
+    """``builder.add(**args)``, its errors naming the line of their field,
+    ``lines[field]``, else of the fingerprint.  A repeated fingerprint also
+    names the line of its first row: row k came from the k-th ``keyword`` line.
+    """
+    try:
+        builder.add(**args)
+    except DuplicateRelayError:
+        fingerprint = args["fingerprint"]
+        starts = (n for n, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == [keyword])
+        first = next(islice(starts, builder.row[fingerprint], None))
+        raise DuplicateRelayError(
+            f"fingerprint {fingerprint} already declared on line {first}",
+            line=lines["fingerprint"],
+        ) from None
+    except _RowError as err:
+        raise ParseError(str(err), line=lines.get(err.field, lines["fingerprint"])) from None
 
 
 def serialize_native(snapshot: ConsensusSnapshot) -> str:
@@ -647,22 +673,21 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
     """
     valid_after = None
     builder = _TableBuilder()
-    seen_fp: dict[str, int] = {}
-    current: dict | None = None
+    current: dict | None = None  # the open router's add() arguments
+    lines: dict[str, int] = {}  # the line each of its fields came from
 
     def flush():
         nonlocal current
         if current is None:
             return
-        line = current.pop("line")
         if current["weight"] is None:
             current["weight"] = 0
             if warnings is not None:
                 warnings.append(
-                    f"router {current['fingerprint']} (line {line}) has no "
+                    f"router {current['fingerprint']} (line {lines['fingerprint']}) has no "
                     "w line; consensus weight defaults to 0"
                 )
-        builder.add_flagged(**current)
+        _add_located(builder, current, lines, text, "r")
         current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -683,25 +708,11 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
                 raise ParseError(
                     f"r line has {len(fields) - 1} fields, expected 8", line=lineno
                 )
-            fingerprint = fields[2]
-            if fingerprint in seen_fp:
-                raise DuplicateRelayError(
-                    f"fingerprint {fingerprint} already declared on line {seen_fp[fingerprint]}",
-                    line=lineno,
-                )
-            seen_fp[fingerprint] = lineno
-            address = fields[6]
-            octets = address.split(".")
+            octets = fields[6].split(".")
             subnet16 = ".".join(octets[:2]) if len(octets) == 4 else None
-            current = {
-                "fingerprint": fingerprint,
-                "nickname": fields[1],
-                "weight": None,
-                "flags": frozenset(),
-                "policy": (REJECT_ALL,),
-                "subnet16": subnet16,
-                "line": lineno,
-            }
+            current = {"fingerprint": fields[2], "nickname": fields[1], "weight": None,
+                       "subnet16": subnet16}
+            lines = {"fingerprint": lineno}
         elif keyword == "s" and current is not None:
             current["flags"] = frozenset(fields[1:])
         elif keyword == "w" and current is not None:
@@ -712,26 +723,19 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
                         current["weight"] = int(value)
                     except ValueError:
                         raise ParseError(f"bad Bandwidth value {value!r}", line=lineno) from None
-                    if not 0 <= current["weight"] <= INT64_MAX:
-                        raise ParseError(
-                            f"Bandwidth {value} is outside [0, 2**63 - 1]", line=lineno
-                        )
+                    lines["consensus_weight"] = lineno
         elif keyword == "p" and current is not None:
-            if len(fields) != 3 or fields[1] not in ("accept", "reject"):
+            # the listed rule, then the opposite wildcard
+            if len(fields) != 3 or fields[1] not in ("accept", "reject") or ";" in fields[2]:
                 raise ParseError("bad p line", line=lineno)
-            try:
-                spans = _parse_port_spans(fields[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            listed = PolicyRule(accept=(fields[1] == "accept"), ports=spans)
-            default = REJECT_ALL if listed.accept else ACCEPT_ALL
-            current["policy"] = (listed, default)
+            default = "reject" if fields[1] == "accept" else "accept"
+            current["policy"] = f"{fields[1]}:{fields[2]};{default}:*"
+            lines["exit_policy"] = lineno
         # anything else: ignored
     flush()
     if valid_after is None:
         raise ParseError("missing valid-after line")
-    table = builder.finish()
-    return ConsensusSnapshot(valid_after, table, table.totals())
+    return builder.snapshot(valid_after)
 
 
 # ---------------------------------------------------------------------------
@@ -825,11 +829,6 @@ def _snapshot_from_json(text: str) -> ConsensusSnapshot:
     if type(valid_after) is not int:
         raise ParseError(f"valid_after must be an integer, not {valid_after!r}")
     b = _TableBuilder()
-    # flag and rule lists seen so far; a key holds strings only, so a hit
-    # needs no item check
-    flag_ids: dict[tuple, tuple[int, int]] = {}  # flags -> (pool code, flag-set id)
-    policy_ids: dict[tuple, int] = {}
-    texts: dict[str, tuple[PolicyRule, ...]] = {}
     for i, r in enumerate(doc["relays"]):
         if type(r) is not dict:
             raise ParseError(f"relays[{i}] must be an object")
@@ -845,34 +844,18 @@ def _snapshot_from_json(text: str) -> ConsensusSnapshot:
             or not (as_number is None or type(as_number) is int)
         ):
             raise _field_error(r, i)
-        if not 0 <= weight <= INT64_MAX:
-            raise ParseError(f"relays[{i}].consensus_weight {weight} is outside [0, 2**63 - 1]")
         try:
-            flags, rules = tuple(flags), tuple(rules)
-            codes, policy_id = flag_ids.get(flags), policy_ids.get(rules)
-        except TypeError:  # an unhashable item, which is no string
+            b.add(fingerprint, nickname, weight, tuple(flags), tuple(rules), family, subnet16,
+                  country, as_number)
+        except TypeError:  # a list item that is no string
             raise _field_error(r, i) from None
-        if codes is None:
-            if not all(type(s) is str for s in flags):
-                raise _field_error(r, i)
-            codes = flag_ids[flags] = _pool_code(flags), b.flag_set(frozenset(flags))
-        if policy_id is None:
-            if not all(type(s) is str for s in rules):
-                raise _field_error(r, i)
-            try:
-                policy = _parse_policy_once(texts, ";".join(rules)) if rules else (REJECT_ALL,)
-            except ValueError as exc:
-                raise ParseError(f"relays[{i}].exit_policy: {exc}") from None
-            policy_id = policy_ids[rules] = b.policy(policy)
-        if family:
-            if not all(type(s) is str for s in family):
-                raise _field_error(r, i)
-            family = frozenset(family)
-        b.add(
-            fingerprint, nickname, weight, *codes, policy_id, family, subnet16, country, as_number
-        )
-    table = b.finish()
-    snapshot = ConsensusSnapshot(valid_after, table, table.totals())
+        except DuplicateRelayError:
+            raise DuplicateRelayError(
+                f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row[fingerprint]}]"
+            ) from None
+        except _RowError as err:
+            raise ParseError(f"relays[{i}].{err.field}: {err}") from None
+    snapshot = b.snapshot(valid_after)
     stored = doc.get("totals")
     if stored is not None:
         expected = {k: getattr(snapshot.totals, k) for k in "GMED"}

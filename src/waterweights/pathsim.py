@@ -334,46 +334,36 @@ class NetworkState:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedSequence:
-    """The per-period network states of one run, each prepared once.
-
-    Built by ``prepare_sequence`` and run by ``simulate_prepared``; a caller
-    that also reports the periods reads ``NetworkState.summary`` off
-    ``states``.
-    """
-
-    states: tuple[NetworkState, ...]
-    sim_start: int
-
-
 def prepare_sequence(
     sequence: Sequence[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
     duration: int | None = None,
-) -> PreparedSequence:
+) -> tuple[NetworkState, ...]:
     """Cut a chronological snapshot list into periods and prepare each state.
 
     A snapshot whose relay list repeats the previous one extends that
-    period.  ``duration`` defaults to the span of the list plus one
-    snapshot period.
+    period; two different relay lists at one time are an error.
+    ``duration`` defaults to the span of the list plus one snapshot period.
+    ``simulate_prepared`` runs the states from the first one's start.
     """
     if not sequence:
         raise WaterweightsError("consensus sequence is empty")
-    sim_start = sequence[0].valid_after
     boundaries: list[ConsensusSnapshot] = []
-    previous = None
-    for snap in sequence:
-        if previous is not None:
-            if snap.valid_after < previous.valid_after:
+    for before, snap in zip([None, *sequence], sequence):
+        if before is not None:
+            if snap.valid_after < before.valid_after:
                 raise WaterweightsError(
                     f"consensus sequence not chronological at {snap.valid_after}"
                 )
-            if snap is previous or snap.table == previous.table:
+            if snap is before or snap.table == before.table:
                 continue  # republished relay list: extend the previous state's period
+            if snap.valid_after == before.valid_after:
+                raise WaterweightsError(
+                    f"two different relay lists at valid_after {snap.valid_after}"
+                )
         boundaries.append(snap)
-        previous = snap
+    sim_start = sequence[0].valid_after
     if duration is None:
         duration = (sequence[-1].valid_after - sim_start) + DEFAULT_SNAPSHOT_PERIOD
     sim_end = sim_start + duration
@@ -389,7 +379,7 @@ def prepare_sequence(
         states.append(NetworkState(live, algorithm, adv_fps, start, end))
     if not states:
         raise WaterweightsError("simulation duration covers no snapshot")
-    return PreparedSequence(tuple(states), sim_start)
+    return tuple(states)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +482,24 @@ class _Built(NamedTuple):
     middle_failed: np.ndarray  # no middle compatible with the guard and the exit
 
 
-def _redraw(rngs: list, client: np.ndarray, draw) -> np.ndarray:
-    """``draw(rng, i, count)`` once per client in the sorted ``client`` array, concatenated."""
-    ids, counts = np.unique(client, return_counts=True)
-    return np.concatenate([draw(rngs[i], i, n) for i, n in zip(ids.tolist(), counts.tolist())])
+def _resample(rngs: list, client: np.ndarray, place, first: np.ndarray, draw) -> np.ndarray:
+    """Place one hop's ``first`` draws, then redraw it where it conflicts.
+
+    ``place(streams, values)`` stores the hop for ``streams`` and says which
+    of them conflict.  Each of at most MAX_HOP_ATTEMPTS - 1 rounds, every
+    client ``i`` with such streams makes one ``draw(rng, i, count)`` call.
+    Returns the streams still in conflict.
+    """
+    bad = place(slice(None), first)
+    for _ in range(MAX_HOP_ATTEMPTS - 1):
+        retry = np.flatnonzero(bad)
+        if not retry.size:
+            break
+        ids, counts = np.unique(client[retry], return_counts=True)
+        bad[retry] = place(retry, np.concatenate(
+            [draw(rngs[i], i, n) for i, n in zip(ids.tolist(), counts.tolist())]
+        ))
+    return bad
 
 
 def _build_circuits(
@@ -521,36 +525,29 @@ def _build_circuits(
         for rng, k, m in zip(rngs, sizes, counts.tolist())
     ]
     exit_idx = pool.pick(np.concatenate([u for u, _ in draws]))
-    slot = np.concatenate([s for _, s in draws])
-    guard_idx = members[client, slot]
+    guard_idx = np.empty_like(exit_idx)
+    middle_idx = np.empty_like(exit_idx)
     conflict = state.snapshot.table.conflict
-    bad = conflict(guard_idx, exit_idx)
-    for _ in range(MAX_HOP_ATTEMPTS - 1):
-        retry = np.flatnonzero(bad)
-        if not retry.size:
-            break
-        slot[retry] = _redraw(
-            rngs, client[retry], lambda rng, i, n: rng.integers(0, sizes[i], size=n)
-        )
-        guard_idx[retry] = members[client[retry], slot[retry]]
-        bad[retry] = conflict(guard_idx[retry], exit_idx[retry])
-    guard_failed = bad
 
-    middle_idx = state.middle.pick(
-        np.concatenate([rng.random(m) for rng, m in zip(rngs, counts.tolist())])
+    def place_guard(streams, slots):
+        guard_idx[streams] = members[client[streams], slots]
+        return conflict(guard_idx[streams], exit_idx[streams])
+
+    def place_middle(streams, u):
+        middle_idx[streams] = state.middle.pick(u)
+        hop = middle_idx[streams]
+        return conflict(hop, guard_idx[streams]) | conflict(hop, exit_idx[streams])
+
+    guard_failed = _resample(
+        rngs, client, place_guard, np.concatenate([s for _, s in draws]),
+        lambda rng, i, n: rng.integers(0, sizes[i], size=n),
     )
-    bad = conflict(middle_idx, guard_idx) | conflict(middle_idx, exit_idx)
-    for _ in range(MAX_HOP_ATTEMPTS - 1):
-        retry = np.flatnonzero(bad)
-        if not retry.size:
-            break
-        middle_idx[retry] = state.middle.pick(
-            _redraw(rngs, client[retry], lambda rng, i, n: rng.random(n))
-        )
-        bad[retry] = conflict(middle_idx[retry], guard_idx[retry]) | conflict(
-            middle_idx[retry], exit_idx[retry]
-        )
-    return _Built(client, guard_idx, middle_idx, exit_idx, guard_failed, bad)
+    middle_failed = _resample(
+        rngs, client, place_middle,
+        np.concatenate([rng.random(m) for rng, m in zip(rngs, counts.tolist())]),
+        lambda rng, i, n: rng.random(n),
+    )
+    return _Built(client, guard_idx, middle_idx, exit_idx, guard_failed, middle_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +592,6 @@ class _Run(NamedTuple):
     state_times: list[np.ndarray]  # each period's stream times, the same for every client
     port: int
     num_entry_guards: int
-    sim_start: int
 
 
 def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTrace:
@@ -609,6 +605,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     deadline falls inside the period takes part in one more round.
     """
     n, size = hi - lo, run.num_entry_guards
+    sim_start = run.states[0].start
     rngs = [np.random.default_rng([run.seed, client_id]) for client_id in range(lo, hi)]
     guards = _GuardLists(n, size)
     built = np.zeros(n, dtype=np.int64)
@@ -674,7 +671,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
                 # streams run client by client, in time order: the first hit is the earliest
                 who, at = np.unique(owner[hits], return_index=True)
                 unset = first[who] < 0
-                first[who[unset]] = when[hits[at[unset]]] - run.sim_start
+                first[who[unset]] = when[hits[at[unset]]] - sim_start
             if collect:
                 fps = state.snapshot.table.fingerprints
                 for c, t, g, mi, e in zip(
@@ -724,7 +721,7 @@ def run_simulation(
 
 
 def simulate_prepared(
-    prepared: PreparedSequence,
+    states: tuple[NetworkState, ...],
     clients: int,
     seed: int,
     *,
@@ -733,7 +730,7 @@ def simulate_prepared(
     workers: int = 1,
     collect: bool = False,
 ) -> SimulationTrace:
-    """Simulate over prepared states; the trace counts what went unbuilt.
+    """Simulate over ``prepare_sequence``'s states; the trace counts what went unbuilt.
 
     With ``workers`` > 1 the client range is split over a pool of forked
     processes, which inherit the prepared run from this one; each job
@@ -750,10 +747,9 @@ def simulate_prepared(
     if num_entry_guards < 1:
         raise WaterweightsError("need at least one entry guard")
     schedule = schedule or StreamSchedule()
-    states = prepared.states
     run = _Run(
         seed, states, [schedule.stream_times(s.start, s.end) for s in states],
-        schedule.destination_port, num_entry_guards, prepared.sim_start,
+        schedule.destination_port, num_entry_guards,
     )
     if workers == 1 or collect or clients < 2 * workers:
         return _simulate_range(run, 0, clients, collect)
@@ -785,8 +781,8 @@ def network_summaries(
     duration: int | None = None,
 ) -> list[dict]:
     """Per-period weight and waterfill summaries, as the simulation sees them."""
-    prepared = prepare_sequence(consensus_sequence, adversary, algorithm, duration)
-    return [state.summary() for state in prepared.states]
+    states = prepare_sequence(consensus_sequence, adversary, algorithm, duration)
+    return [state.summary() for state in states]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ class TestReportAdversaryCost:
         with pytest.raises(WaterweightsError, match="must"):
             report_adversary_cost(8710, target, entry)
 
+    @pytest.mark.parametrize("level,entry,name", [
+        (8710, math.nan, "entry weight"), (math.nan, 0.5, "water level"),
+        (math.inf, 0.5, "water level"), (8710, -math.inf, "entry weight"),
+    ])
+    def test_non_finite_inputs_rejected(self, level, entry, name):
+        with pytest.raises(WaterweightsError, match=f"{name} must be finite") as err:
+            report_adversary_cost(level, 100, entry)
+        assert err.value.exit_code == 2
+
 
 class TestCompareRuns:
     def rec(self, cid, t):
@@ -148,6 +157,16 @@ class TestCompareRuns:
         a = [self.rec(0, None), self.rec(1, 100)]
         b = [self.rec(7, None), self.rec(9, 100)]
         with pytest.raises(ConfigMismatchError, match="different clients"):
+            compare_runs(a, b, horizon=1000)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_repeated_client_rejected(self, swap):
+        a = [self.rec(1, None), self.rec(1, 100)]
+        b = [self.rec(1, None), self.rec(2, 100)]
+        arm = "A"
+        if swap:
+            a, b, arm = b, a, "B"
+        with pytest.raises(ConfigMismatchError, match=f"record set {arm} repeats client 1"):
             compare_runs(a, b, horizon=1000)
 
     @pytest.mark.parametrize("horizon,resolution", [(-5, None), (-1, 10), (1000, 0), (1000, -3)])
@@ -644,6 +663,7 @@ class TestSimulateAndCompare:
         ["--target-weight", "-1000"],
         ["--target-weight", "480310", "--entry-weight", "-0.5"],
         ["--target-weight", "480310", "--entry-weight", "1.5"],
+        ["--target-weight", "10", "--entry-weight", "nan"],
     ])
     def test_report_rejects_out_of_range_options(self, runner, tmp_path, args):
         wf = tmp_path / "wf.json"

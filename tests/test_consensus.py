@@ -210,6 +210,11 @@ p reject 25
         with pytest.raises(ParseError, match="line 2"):
             parse_v3_subset(doc)
 
+    def test_p_line_holds_one_rule(self):
+        doc = self.MINIMAL.replace("p reject 25", "p accept 80;reject:*")
+        with pytest.raises(ParseError, match="line 5: bad p line"):
+            parse_v3_subset(doc)
+
     def test_duplicate_router(self):
         doc = (
             "valid-after 2015-01-01 00:00:00\n"
@@ -504,5 +509,12 @@ class TestJsonFieldTypes:
             ConsensusSnapshot.from_relays(0, [make_relay("A", 2**63, "g")])
 
     def test_native_weight_outside_int64_is_a_parse_error(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_native(f"snapshot 1\nrelay AA a {2**63}\n")
+        for weight in (-1, 2**63):
+            with pytest.raises(ParseError, match="line 2"):
+                parse_native(f"snapshot 1\nrelay AA a {weight}\n")
+
+    def test_repeated_fingerprint_names_both_relays(self):
+        doc = one_relay_document(fingerprint="AAAA")
+        repeat = r"relays\[1\]\.fingerprint AAAA repeats relays\[0\]"
+        with pytest.raises(DuplicateRelayError, match=repeat):
+            snapshot_from_json(json.dumps(doc))

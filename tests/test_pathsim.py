@@ -40,8 +40,8 @@ def adversary(guard_weights=(), exit_weights=()):
 
 def traced(sequence, adversary, algorithm, clients, seed, *, duration=None, **kwargs):
     """One run that keeps every built circuit, for audits."""
-    prepared = prepare_sequence(sequence, adversary, algorithm, duration)
-    return simulate_prepared(prepared, clients, seed, collect=True, **kwargs)
+    states = prepare_sequence(sequence, adversary, algorithm, duration)
+    return simulate_prepared(states, clients, seed, collect=True, **kwargs)
 
 
 def calibration_snapshot():
@@ -273,23 +273,32 @@ class TestRunSimulation:
         )
         assert merged == single
 
+    def test_different_relay_lists_at_one_time_rejected(self):
+        relays = [make_relay(fp, 100, fp[0].lower()) for fp in ("G1", "G2", "G3", "M1", "E1")]
+        first = ConsensusSnapshot.from_relays(1000, [r for r in relays if r.fingerprint != "G3"])
+        second = ConsensusSnapshot.from_relays(1000, [r for r in relays if r.fingerprint != "G2"])
+        for sequence in ([first, second], [first, first, second], [first, second, first]):
+            with pytest.raises(WaterweightsError, match="valid_after 1000") as err:
+                prepare_sequence(sequence, AdversarySpec(), Algorithm.ABWRS)
+            assert err.value.exit_code == 2
+
     def test_prepared_sequence_stands_in_for_the_list(self):
         base = calibration_snapshot()
         later = ConsensusSnapshot.from_relays(base.valid_after + 3600, base.relays[1:])
         adv = adversary(guard_weights=(300,), exit_weights=(100,))
         args = ([base, later], adv, Algorithm.WATERFILLING)
-        prepared = prepare_sequence(*args, duration=9000)
-        assert [(s.start, s.end) for s in prepared.states] == [
+        states = prepare_sequence(*args, duration=9000)
+        assert [(s.start, s.end) for s in states] == [
             (base.valid_after, later.valid_after),
             (later.valid_after, base.valid_after + 9000),
         ]
         kwargs = dict(clients=20, seed=5)
-        assert simulate_prepared(prepared, **kwargs).records == run_simulation(
+        assert simulate_prepared(states, **kwargs).records == run_simulation(
             *args, duration=9000, **kwargs
         )
-        audit = simulate_prepared(prepared, collect=True, **kwargs)
+        audit = simulate_prepared(states, collect=True, **kwargs)
         assert audit.circuits == traced(*args, duration=9000, **kwargs).circuits
-        summaries = [state.summary() for state in prepared.states]
+        summaries = [state.summary() for state in states]
         assert summaries == network_summaries(*args, 9000)
 
     def test_unordered_sequence_rejected(self):
@@ -433,8 +442,8 @@ class TestRunCounts:
             make_relay("E1", 100, "e", subnet="10.1"),
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        prepared = prepare_sequence([snap], AdversarySpec(), Algorithm.ABWRS, duration=3000)
-        trace = simulate_prepared(prepared, clients=4, seed=2)
+        states = prepare_sequence([snap], AdversarySpec(), Algorithm.ABWRS, duration=3000)
+        trace = simulate_prepared(states, clients=4, seed=2)
         assert trace.circuits_failed == trace.circuits_failed_middle == 4 * 5
         assert trace.circuits_failed_guard == 0
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from waterweights.consensus import (
     ConsensusSnapshot,
+    PolicyRule,
     PoolTotals,
     RelayEntry,
     parse_native,
@@ -81,6 +82,22 @@ def relay_lists(draw, max_size=8, heavy=True):
     ]
 
 
+# a p line's spans: () is "*", else single ports and inclusive ranges
+port_spans = st.one_of(
+    st.just(()),
+    st.lists(
+        st.tuples(st.integers(1, 65535), st.integers(0, 100)).map(
+            lambda t: (t[0], min(t[0] + t[1], 65535))
+        ),
+        min_size=1, max_size=4,
+    ).map(tuple),
+)
+
+
+def render_spans(spans) -> str:
+    return ",".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in spans) or "*"
+
+
 def conflicts_match(snapshot):
     relays = snapshot.relays
     rows = np.arange(len(relays))
@@ -104,20 +121,23 @@ class TestRoundTrips:
             assert again.table == snap.table
 
     @settings(max_examples=100, deadline=None)
-    @given(relay_lists())
-    def test_v3(self, relays):
+    @given(relay_lists(), st.data())
+    def test_v3(self, relays, data):
         # v3 carries no family, country or AS; its address gives the /16
         lines = ["valid-after 2015-05-25 10:00:00"]
         expected = []
         for k, r in enumerate(relays):
             address = f"{r.subnet16 or f'9.{k}'}.7.7"
+            accept = data.draw(st.booleans())
+            spans = data.draw(port_spans)
             lines.append(f"r {r.nickname} {r.fingerprint} dig 2015-05-25 08:00:00 {address} 9001 0")
             lines.append("s " + " ".join(sorted(r.flags)))
             lines.append(f"w Bandwidth={r.consensus_weight}")
-            lines.append("p accept 80,443")
+            lines.append(f"p {'accept' if accept else 'reject'} {render_spans(spans)}")
+            # the listed rule, then the opposite wildcard
+            policy = (PolicyRule(accept, spans), PolicyRule(not accept, ()))
             expected.append(RelayEntry(
-                r.fingerprint, r.nickname, r.consensus_weight, r.flags,
-                (parse_policy("accept:80,443")[0], parse_policy("reject:*")[0]),
+                r.fingerprint, r.nickname, r.consensus_weight, r.flags, policy,
                 subnet16=".".join(address.split(".")[:2]),
             ))
         stamp = int(datetime(2015, 5, 25, 10, tzinfo=timezone.utc).timestamp())
