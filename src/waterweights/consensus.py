@@ -21,7 +21,6 @@ import gc
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -466,8 +465,8 @@ class ConsensusSnapshot:
     """One relay list, stored as a column table, with its pool totals.
 
     Build one with ``from_relays`` or a parser.  ``relays`` is the same list
-    as ``RelayEntry`` objects, built on first read; equality compares the
-    content.
+    as ``RelayEntry`` objects, rebuilt from the table on each read; equality
+    compares the content.
     """
 
     valid_after: int  # UTC seconds
@@ -483,9 +482,9 @@ class ConsensusSnapshot:
         """This snapshot with ``relays`` appended after its own."""
         return _TableBuilder(self.table).snapshot(self.valid_after, relays)
 
-    @cached_property
+    @property
     def relays(self) -> tuple[RelayEntry, ...]:
-        """The relays as ``RelayEntry`` objects, built on first read."""
+        """The relays as ``RelayEntry`` objects, rebuilt on each read."""
         return self.table.relays()
 
     def __eq__(self, other) -> bool:
@@ -665,13 +664,20 @@ def serialize_native(snapshot: ConsensusSnapshot) -> str:
 # Tor v3 network-status subset
 # ---------------------------------------------------------------------------
 
+# a router's s, w and p lines, and the ``_TableBuilder.add`` field each sets
+_V3_ROUTER_FIELDS = {"s": "flags", "w": "consensus_weight", "p": "exit_policy"}
+
+
 def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSnapshot:
     """Parse the v3 network-status subset: valid-after, r, s, w, p lines.
 
     Unknown lines are skipped.  Routers lacking a ``w`` line get weight 0;
-    a note is appended to ``warnings`` when a list is supplied.
+    a note is appended to ``warnings`` when a list is supplied.  A second
+    ``valid-after`` line, a router's second ``s``, ``w`` or ``p`` line, and
+    a second ``Bandwidth`` item on one ``w`` line raise ParseError.
     """
     valid_after = None
+    valid_after_line = None
     builder = _TableBuilder()
     current: dict | None = None  # the open router's add() arguments
     lines: dict[str, int] = {}  # the line each of its fields came from
@@ -697,6 +703,9 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
         fields = line.split()
         keyword = fields[0]
         if keyword == "valid-after":
+            if valid_after_line is not None:
+                raise ParseError(f"valid-after line repeats line {valid_after_line}", line=lineno)
+            valid_after_line = lineno
             try:
                 stamp = datetime.strptime(" ".join(fields[1:3]), "%Y-%m-%d %H:%M:%S")
             except (ValueError, IndexError):
@@ -713,24 +722,35 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
             current = {"fingerprint": fields[2], "nickname": fields[1], "weight": None,
                        "subnet16": subnet16}
             lines = {"fingerprint": lineno}
-        elif keyword == "s" and current is not None:
-            current["flags"] = frozenset(fields[1:])
-        elif keyword == "w" and current is not None:
-            for item in fields[1:]:
-                key, sep, value = item.partition("=")
-                if key == "Bandwidth" and sep:
-                    try:
-                        current["weight"] = int(value)
-                    except ValueError:
-                        raise ParseError(f"bad Bandwidth value {value!r}", line=lineno) from None
-                    lines["consensus_weight"] = lineno
-        elif keyword == "p" and current is not None:
-            # the listed rule, then the opposite wildcard
-            if len(fields) != 3 or fields[1] not in ("accept", "reject") or ";" in fields[2]:
-                raise ParseError("bad p line", line=lineno)
-            default = "reject" if fields[1] == "accept" else "accept"
-            current["policy"] = f"{fields[1]}:{fields[2]};{default}:*"
-            lines["exit_policy"] = lineno
+        elif keyword in _V3_ROUTER_FIELDS and current is not None:
+            field = _V3_ROUTER_FIELDS[keyword]
+            if field in lines:
+                raise ParseError(
+                    f"{keyword} line repeats line {lines[field]} for router "
+                    f"{current['fingerprint']}",
+                    line=lineno,
+                )
+            lines[field] = lineno
+            if keyword == "s":
+                current["flags"] = frozenset(fields[1:])
+            elif keyword == "w":
+                for item in fields[1:]:
+                    key, sep, value = item.partition("=")
+                    if key == "Bandwidth" and sep:
+                        if current["weight"] is not None:
+                            raise ParseError("repeated Bandwidth item", line=lineno)
+                        try:
+                            current["weight"] = int(value)
+                        except ValueError:
+                            raise ParseError(
+                                f"bad Bandwidth value {value!r}", line=lineno
+                            ) from None
+            else:
+                # the listed rule, then the opposite wildcard
+                if len(fields) != 3 or fields[1] not in ("accept", "reject") or ";" in fields[2]:
+                    raise ParseError("bad p line", line=lineno)
+                default = "reject" if fields[1] == "accept" else "accept"
+                current["policy"] = f"{fields[1]}:{fields[2]};{default}:*"
         # anything else: ignored
     flush()
     if valid_after is None:
@@ -798,64 +818,117 @@ def _field_error(r: dict, i: int) -> ParseError:
 
 
 def snapshot_from_json(text: str) -> ConsensusSnapshot:
-    """Read a snapshot document straight into a column table, row by row.
+    """Read a snapshot document straight into a column table, relay by relay.
 
     Field types are checked, not coerced: weights and ``valid_after`` are
     JSON integers, ``flags``, ``family`` and ``exit_policy`` lists of
     strings, ``subnet16`` and ``country`` strings or null, ``as_number`` an
     integer or null.  A wrong type raises ParseError naming the relay
     index and the field.
+
+    Each relay object becomes a table row as soon as it is decoded, so the
+    decoded document is never held whole.  A document that does not parse
+    that way (invalid JSON, a bad row, a relay-shaped object outside
+    ``relays``) is read again by the row loop, which gives the error or
+    accepts the document.
     """
-    # The decoded document holds no reference cycles, so the collector's
-    # passes over it while it is built free nothing; pause it, and leave it
-    # as the caller had it.
+    # The decoded objects hold no reference cycles, so the collector's
+    # passes over them while they are built free nothing; pause it, and
+    # leave it as the caller had it.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _snapshot_from_json(text)
+        snapshot = _snapshot_relay_by_relay(text)
+        return _snapshot_from_json(text) if snapshot is None else snapshot
     finally:
         if enabled:
             gc.enable()
 
 
+_ADDED = object()  # what the relay-by-relay decoder leaves in place of a relay it added
+
+
+def _snapshot_relay_by_relay(text: str) -> ConsensusSnapshot | None:
+    """The snapshot of a document whose ``relays`` list held exactly the
+    relay objects (those with a ``fingerprint`` key), each added to the
+    table as the decoder finished it; None for any other document.
+    """
+    b = _TableBuilder()
+
+    def add(obj: dict):
+        if "fingerprint" not in obj:
+            return obj
+        _add_relay(b, obj)
+        return _ADDED
+
+    try:
+        doc = json.loads(text, object_hook=add)
+        if type(doc) is not dict or type(relays := doc.get("relays")) is not list:
+            return None
+        if not relays.count(_ADDED) == len(relays) == len(b.fingerprints):
+            return None
+        return _checked_totals(doc, b.snapshot(_valid_after(doc)))
+    except (json.JSONDecodeError, ParseError):
+        return None
+
+
 def _snapshot_from_json(text: str) -> ConsensusSnapshot:
+    """The row loop over the decoded document: the reference reading, and
+    the one that locates every error."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if type(doc) is not dict or type(doc.get("relays")) is not list:
         raise ParseError("snapshot document must be an object with a 'relays' list")
+    valid_after = _valid_after(doc)
+    b = _TableBuilder()
+    for r in doc["relays"]:
+        _add_relay(b, r)
+    return _checked_totals(doc, b.snapshot(valid_after))
+
+
+def _valid_after(doc: dict) -> int:
     valid_after = doc.get("valid_after")
     if type(valid_after) is not int:
         raise ParseError(f"valid_after must be an integer, not {valid_after!r}")
-    b = _TableBuilder()
-    for i, r in enumerate(doc["relays"]):
-        if type(r) is not dict:
-            raise ParseError(f"relays[{i}] must be an object")
-        fingerprint, nickname = r.get("fingerprint"), r.get("nickname")
-        weight, subnet16 = r.get("consensus_weight"), r.get("subnet16")
-        flags, rules, family = r.get("flags", []), r.get("exit_policy", []), r.get("family", [])
-        country, as_number = r.get("country"), r.get("as_number")
-        if (
-            type(fingerprint) is not str or type(nickname) is not str or type(weight) is not int
-            or type(flags) is not list or type(rules) is not list or type(family) is not list
-            or not (subnet16 is None or type(subnet16) is str)
-            or not (country is None or type(country) is str)
-            or not (as_number is None or type(as_number) is int)
-        ):
-            raise _field_error(r, i)
-        try:
-            b.add(fingerprint, nickname, weight, tuple(flags), tuple(rules), family, subnet16,
-                  country, as_number)
-        except TypeError:  # a list item that is no string
-            raise _field_error(r, i) from None
-        except DuplicateRelayError:
-            raise DuplicateRelayError(
-                f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row[fingerprint]}]"
-            ) from None
-        except _RowError as err:
-            raise ParseError(f"relays[{i}].{err.field}: {err}") from None
-    snapshot = b.snapshot(valid_after)
+    return valid_after
+
+
+def _add_relay(b: _TableBuilder, r) -> None:
+    """Check relay object ``r`` and add its row to ``b``: every per-row rule
+    of the JSON format.  ``r`` is ``relays[i]`` for ``i`` the rows ``b``
+    holds, since a failed ``add`` appends nothing."""
+    i = len(b.fingerprints)
+    if type(r) is not dict:
+        raise ParseError(f"relays[{i}] must be an object")
+    fingerprint, nickname = r.get("fingerprint"), r.get("nickname")
+    weight, subnet16 = r.get("consensus_weight"), r.get("subnet16")
+    flags, rules, family = r.get("flags", []), r.get("exit_policy", []), r.get("family", [])
+    country, as_number = r.get("country"), r.get("as_number")
+    if (
+        type(fingerprint) is not str or type(nickname) is not str or type(weight) is not int
+        or type(flags) is not list or type(rules) is not list or type(family) is not list
+        or not (subnet16 is None or type(subnet16) is str)
+        or not (country is None or type(country) is str)
+        or not (as_number is None or type(as_number) is int)
+    ):
+        raise _field_error(r, i)
+    try:
+        b.add(fingerprint, nickname, weight, tuple(flags), tuple(rules), family, subnet16,
+              country, as_number)
+    except TypeError:  # a list item that is no string
+        raise _field_error(r, i) from None
+    except DuplicateRelayError:
+        raise DuplicateRelayError(
+            f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row[fingerprint]}]"
+        ) from None
+    except _RowError as err:
+        raise ParseError(f"relays[{i}].{err.field}: {err}") from None
+
+
+def _checked_totals(doc: dict, snapshot: ConsensusSnapshot) -> ConsensusSnapshot:
+    """``snapshot``, once the document's stored totals, if any, match it."""
     stored = doc.get("totals")
     if stored is not None:
         expected = {k: getattr(snapshot.totals, k) for k in "GMED"}

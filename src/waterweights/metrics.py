@@ -36,12 +36,20 @@ BLOCK_CELLS = 1 << 16
 def shannon_entropy(probabilities) -> float:
     """Base-2 entropy with the 0*log(0) = 0 convention.
 
-    The positive cells are gathered into one 1-D buffer, and each of its
-    blocks becomes ``x * log2(x)`` in place; summing that buffer adds the
-    same products in the same order as summing ``p * log2(p)`` would.
+    The positive cells are gathered, block by block, into one 1-D buffer
+    sized by a first counting pass, so no full-size mask is made.  Each
+    block of that buffer becomes ``x * log2(x)`` in place; summing it adds
+    the same products in the same order as summing ``p * log2(p)`` would.
     """
     p = np.asarray(probabilities, dtype=np.float64).ravel()
-    terms = p[p > 0]
+    starts = range(0, p.size, BLOCK_CELLS)
+    counts = [np.count_nonzero(p[start : start + BLOCK_CELLS] > 0) for start in starts]
+    terms = np.empty(sum(counts))
+    filled = 0
+    for start, count in zip(starts, counts):
+        block = p[start : start + BLOCK_CELLS]
+        terms[filled : filled + count] = block[block > 0]
+        filled += count
     for start in range(0, terms.size, BLOCK_CELLS):
         block = terms[start : start + BLOCK_CELLS]
         block *= np.log2(block)

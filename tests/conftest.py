@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,20 @@ def make_snapshot(spec, valid_after=1_432_548_000, distinct_subnets=True):
         subnet = f"10.{i}" if distinct_subnets else "10.0"
         relays.append(make_relay(fp, weight, role, subnet=subnet))
     return ConsensusSnapshot.from_relays(valid_after, relays)
+
+
+def traced_peak(call):
+    """``(call(), peak, kept)``: the traced bytes allocated at the peak of the
+    call, and those still held once it returns, past what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, kept - before
+    finally:
+        tracemalloc.stop()
 
 
 def relays_conflict(a, b):

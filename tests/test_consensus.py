@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from waterweights.consensus import (
     snapshot_from_json,
     snapshot_to_json,
 )
+from waterweights.consensus import _snapshot_from_json, _snapshot_relay_by_relay
 from waterweights.errors import (
     DegenerateNetworkError,
     DuplicateRelayError,
@@ -27,7 +30,9 @@ from waterweights.errors import (
     ParseError,
 )
 
-from conftest import make_relay, make_snapshot, relays_conflict
+from conftest import make_relay, make_snapshot, relays_conflict, traced_peak
+
+DATA = Path(__file__).parent / "data"
 
 NATIVE_TWO_RELAY = """\
 snapshot 1432548000
@@ -224,17 +229,34 @@ p reject 25
         with pytest.raises(DuplicateRelayError):
             parse_v3_subset(doc)
 
+    def test_repeated_valid_after_names_both_lines(self):
+        text = (DATA / "mini_status_v3.txt").read_text()
+        assert parse_v3_subset(text).valid_after == 1432548000
+        repeated = text + "valid-after 2016-06-01 00:00:00\n"
+        last = len(repeated.splitlines())
+        with pytest.raises(ParseError, match=rf"^line {last}: valid-after line repeats line 1$"):
+            parse_v3_subset(repeated)
+
+    @pytest.mark.parametrize("line", ["s Exit", "w Bandwidth=9", "p accept 80"])
+    def test_repeated_router_line_names_both_lines(self, line):
+        keyword = line.split()[0]
+        first = {"s": 3, "w": 4, "p": 5}[keyword]
+        with pytest.raises(ParseError, match=rf"^line 6: {keyword} line repeats line {first}"):
+            parse_v3_subset(self.MINIMAL + line + "\n")
+
+    def test_repeated_bandwidth_item(self):
+        doc = self.MINIMAL.replace("Bandwidth=20", "Bandwidth=5 Bandwidth=7")
+        with pytest.raises(ParseError, match="^line 4: repeated Bandwidth item$"):
+            parse_v3_subset(doc)
+
 
 class TestGoldenFiles:
     """Frozen fixtures: any parser or rendering change shows up as a diff."""
 
     def test_v3_document_matches_golden_json(self):
-        from pathlib import Path
-
-        data = Path(__file__).parent / "data"
         warnings = []
-        snap = parse_v3_subset((data / "mini_status_v3.txt").read_text(), warnings=warnings)
-        assert snapshot_to_json(snap) == (data / "mini_status_v3.expected.json").read_text()
+        snap = parse_v3_subset((DATA / "mini_status_v3.txt").read_text(), warnings=warnings)
+        assert snapshot_to_json(snap) == (DATA / "mini_status_v3.expected.json").read_text()
         assert warnings == [
             "router DDDD33 (line 14) has no w line; consensus weight defaults to 0"
         ]
@@ -518,3 +540,160 @@ class TestJsonFieldTypes:
         repeat = r"relays\[1\]\.fingerprint AAAA repeats relays\[0\]"
         with pytest.raises(DuplicateRelayError, match=repeat):
             snapshot_from_json(json.dumps(doc))
+
+
+JSON_POLICIES = ["accept:*", "reject:*", "accept:80,443;reject:*", "reject:25;accept:*"]
+
+
+@st.composite
+def relay_documents(draw):
+    """A valid snapshot document as a dict: relays with unique fingerprints,
+    some family names dangling, totals kept or left out."""
+    count = draw(st.integers(1, 6))
+    fingerprints = [f"R{i}" for i in range(count)]
+    relays = [
+        make_relay(
+            fp, draw(st.integers(0, 10**6)), draw(st.sampled_from("gmed")),
+            policy=parse_policy(draw(st.sampled_from(JSON_POLICIES))),
+            subnet=draw(st.sampled_from([None, "1.1", "2.2"])),
+            family=frozenset(draw(st.lists(st.sampled_from(fingerprints + ["GONE"]), max_size=2))),
+            country=draw(st.sampled_from([None, "de", "us"])),
+            as_number=draw(st.sampled_from([None, 3320, 7922])),
+        )
+        for fp in fingerprints
+    ]
+    snap = ConsensusSnapshot.from_relays(draw(st.integers(0, 2**40)), relays)
+    doc = json.loads(snapshot_to_json(snap))
+    if draw(st.booleans()):
+        del doc["totals"]
+    return doc
+
+
+def _relay_shaped(doc, data):
+    """A relay-shaped object: a copy of a listed relay, under a new
+    fingerprint or its own, or an object whose only key is a fingerprint."""
+    relay = copy.deepcopy(data.draw(st.sampled_from(doc["relays"])))
+    return data.draw(st.sampled_from([relay, {**relay, "fingerprint": "NEW"}, {"fingerprint": 5}]))
+
+
+def _pick(doc, data):
+    return data.draw(st.sampled_from(doc["relays"]))
+
+
+def _repeat_fingerprint(doc, data):
+    relays = doc["relays"]
+    relays.insert(data.draw(st.integers(0, len(relays))), {**_pick(doc, data), "nickname": "again"})
+
+
+# each fault edits a valid document in place
+JSON_FAULTS = {
+    "relay under an unknown key": lambda doc, data: doc.update(extra=_relay_shaped(doc, data)),
+    "relay inside totals": lambda doc, data: doc.update(
+        totals={**doc.get("totals", {}), "X": _relay_shaped(doc, data)}
+    ),
+    "relay nested in family": lambda doc, data: _pick(doc, data)["family"].append(
+        _relay_shaped(doc, data)
+    ),
+    "relay under a relay's unknown key": lambda doc, data: _pick(doc, data).update(
+        extra=_relay_shaped(doc, data)
+    ),
+    "relay as the document": lambda doc, data: doc.update(_relay_shaped(doc, data)),
+    "non-object element": lambda doc, data: doc["relays"].insert(
+        data.draw(st.integers(0, len(doc["relays"]))),
+        data.draw(st.sampled_from([None, 7, "R0", ["R0"]])),
+    ),
+    "relay without a fingerprint": lambda doc, data: _pick(doc, data).pop("fingerprint"),
+    "repeated fingerprint": _repeat_fingerprint,
+    "weight of 2**63": lambda doc, data: _pick(doc, data).update(consensus_weight=2**63),
+    "bad policy": lambda doc, data: _pick(doc, data).update(exit_policy=["accept:bogus"]),
+    "totals mismatch": lambda doc, data: doc.update(
+        totals={"G": 1, "M": 0, "E": 0, "D": 0, "T": 1}
+    ),
+    "bool valid_after": lambda doc, data: doc.update(valid_after=True),
+    "flag that is no string": lambda doc, data: _pick(doc, data)["flags"].append(1),
+}
+
+
+def json_outcome(parse, text):
+    """The snapshot ``parse`` reads from ``text``, or its error's type and message."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return type(err), str(err)
+
+
+class TestJsonRelayByRelay:
+    """``snapshot_from_json`` decodes relay by relay; the row loop
+    ``_snapshot_from_json`` is its reference, result for result and error
+    for error."""
+
+    def assert_same(self, text):
+        got, want = json_outcome(snapshot_from_json, text), json_outcome(_snapshot_from_json, text)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, ConsensusSnapshot) and got == want
+        a, b = got.table, want.table
+        assert (a.flag_sets, a.policies, a.family, a.dangling) == (
+            b.flag_sets, b.policies, b.family, b.dangling
+        )
+        assert list(a.subnet_codes.items()) == list(b.subnet_codes.items())
+        assert np.array_equal(a.family_keys, b.family_keys)
+        assert a.family_keys.dtype == b.family_keys.dtype
+
+    @settings(max_examples=150, deadline=None)
+    @given(relay_documents(), st.sampled_from([None, *JSON_FAULTS]), st.data())
+    def test_matches_the_row_loop(self, doc, fault, data):
+        if fault is None:
+            assert _snapshot_relay_by_relay(json.dumps(doc)) is not None
+        else:
+            JSON_FAULTS[fault](doc, data)
+        self.assert_same(json.dumps(doc))
+
+    @settings(max_examples=50, deadline=None)
+    @given(relay_documents(), st.data())
+    def test_invalid_json_matches_the_row_loop(self, doc, data):
+        text = json.dumps(doc)
+        self.assert_same(text[: data.draw(st.integers(0, len(text) - 1))])
+
+    def test_repeated_relays_key_keeps_the_last_list(self):
+        doc = one_relay_document()
+        text = json.dumps(doc)[:-1] + ', "relays": ' + json.dumps(doc["relays"][:1]) + "}"
+        self.assert_same(text)
+        assert len(snapshot_from_json(text).relays) == 1
+
+
+def tor_size_document(relays=6000) -> str:
+    """A snapshot document the size of a Tor consensus, with every field set."""
+    rng = np.random.default_rng(16)
+    digests = rng.integers(0, 256, (relays, 20), np.uint8)
+    fingerprints = [bytes(row).hex().upper() for row in digests]
+    octets = rng.integers(1, 224, (relays, 2)).tolist()
+    entries = [
+        make_relay(
+            fp, int(rng.integers(1, 10**5)), "gmed"[int(rng.integers(4))],
+            policy=parse_policy(JSON_POLICIES[i % 4]), subnet=f"{a}.{b}",
+            # a tenth of the relays sit in families of two
+            family=frozenset([fingerprints[i ^ 1]]) if i < relays // 10 else frozenset(),
+            country=("de", "us", "fr", "nl")[i % 4], as_number=1000 + i % 800,
+        )
+        for i, (fp, (a, b)) in enumerate(zip(fingerprints, octets))
+    ]
+    return snapshot_to_json(ConsensusSnapshot.from_relays(1_432_548_000, entries))
+
+
+class TestParseMemory:
+    @pytest.fixture(scope="class")
+    def tor_size(self):
+        return tor_size_document()
+
+    def test_json_parse_holds_little_past_the_snapshot(self, tor_size):
+        snap, peak, kept = traced_peak(lambda: snapshot_from_json(tor_size))
+        assert len(snap.table) == 6000
+        assert peak <= 1.5 * kept, f"peak {peak / kept:.2f}x what the snapshot keeps"
+
+    def test_reading_relays_keeps_nothing(self, tor_size):
+        snap = snapshot_from_json(tor_size)
+        count, _, kept = traced_peak(lambda: len(snap.relays))
+        assert count == 6000
+        assert kept < 64 * 1024, f"reading relays kept {kept} bytes"

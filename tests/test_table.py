@@ -199,12 +199,13 @@ class TestViews:
         live = inject_adversary(ConsensusSnapshot.from_relays(0, base + relays), ADVERSARY)
         adversary = frozenset(ADVERSARY.fingerprints)
         state = NetworkState(live, Algorithm.WATERFILLING, adversary, 0, 3600)
-        assert state.adv_mask.tolist() == [r.fingerprint in adversary for r in live.relays]
-        assert state.guard.tolist() == [r.is_guard for r in live.relays]
+        relays = live.relays
+        assert state.adv_mask.tolist() == [r.fingerprint in adversary for r in relays]
+        assert state.guard.tolist() == [r.is_guard for r in relays]
         # the entry pool holds rows of weighted guards, in document order
         rows = state.entry.indices.tolist()
         assert rows == sorted(rows)
-        assert all(live.relays[i].is_guard and live.relays[i].consensus_weight for i in rows)
+        assert all(relays[i].is_guard and relays[i].consensus_weight for i in rows)
 
 
 def test_prepared_states_survive_pickling():
