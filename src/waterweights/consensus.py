@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 import gc
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -105,7 +105,8 @@ def policy_accepts(policy: tuple[PolicyRule, ...], port: int) -> bool:
 
 @dataclass(frozen=True)
 class RelayEntry:
-    """One relay as published in a snapshot."""
+    """One relay as an input row, for ``from_relays``, ``with_relays`` and
+    adversary injection; the table checks the weight when it adds the row."""
 
     fingerprint: str
     nickname: str
@@ -118,31 +119,11 @@ class RelayEntry:
     as_number: int | None = None
 
     def __post_init__(self):
-        if self.consensus_weight < 0:
-            raise InvariantError(f"{self.fingerprint}: negative consensus weight")
         if not self.exit_policy:
             raise InvariantError(f"{self.fingerprint}: empty exit policy")
 
-    @property
-    def is_guard(self) -> bool:
-        return "Guard" in self.flags
 
-    @property
-    def is_exit(self) -> bool:
-        return "Exit" in self.flags
-
-    def accepts_port(self, port: int) -> bool:
-        return policy_accepts(self.exit_policy, port)
-
-    def pool(self) -> str:
-        """Which of G/M/E/D this relay's weight counts toward."""
-        if self.is_guard and self.is_exit:
-            return "D"
-        if self.is_guard:
-            return "G"
-        if self.is_exit:
-            return "E"
-        return "M"
+_ROW_FIELDS = tuple(f.name for f in fields(RelayEntry))  # also the JSON relay keys
 
 
 @dataclass(frozen=True)
@@ -157,14 +138,6 @@ class PoolTotals:
     @property
     def T(self) -> int:
         return self.G + self.M + self.E + self.D
-
-    @staticmethod
-    def from_relays(relays) -> "PoolTotals":
-        """Totals summed relay by relay: a reference for ``RelayTable.totals``."""
-        sums = {"G": 0, "M": 0, "E": 0, "D": 0}
-        for relay in relays:
-            sums[relay.pool()] += relay.consensus_weight
-        return PoolTotals(**sums)
 
 
 # A relay's pool code: bit GUARD for the Guard flag, bit EXIT for the Exit flag.
@@ -250,43 +223,33 @@ class RelayTable:
         verdicts = np.array([policy_accepts(p, port) for p in self.policies], dtype=bool)
         return verdicts[self.policy_id]
 
-    def relays(self) -> tuple["RelayEntry", ...]:
-        flag_sets, policies, names, family = (
-            self.flag_sets, self.policies, tuple(self.subnet_codes), self.family
-        )
-        columns = zip(
-            self.fingerprints, self.nicknames, self.weights.tolist(), self.flag_id.tolist(),
-            self.policy_id.tolist(), self.subnet.tolist(), self.country, self.as_number,
-        )
-        return tuple(
-            RelayEntry(
-                fp, nick, weight, flag_sets[f], policies[p], family.get(i, frozenset()),
-                names[s] if s >= 0 else None, country, as_number,
-            )
-            for i, (fp, nick, weight, f, p, s, country, as_number) in enumerate(columns)
-        )
-
-    def _cells(self) -> tuple:
-        """Per-row values of the interned columns, comparable across tables."""
+    def _cells(self, flags=None, policy=None, family=None):
+        """Each row's fields in ``RelayEntry`` order, the interned columns
+        decoded: the table's one decoder.  ``flags`` and ``policy``, when
+        given, render each distinct value once, and a row gets the rendering
+        of its own; ``family`` renders each row's family set.
+        """
+        flag_sets = self.flag_sets if flags is None else [flags(f) for f in self.flag_sets]
+        policies = self.policies if policy is None else [policy(p) for p in self.policies]
+        families = self.family if family is None else {i: family(f) for i, f in self.family.items()}
+        empty = frozenset() if family is None else family(frozenset())
         names = tuple(self.subnet_codes)
-        return (
-            [self.flag_sets[i] for i in self.flag_id.tolist()],
-            [self.policies[i] for i in self.policy_id.tolist()],
+        return zip(
+            self.fingerprints, self.nicknames, self.weights.tolist(),
+            [flag_sets[i] for i in self.flag_id.tolist()],
+            [policies[i] for i in self.policy_id.tolist()],
+            [families.get(i, empty) for i in range(len(self))],
             [names[c] if c >= 0 else None for c in self.subnet.tolist()],
-            self.family,
+            self.country, self.as_number,
         )
 
     def __eq__(self, other) -> bool:
-        """Equal exactly when the two tables' relay tuples are."""
+        """Equal exactly when the two tables hold the same rows.  The weights
+        are compared first: consecutive relay lists mostly differ there."""
         if not isinstance(other, RelayTable):
             return NotImplemented
-        return (
-            np.array_equal(self.weights, other.weights)
-            and self.fingerprints == other.fingerprints
-            and self.nicknames == other.nicknames
-            and self.country == other.country
-            and self.as_number == other.as_number
-            and self._cells() == other._cells()
+        return np.array_equal(self.weights, other.weights) and (
+            list(self._cells()) == list(other._cells())
         )
 
     __hash__ = None
@@ -464,9 +427,8 @@ class _TableBuilder:
 class ConsensusSnapshot:
     """One relay list, stored as a column table, with its pool totals.
 
-    Build one with ``from_relays`` or a parser.  ``relays`` is the same list
-    as ``RelayEntry`` objects, rebuilt from the table on each read; equality
-    compares the content.
+    Build one with ``from_relays`` or a parser; equality compares the
+    content.  Every command and both serializers read only ``table``.
     """
 
     valid_after: int  # UTC seconds
@@ -484,8 +446,14 @@ class ConsensusSnapshot:
 
     @property
     def relays(self) -> tuple[RelayEntry, ...]:
-        """The relays as ``RelayEntry`` objects, rebuilt on each read."""
-        return self.table.relays()
+        """The rows as ``RelayEntry`` objects, rebuilt on each read.
+
+        No command reads this view.  It is kept because the benchmark counts
+        ``len(snapshot.relays)`` inside its parse span; the benchmark change
+        that counts ``len(snapshot.table)`` instead (ROADMAP item 4) removes
+        its last reader.
+        """
+        return tuple(starmap(RelayEntry, self.table._cells()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConsensusSnapshot):
@@ -641,23 +609,62 @@ def _add_located(builder: _TableBuilder, args: dict, lines: dict[str, int], text
 
 
 def serialize_native(snapshot: ConsensusSnapshot) -> str:
-    """Inverse of parse_native; optional fields are emitted only when set."""
+    """Inverse of parse_native; optional fields are emitted only when set.
+
+    A value that a relay line cannot carry raises ValueError naming the
+    relay and the field: a fingerprint, nickname, /16 or country that is
+    empty or holds whitespace, or a flag or family item that is empty or
+    holds a comma or whitespace.
+    """
+    _check_native(snapshot.table)
+    rows = snapshot.table._cells(
+        flags=lambda f: " flags=" + ",".join(sorted(f)) if f else "",
+        policy=lambda p: " policy=" + ";".join(map(str, p)),
+        family=lambda f: " family=" + ",".join(sorted(f)) if f else "",
+    )
     lines = [f"snapshot {snapshot.valid_after}"]
-    for r in snapshot.relays:
-        parts = [f"relay {r.fingerprint} {r.nickname} {r.consensus_weight}"]
-        if r.flags:
-            parts.append("flags=" + ",".join(sorted(r.flags)))
-        parts.append("policy=" + ";".join(str(rule) for rule in r.exit_policy))
-        if r.family:
-            parts.append("family=" + ",".join(sorted(r.family)))
-        if r.subnet16 is not None:
-            parts.append(f"subnet={r.subnet16}")
-        if r.country is not None:
-            parts.append(f"country={r.country}")
-        if r.as_number is not None:
-            parts.append(f"as={r.as_number}")
-        lines.append(" ".join(parts))
+    for fp, nickname, weight, flags, policy, family, subnet, country, as_number in rows:
+        line = f"relay {fp} {nickname} {weight}{flags}{policy}{family}"
+        if subnet is not None:
+            line += f" subnet={subnet}"
+        if country is not None:
+            line += f" country={country}"
+        if as_number is not None:
+            line += f" as={as_number}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _words(values, items: bool) -> bool:
+    """Whether every value is one token of a relay line: non-empty and free
+    of whitespace, and, for list ``items``, of commas.  A string joined by
+    single spaces splits back into its parts exactly then."""
+    values = list(values)
+    joined = " ".join(values)
+    return joined.split() == values and not (items and "," in joined)
+
+
+def _check_native(t: RelayTable) -> None:
+    """ValueError naming the first relay, and its field, whose value a relay
+    line cannot carry.  The columns and distinct values are checked whole first,
+    each in one join and split; only a failed check walks the rows."""
+    if all(_words(values, items) for values, items in (
+        (t.fingerprints, False), (t.nicknames, False), (t.subnet_codes, False),
+        ([c for c in t.country if c is not None], False),
+        (chain.from_iterable(t.flag_sets), True), (chain.from_iterable(t.family.values()), True),
+    )):
+        return
+    for i, row in enumerate(t._cells()):
+        relay = dict(zip(_ROW_FIELDS, row))
+        for field in ("fingerprint", "nickname", "subnet16", "country", "flags", "family"):
+            items = field in ("flags", "family")
+            value = relay[field]
+            if value is not None and not _words(value if items else [value], items):
+                raise ValueError(
+                    f"relays[{i}] ({relay['fingerprint']!r}): {field} {value!r} does not fit "
+                    "a relay line: its words must be non-empty and hold no whitespace, and "
+                    "flags and family items no comma"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -764,30 +771,13 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
 
 def snapshot_to_json(snapshot: ConsensusSnapshot) -> str:
     """Stable-key-order JSON; relays keep document order."""
+    totals = snapshot.totals
+    rows = snapshot.table._cells(flags=sorted, policy=lambda p: list(map(str, p)), family=sorted)
     doc = {
         "format": "waterweights-snapshot-v1",
         "valid_after": snapshot.valid_after,
-        "totals": {
-            "G": snapshot.totals.G,
-            "M": snapshot.totals.M,
-            "E": snapshot.totals.E,
-            "D": snapshot.totals.D,
-            "T": snapshot.totals.T,
-        },
-        "relays": [
-            {
-                "fingerprint": r.fingerprint,
-                "nickname": r.nickname,
-                "consensus_weight": r.consensus_weight,
-                "flags": sorted(r.flags),
-                "exit_policy": [str(rule) for rule in r.exit_policy],
-                "family": sorted(r.family),
-                "subnet16": r.subnet16,
-                "country": r.country,
-                "as_number": r.as_number,
-            }
-            for r in snapshot.relays
-        ],
+        "totals": {"G": totals.G, "M": totals.M, "E": totals.E, "D": totals.D, "T": totals.T},
+        "relays": [dict(zip(_ROW_FIELDS, row)) for row in rows],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -241,9 +241,6 @@ class ProbabilityVector:
     table: RelayTable | None = None
     rows: np.ndarray | None = None
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.fingerprints, self.probabilities.tolist()))
-
     def rows_in(self, table: RelayTable) -> np.ndarray:
         """The vector's relays as rows of ``table``; KeyError names one absent."""
         if table is self.table:

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from waterweights.consensus import ConsensusSnapshot, RelayEntry, parse_policy
+from waterweights.consensus import (
+    ConsensusSnapshot,
+    PoolTotals,
+    RelayEntry,
+    parse_policy,
+    policy_accepts,
+)
 
 GUARD_FLAGS = frozenset({"Guard", "Fast", "Stable", "Running", "Valid"})
 EXIT_FLAGS = frozenset({"Exit", "Fast", "Running", "Valid"})
@@ -37,6 +43,38 @@ def make_snapshot(spec, valid_after=1_432_548_000, distinct_subnets=True):
         subnet = f"10.{i}" if distinct_subnets else "10.0"
         relays.append(make_relay(fp, weight, role, subnet=subnet))
     return ConsensusSnapshot.from_relays(valid_after, relays)
+
+
+def is_guard(relay) -> bool:
+    return "Guard" in relay.flags
+
+
+def is_exit(relay) -> bool:
+    return "Exit" in relay.flags
+
+
+def accepts_port(relay, port: int) -> bool:
+    return policy_accepts(relay.exit_policy, port)
+
+
+def pool_of(relay) -> str:
+    """Which of G/M/E/D a relay's weight counts toward."""
+    if is_guard(relay):
+        return "D" if is_exit(relay) else "G"
+    return "E" if is_exit(relay) else "M"
+
+
+def totals_of(relays) -> PoolTotals:
+    """Totals summed relay by relay: the reference for ``RelayTable.totals``."""
+    sums = {"G": 0, "M": 0, "E": 0, "D": 0}
+    for relay in relays:
+        sums[pool_of(relay)] += relay.consensus_weight
+    return PoolTotals(**sums)
+
+
+def probabilities(vector) -> dict[str, float]:
+    """A ``ProbabilityVector`` as a fingerprint -> probability dict."""
+    return dict(zip(vector.fingerprints, vector.probabilities.tolist()))
 
 
 def traced_peak(call):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 from pathlib import Path
@@ -30,7 +31,17 @@ from waterweights.errors import (
     ParseError,
 )
 
-from conftest import make_relay, make_snapshot, relays_conflict, traced_peak
+from conftest import (
+    accepts_port,
+    is_exit,
+    is_guard,
+    make_relay,
+    make_snapshot,
+    pool_of,
+    relays_conflict,
+    totals_of,
+    traced_peak,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,8 +90,8 @@ class TestParseNative:
         bob = next(r for r in snap.relays if r.fingerprint == "BBBB")
         assert bob.country == "de"
         assert bob.as_number == 3320
-        assert bob.accepts_port(443)
-        assert not bob.accepts_port(25)
+        assert accepts_port(bob, 443)
+        assert not accepts_port(bob, 25)
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="snapshot header"):
@@ -100,6 +111,20 @@ class TestRoundTrip:
         assert parse_native(serialize_native(snap)) == snap
         # unknown flags never affect pool accounting
         assert snap.totals == PoolTotals(G=5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("fingerprint", "A A"), ("nickname", "a b"), ("nickname", ""), ("subnet16", ""),
+        ("subnet16", "1.\t2"), ("country", "d\ne"), ("flags", frozenset({"X,Y"})),
+        ("flags", frozenset({""})), ("family", frozenset({"B C"})), ("family", frozenset({"B,C"})),
+    ], ids=repr)
+    def test_native_rejects_what_a_relay_line_cannot_carry(self, field, value):
+        # each value used to be written, and read back as something else or not at all
+        relay = make_relay("AAAA", 10, "g", subnet="1.1", country="de")
+        snap = ConsensusSnapshot.from_relays(0, [
+            make_relay("ZZZZ", 5, "e"), dataclasses.replace(relay, **{field: value}),
+        ])
+        with pytest.raises(ValueError, match=rf"relays\[1\] .*: {field} "):
+            serialize_native(snap)
 
     def test_json_roundtrip(self):
         snap = parse_native(NATIVE_TWO_RELAY)
@@ -128,8 +153,8 @@ class TestPoolPartition:
     @pytest.mark.parametrize("role,pool", [("g", "G"), ("m", "M"), ("e", "E"), ("d", "D")])
     def test_each_relay_lands_in_one_pool(self, role, pool):
         relay = make_relay("FP", 42, role)
-        assert relay.pool() == pool
-        totals = PoolTotals.from_relays([relay])
+        assert pool_of(relay) == pool
+        totals = totals_of([relay])
         assert getattr(totals, pool) == 42
         assert totals.T == 42
 
@@ -137,7 +162,7 @@ class TestPoolPartition:
         roles = rng.choice(["g", "m", "e", "d"], size=50)
         weights = rng.integers(0, 1000, size=50)
         relays = [make_relay(f"R{i}", int(w), r) for i, (w, r) in enumerate(zip(weights, roles))]
-        totals = PoolTotals.from_relays(relays)
+        totals = totals_of(relays)
         assert totals.T == sum(int(w) for w in weights)
 
     def test_from_relays_walks_the_relays_once(self):
@@ -145,7 +170,7 @@ class TestPoolPartition:
         relays = [make_relay(f"R{i}", 10 * i, "gmed"[i % 4]) for i in range(8)]
         snap = ConsensusSnapshot.from_relays(0, iter(relays))
         assert snap.relays == tuple(relays)
-        assert snap.totals == PoolTotals.from_relays(relays) == PoolTotals(G=40, M=60, E=80, D=100)
+        assert snap.totals == totals_of(relays) == PoolTotals(G=40, M=60, E=80, D=100)
 
 
 class TestParseV3:
@@ -164,8 +189,8 @@ p reject 25
         assert relay.consensus_weight == 20
         assert relay.subnet16 == "1.2"
         assert relay.flags == frozenset({"Fast", "Guard", "Running", "Valid"})
-        assert relay.accepts_port(443)
-        assert not relay.accepts_port(25)
+        assert accepts_port(relay, 443)
+        assert not accepts_port(relay, 25)
         # 2015-05-25 10:00:00 UTC
         assert snap.valid_after == 1432548000
 
@@ -430,9 +455,9 @@ class TestSnapshotColumns:
         assert cols.fingerprints == tuple(r.fingerprint for r in relays)
         assert cols.weights.tolist() == [r.consensus_weight for r in relays]
         assert all(type(w) is int for w in cols.weights.tolist())
-        assert cols.guard.tolist() == [r.is_guard for r in relays]
-        assert ((cols.pool & EXIT) != 0).tolist() == [r.is_exit for r in relays]
-        assert cols.accepts(port).tolist() == [r.accepts_port(port) for r in relays]
+        assert cols.guard.tolist() == [is_guard(r) for r in relays]
+        assert ((cols.pool & EXIT) != 0).tolist() == [is_exit(r) for r in relays]
+        assert cols.accepts(port).tolist() == [accepts_port(r, port) for r in relays]
         assert len(cols.policies) == len({r.exit_policy for r in relays})
 
     @pytest.mark.parametrize("render", [serialize_native, snapshot_to_json])
@@ -529,6 +554,14 @@ class TestJsonFieldTypes:
     def test_relay_list_weight_outside_int64_is_an_invariant_breach(self):
         with pytest.raises(InvariantError, match="64 bits"):
             ConsensusSnapshot.from_relays(0, [make_relay("A", 2**63, "g")])
+
+    def test_relay_list_negative_weight_is_an_invariant_breach(self):
+        # the table's weight bound is the one check, for a new list and appended rows
+        negative = make_relay("A", -1, "g")
+        with pytest.raises(InvariantError, match=r"^A: consensus weight -1 is outside"):
+            ConsensusSnapshot.from_relays(0, [negative])
+        with pytest.raises(InvariantError, match=r"^A: consensus weight -1 is outside"):
+            ConsensusSnapshot.from_relays(0, [make_relay("B", 1, "g")]).with_relays([negative])
 
     def test_native_weight_outside_int64_is_a_parse_error(self):
         for weight in (-1, 2**63):

@@ -22,6 +22,7 @@ from waterweights.consensus import (
     classify_load_case,
     parse_policy,
     serialize_native,
+    snapshot_to_json,
 )
 
 from conftest import make_snapshot
@@ -32,6 +33,10 @@ CRITERION_10_PERIODS = "4ba3d2628adabcf833b988cf4c5d0688c562edd9b4433c7eaa220595
 DUAL_WF_GE_RECORDS = "d3d7dc2b9d75fd54eda058800ec760b5fd9b2da56b9430b3f5b6d967c4e7dd08"
 DUAL_WF_GE_PERIODS = "b9e9d338dac5000e89675ea2d567b86a7a515062cc8b1ecbac13048a0e496192"
 DUAL_WATERFILL_OUTPUT = "d7cfb046f1b1074f5d7c20a99194239485486e73960801d185f2204c88c8842d"
+# the two serializers over dual_snapshot(0..2) and the calibration network,
+# computed at 2e5cd2b, while both still rendered a per-relay object view
+SNAPSHOT_JSON_OUTPUT = "bf07edf1ca5a6b66f80853e08ab7c64f58850824f07a921128e1d33bf98fbe27"
+SNAPSHOT_NATIVE_OUTPUT = "550dbe89f38d58b5d75cf66c1754f218eb031c6bf9673f3bf08b0bd5f824faf8"
 
 WEB = "accept:80,443;reject:*"
 ROLE_FLAGS = {
@@ -119,3 +124,9 @@ def test_waterfill_guards_and_dset_output(tmp_path):
     assert result.exit_code == 0, result.output
     assert "wfbw Wed=" in result.stdout
     assert sha256(result.stdout) == DUAL_WATERFILL_OUTPUT
+
+
+def test_serializer_outputs():
+    snapshots = [dual_snapshot(hour) for hour in range(3)] + [make_snapshot(CALIBRATION_SPEC)]
+    assert sha256("".join(map(snapshot_to_json, snapshots))) == SNAPSHOT_JSON_OUTPUT
+    assert sha256("".join(map(serialize_native, snapshots))) == SNAPSHOT_NATIVE_OUTPUT

@@ -28,7 +28,13 @@ from waterweights.pathsim import (
     simulate_prepared,
 )
 
-from conftest import analytic_compromise, make_relay, make_snapshot, relays_conflict
+from conftest import (
+    accepts_port,
+    analytic_compromise,
+    make_relay,
+    make_snapshot,
+    relays_conflict,
+)
 
 
 def adversary(guard_weights=(), exit_weights=()):
@@ -340,7 +346,7 @@ class TestRunSimulation:
             assert not relays_conflict(g, e)
             assert not relays_conflict(m, e)
             assert "Guard" in g.flags
-            assert e.accepts_port(443)
+            assert accepts_port(e, 443)
 
     def test_guard_persistence_without_churn(self):
         snap = calibration_snapshot()

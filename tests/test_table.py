@@ -1,24 +1,27 @@
-"""The column table against the ``RelayEntry`` path, over random relay lists.
+"""The column table against its ``RelayEntry`` input rows, over random relay lists.
 
-Each snapshot's relays are stored as one column table; ``relays`` rebuilds
-the ``RelayEntry`` tuple from it.  These properties check that every view
-of the table (totals, conflicts, group labels, adversary rows, the
-waterfill order) says what the relay objects say, and that each format
-round-trips.
+Each snapshot's relays are stored as one column table, built from
+``RelayEntry`` rows or a parser; ``relays`` decodes the rows back through
+the table's one decoder.  These properties check that every view of the
+table (totals, conflicts, group labels, adversary rows, the waterfill
+order) says what the input rows say, with the per-relay references of
+``conftest``, and that each format round-trips, over arbitrary strings
+too.
 """
 
+import dataclasses
 import pickle
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waterweights.consensus import (
     ConsensusSnapshot,
     PolicyRule,
-    PoolTotals,
     RelayEntry,
     parse_native,
     parse_policy,
@@ -45,7 +48,7 @@ from waterweights.waterfill import (
 )
 from waterweights.weights import PositionWeights
 
-from conftest import make_relay, relays_conflict
+from conftest import is_exit, is_guard, make_relay, relays_conflict, totals_of
 
 ADVERSARY = AdversarySpec((
     AdversaryRelay(RoleHint.GUARD_LIKE, 3),
@@ -61,6 +64,21 @@ POLICIES = [parse_policy(t) for t in ("accept:*", "reject:*", "accept:80,443;rej
 SUBNETS = [None, "1.1", "1.2", "250.0", "250.1"]
 
 weights = st.one_of(st.integers(0, 5), st.integers(0, 10**6), st.integers(2**62, 2**63 - 1))
+
+
+# each RelayEntry field's values in ``relay_lists``; a fingerprint that no
+# list holds, so that it stays unique
+FIELD_VALUES = {
+    "fingerprint": st.just("NEW"),
+    "nickname": st.sampled_from(["a", "b", "Unnamed"]),
+    "consensus_weight": weights,
+    "flags": st.frozensets(st.sampled_from(FLAGS)),
+    "exit_policy": st.sampled_from(POLICIES),
+    "family": st.frozensets(st.sampled_from(FAMILY_NAMES), max_size=4),
+    "subnet16": st.sampled_from(SUBNETS),
+    "country": st.sampled_from([None, "de", "us"]),
+    "as_number": st.sampled_from([None, 3320, 7922]),
+}
 
 
 @st.composite
@@ -80,6 +98,56 @@ def relay_lists(draw, max_size=8, heavy=True):
         )
         for fp in chosen
     ]
+
+
+# any string: non-ASCII, quotes, control characters, whitespace, commas,
+# ""; half are drawn free of whitespace, so that a fault can sit in any field
+texts = st.one_of(
+    st.text(
+        st.characters().filter(lambda c: not c.isspace()) | st.just(","), min_size=1, max_size=5
+    ),
+    st.text(st.characters() | st.sampled_from(", =\t\n"), max_size=5),
+)
+
+
+@st.composite
+def text_relay_lists(draw):
+    """Relays whose every string field is drawn from ``st.text()``; family
+    names are other relays' fingerprints or any string."""
+    fingerprints = draw(st.lists(texts, unique=True, max_size=6))
+    names = st.one_of(texts, st.sampled_from(fingerprints)) if fingerprints else texts
+    return [
+        RelayEntry(
+            fingerprint=fp,
+            nickname=draw(texts),
+            consensus_weight=draw(weights),
+            flags=draw(st.frozensets(texts, max_size=3)),
+            exit_policy=draw(st.sampled_from(POLICIES)),
+            family=draw(st.frozensets(names, max_size=3)),
+            subnet16=draw(st.none() | texts),
+            country=draw(st.none() | texts),
+            as_number=draw(st.sampled_from([None, 3320, 7922])),
+        )
+        for fp in fingerprints
+    ]
+
+
+def native_fault(relays):
+    """The first (row, field) whose value a native relay line cannot carry:
+    an empty or whitespace-holding word, or a list item that also holds a
+    comma; None when every value fits."""
+    def word(s):
+        return s != "" and not any(c.isspace() for c in s)
+
+    for i, r in enumerate(relays):
+        for field in ("fingerprint", "nickname", "subnet16", "country"):
+            value = getattr(r, field)
+            if value is not None and not word(value):
+                return i, field
+        for field in ("flags", "family"):
+            if any(not word(s) or "," in s for s in getattr(r, field)):
+                return i, field
+    return None
 
 
 # a p line's spans: () is "*", else single ports and inclusive ranges
@@ -120,6 +188,27 @@ class TestRoundTrips:
             assert again.relays == tuple(relays)
             assert again.table == snap.table
 
+    @settings(max_examples=200, deadline=None)
+    @given(text_relay_lists())
+    def test_json_over_arbitrary_strings(self, relays):
+        snap = ConsensusSnapshot.from_relays(1_432_548_000, relays)
+        again = snapshot_from_json(snapshot_to_json(snap))
+        assert again == snap
+        assert again.relays == snap.relays == tuple(relays)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_relay_lists())
+    def test_native_reads_back_or_raises(self, relays):
+        # a value the format cannot carry raises instead of being rewritten
+        snap = ConsensusSnapshot.from_relays(1_432_548_000, relays)
+        fault = native_fault(relays)
+        if fault is None:
+            assert parse_native(serialize_native(snap)) == snap
+        else:
+            i, field = fault
+            with pytest.raises(ValueError, match=rf"^relays\[{i}\] .*\): {field} "):
+                serialize_native(snap)
+
     @settings(max_examples=100, deadline=None)
     @given(relay_lists(), st.data())
     def test_v3(self, relays, data):
@@ -151,9 +240,21 @@ class TestViews:
     @given(relay_lists())
     def test_totals_and_conflicts(self, relays):
         snap = ConsensusSnapshot.from_relays(0, relays)
-        assert snap.totals == PoolTotals.from_relays(relays)
-        assert snap.table.guard.tolist() == [r.is_guard for r in relays]
+        assert snap.totals == totals_of(relays)
+        assert snap.table.guard.tolist() == [is_guard(r) for r in relays]
         assert conflicts_match(snap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relay_lists(), st.sampled_from(sorted(FIELD_VALUES)), st.data())
+    def test_tables_are_equal_exactly_when_their_rows_are(self, relays, field, data):
+        # one field of one relay redrawn, possibly to the value it had
+        other = list(relays)
+        if relays:
+            i = data.draw(st.integers(0, len(relays) - 1))
+            other[i] = dataclasses.replace(other[i], **{field: data.draw(FIELD_VALUES[field])})
+        a = ConsensusSnapshot.from_relays(0, relays).table
+        b = ConsensusSnapshot.from_relays(0, other).table
+        assert (a == b) is (relays == other)
 
     @settings(max_examples=100, deadline=None)
     @given(relay_lists())
@@ -162,7 +263,7 @@ class TestViews:
         live = inject_adversary(snap, ADVERSARY)
         fresh = ConsensusSnapshot.from_relays(0, relays + ADVERSARY.relay_entries(0))
         assert live == fresh
-        assert live.totals == PoolTotals.from_relays(fresh.relays)
+        assert live.totals == totals_of(fresh.relays)
         assert np.array_equal(live.table.family_keys, fresh.table.family_keys)
         assert np.array_equal(live.table.subnet, fresh.table.subnet)
         # the adversary's /16 matches a real relay's, and families naming
@@ -201,11 +302,11 @@ class TestViews:
         state = NetworkState(live, Algorithm.WATERFILLING, adversary, 0, 3600)
         relays = live.relays
         assert state.adv_mask.tolist() == [r.fingerprint in adversary for r in relays]
-        assert state.guard.tolist() == [r.is_guard for r in relays]
+        assert state.guard.tolist() == [is_guard(r) for r in relays]
         # the entry pool holds rows of weighted guards, in document order
         rows = state.entry.indices.tolist()
         assert rows == sorted(rows)
-        assert all(relays[i].is_guard and relays[i].consensus_weight for i in rows)
+        assert all(is_guard(relays[i]) and relays[i].consensus_weight for i in rows)
 
 
 def test_prepared_states_survive_pickling():
@@ -226,7 +327,7 @@ def test_prepared_states_survive_pickling():
 
 
 def solved_order(relays, dual):
-    members = [r for r in relays if r.is_guard and r.is_exit == dual]
+    members = [r for r in relays if is_guard(r) and is_exit(r) == dual]
     return sorted(members, key=lambda r: (-r.consensus_weight, r.fingerprint))
 
 

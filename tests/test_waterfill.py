@@ -23,7 +23,15 @@ from waterweights.waterfill import (
 )
 from waterweights.weights import SCALE, PositionWeights, compute_weights
 
-from conftest import make_relay, make_snapshot, pareto_weights
+from conftest import (
+    accepts_port,
+    is_exit,
+    is_guard,
+    make_relay,
+    make_snapshot,
+    pareto_weights,
+    probabilities,
+)
 
 
 def share_for(sol, fingerprint):
@@ -304,7 +312,7 @@ class TestSelectionDistribution:
     def test_scalar_entry_probabilities(self):
         snap = make_snapshot([("G1", 100, "g"), ("G2", 300, "g")])
         dist = selection_distribution(snap, scalar_weights(Fraction(1, 2)), Position.ENTRY)
-        assert dist.as_dict() == {"G1": 0.25, "G2": 0.75}
+        assert probabilities(dist) == {"G1": 0.25, "G2": 0.75}
 
     def test_waterfilled_entry_shifts_mass_to_small_relay(self):
         snap = make_snapshot([("G1", 100, "g"), ("G2", 300, "g")])
@@ -314,15 +322,15 @@ class TestSelectionDistribution:
         assert sol.water_level == Fraction(80)
         assert sol.pivot_index == 2
         dist = selection_distribution(snap, w, Position.ENTRY, waterfills=[sol])
-        assert dist.as_dict() == {"G1": 0.5, "G2": 0.5}
+        assert probabilities(dist) == {"G1": 0.5, "G2": 0.5}
         flat = selection_distribution(snap, w, Position.ENTRY)
-        assert dist.as_dict()["G1"] > flat.as_dict()["G1"]
+        assert probabilities(dist)["G1"] > probabilities(flat)["G1"]
 
     def test_exit_policy_filtering(self):
         snap = make_snapshot([("E1", 100, "e"), ("G1", 50, "g")])
         w = scalar_weights(Fraction(1, 2))
         dist = selection_distribution(snap, w, Position.EXIT, stream=443)
-        assert dist.as_dict() == {"E1": 1.0}
+        assert probabilities(dist) == {"E1": 1.0}
 
     def test_no_exit_accepts_port(self):
         snap = make_snapshot(
@@ -347,7 +355,7 @@ class TestSelectionDistribution:
         snap = make_snapshot([("G1", 100, "g"), ("M1", 100, "m"), ("E1", 100, "e")])
         w = dual_weights(Fraction(1, 2), Fraction(0), Fraction(1))
         dist = selection_distribution(snap, w, Position.MIDDLE)
-        probs = dist.as_dict()
+        probs = probabilities(dist)
         # guard contributes 100*(1-Wgg)=50, middle 100, exit 100*Wme=0
         assert probs == {"G1": 50 / 150, "M1": 100 / 150}
 
@@ -420,7 +428,7 @@ def position_weight(relay, position, w, shares):
 
     ``shares`` maps each solved pool to its ``eager_shares`` by fingerprint.
     """
-    guard, exit_ = relay.is_guard, relay.is_exit
+    guard, exit_ = is_guard(relay), is_exit(relay)
     if guard and exit_:
         share = shares.get(TargetPool.DSET, {}).get(relay.fingerprint)
         if position is Position.ENTRY:
@@ -451,7 +459,7 @@ def oracle_distribution(snapshot, w, position, solutions, port):
     }
     fingerprints, raw = [], []
     for relay in snapshot.relays:
-        if port is not None and not relay.accepts_port(port):
+        if port is not None and not accepts_port(relay, port):
             continue
         weight = relay.consensus_weight * position_weight(relay, position, w, by_pool)
         if weight > 0:
@@ -475,7 +483,7 @@ class ExactShare(NamedTuple):
 def eager_shares(snapshot, sol):
     """Each relay's exact kept fraction and weights, straight from the relays."""
     dual = sol.pool is TargetPool.DSET
-    relays = [r for r in snapshot.relays if r.is_guard and r.is_exit == dual]
+    relays = [r for r in snapshot.relays if is_guard(r) and is_exit(r) == dual]
     relays.sort(key=lambda r: (-r.consensus_weight, r.fingerprint))
     out = []
     for rank, relay in enumerate(relays, start=1):
