@@ -466,6 +466,8 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
     states = prepare_sequence(sequence, adversary_spec, Algorithm(algo), duration)
+    snapshot_count = len(sequence)
+    del sequence  # the client loop reads only the prepared states
     trace = simulate_prepared(
         states, clients, seed,
         schedule=schedule, num_entry_guards=num_guards, workers=workers,
@@ -512,7 +514,7 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
         {
             "algo": algo,
             "clients": clients,
-            "snapshots": len(sequence),
+            "snapshots": snapshot_count,
             "adversary_relays": len(adversary_spec.relays),
             "records": str(out),
             "circuits_scheduled": scheduled,

@@ -19,8 +19,10 @@ from __future__ import annotations
 import enum
 import gc
 import json
+import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import chain, islice, starmap
 
 import numpy as np
@@ -60,11 +62,14 @@ REJECT_ALL = PolicyRule(accept=False, ports=())
 ACCEPT_ALL = PolicyRule(accept=True, ports=())
 
 
+@lru_cache(maxsize=4096)
 def parse_policy(text: str) -> tuple[PolicyRule, ...]:
     """Parse ``accept:80,443;reject:*`` style policy strings.
 
     A terminal wildcard rule is appended (reject) when the input does not
-    end with one, so every policy decides every port.
+    end with one, so every policy decides every port.  Results are
+    memoized by text, so every snapshot shares one tuple per distinct
+    policy (the tuple and its rules are immutable).
     """
     rules = []
     for chunk in text.split(";"):
@@ -106,7 +111,8 @@ def policy_accepts(policy: tuple[PolicyRule, ...], port: int) -> bool:
 @dataclass(frozen=True)
 class RelayEntry:
     """One relay as an input row, for ``from_relays``, ``with_relays`` and
-    adversary injection; the table checks the weight when it adds the row."""
+    adversary injection; the table checks each field's type and the
+    weight when it adds the row."""
 
     fingerprint: str
     nickname: str
@@ -166,6 +172,14 @@ class RelayTable:
     entries that name no relay here, in case a later row does;
     ``in_family`` marks the rows that take part in a resolved pair.  ``row``
     maps each fingerprint to its row.
+
+    Fingerprints, nicknames, countries, /16 strings, flag names and family
+    names are interned strings (``sys.intern``), and policies come from
+    the ``parse_policy`` memo, so tables that share relays share these
+    objects too.  On CPython 3.10 and 3.11 an interned string is freed
+    with its last table, though the interpreter's intern table keeps the
+    slots it grew to; on 3.12, ``sys.intern`` makes a string immortal, so
+    every distinct string lives until the process exits.
     """
 
     __slots__ = (
@@ -263,16 +277,47 @@ class _RowError(ParseError):
         self.field = field
 
 
-def _strings(values) -> frozenset[str]:
-    """``values`` as a frozenset; TypeError unless every item is a string."""
-    out = frozenset(values)
-    if not all(isinstance(s, str) for s in out):
-        raise TypeError(f"expected strings, not {values!r}")
-    return out
+def _interned(values) -> frozenset[str]:
+    """``values`` as a frozenset of interned strings; TypeError unless every
+    item is a ``str``."""
+    return frozenset(map(sys.intern, values))
+
+
+def _entry_fault(r: RelayEntry) -> str | None:
+    """What is wrong with the first field of ``r`` whose type no parser
+    passes, else None; ``add`` checks the values."""
+    def strings(v):
+        return type(v) is frozenset and all(type(s) is str for s in v)
+
+    checks = (
+        ("fingerprint", type(r.fingerprint) is str, "a string"),
+        ("nickname", type(r.nickname) is str, "a string"),
+        ("consensus_weight", type(r.consensus_weight) is int, "an integer"),
+        ("flags", strings(r.flags), "a frozenset of strings"),
+        ("exit_policy", type(r.exit_policy) is tuple
+         and all(type(rule) is PolicyRule for rule in r.exit_policy), "a tuple of PolicyRules"),
+        ("family", strings(r.family), "a frozenset of strings"),
+        ("subnet16", r.subnet16 is None or type(r.subnet16) is str, "a string or None"),
+        ("country", r.country is None or type(r.country) is str, "a string or None"),
+        ("as_number", r.as_number is None or type(r.as_number) is int, "an integer or None"),
+    )
+    return next(
+        (f"{field} must be {wanted}, not {getattr(r, field)!r}"
+         for field, ok, wanted in checks if not ok),
+        None,
+    )
 
 
 class _TableBuilder:
-    """Collects rows in document order, after the rows of an optional base."""
+    """Collects rows in document order, after the rows of an optional base.
+
+    Every string a row keeps is interned, and every parsed policy comes
+    from the ``parse_policy`` memo, so the tables of consecutive snapshots
+    hold one object per distinct fingerprint, nickname, country, /16,
+    flag name, family name and policy, not one per relay per snapshot.
+    An interned string lives until its last table goes on CPython 3.10
+    and 3.11, and until the process exits on 3.12 (``RelayTable``).
+    """
 
     def __init__(self, base: RelayTable | None = None):
         self.base = base
@@ -287,6 +332,7 @@ class _TableBuilder:
         self.country: list = []
         self.as_number: list = []
         self.family: dict[int, frozenset[str]] = {}
+        self.as_numbers: dict = {}  # one object per distinct AS number
         # interned values: by the value an add passed, then by content
         self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set id)
         self.policy_keys: dict = {}  # passed policy -> policy id
@@ -308,8 +354,10 @@ class _TableBuilder:
         ``flags`` is any hashable collection of flag names; ``policy`` a
         policy text or a tuple of rule texts or of ``PolicyRule``s.  A weight
         outside [0, 2**63 - 1] or a policy that does not parse raises
-        _RowError, an item that is no string TypeError, and a repeated
-        fingerprint DuplicateRelayError (``row`` keeps its first row).
+        _RowError, a string or item that is no ``str`` TypeError, and a
+        repeated fingerprint DuplicateRelayError (``row`` keeps its first
+        row).  Strings are interned; a /16 and a flag set only the first
+        time the table sees them.
         """
         if not 0 <= weight <= INT64_MAX:
             raise _RowError(
@@ -318,7 +366,7 @@ class _TableBuilder:
             )
         codes = self.flag_keys.get(flags)
         if codes is None:
-            content = _strings(flags)
+            content = _interned(flags)
             codes = self.flag_keys[flags] = (
                 _pool_code(content), self.flag_ids.setdefault(content, len(self.flag_ids))
             )
@@ -326,12 +374,13 @@ class _TableBuilder:
         if policy_id is None:
             policy_id = self.policy_keys[policy] = self._policy_id(policy)
         if family:
-            family = _strings(family)
+            family = _interned(family)
+        fingerprint = sys.intern(fingerprint)
         i = self.first + len(self.fingerprints)
         if self.row.setdefault(fingerprint, i) != i:
             raise DuplicateRelayError(f"duplicate fingerprint {fingerprint}")
         self.fingerprints.append(fingerprint)
-        self.nicknames.append(nickname)
+        self.nicknames.append(sys.intern(nickname))
         self.weights.append(weight)
         self.pool.append(codes[0])
         self.flag_id.append(codes[1])
@@ -341,32 +390,54 @@ class _TableBuilder:
         if subnet16 is None:
             self.subnet.append(-(i + 1))
         else:
-            self.subnet.append(self.subnet_codes.setdefault(subnet16, len(self.subnet_codes)))
-        self.country.append(country)
-        self.as_number.append(as_number)
+            code = self.subnet_codes.get(subnet16)
+            if code is None:
+                code = self.subnet_codes[sys.intern(subnet16)] = len(self.subnet_codes)
+            self.subnet.append(code)
+        self.country.append(None if country is None else sys.intern(country))
+        self.as_number.append(self.as_numbers.setdefault(as_number, as_number))
 
     def _policy_id(self, policy) -> int:
-        if not (policy and all(isinstance(rule, PolicyRule) for rule in policy)):
+        if policy and all(isinstance(rule, PolicyRule) for rule in policy):
+            # rules built by hand: valid exactly when their text reads back as them
+            try:
+                text = ";".join(map(str, policy))
+                parsed = parse_policy(text)
+            except (TypeError, ValueError) as exc:
+                raise _RowError("exit_policy", f"exit_policy {policy!r}: {exc}") from None
+            if parsed != policy:
+                raise _RowError(
+                    "exit_policy",
+                    f"exit_policy {policy!r} is not what its text {text!r} parses to "
+                    "(a policy ends in a wildcard rule)",
+                )
+        else:
             # a policy text, or a tuple of rule texts
             text = policy if isinstance(policy, str) else ";".join(policy)
             try:
-                policy = parse_policy(text)
+                parsed = parse_policy(text)
             except ValueError as exc:
                 raise _RowError("exit_policy", f"bad policy value {text!r}: {exc}") from None
-        return self.policy_ids.setdefault(policy, len(self.policy_ids))
+        return self.policy_ids.setdefault(parsed, len(self.policy_ids))
 
     def snapshot(self, valid_after: int, relays=()) -> "ConsensusSnapshot":
         """The snapshot of the rows so far, then of ``relays`` (``RelayEntry``
-        objects, read once; a weight the table cannot hold breaks an invariant).
+        objects, read once).  A field of a type no parser passes, or a value
+        the table cannot hold, breaks an invariant: InvariantError names the
+        relay and the field.
         """
         for r in relays:
-            try:
-                self.add(
-                    r.fingerprint, r.nickname, r.consensus_weight, r.flags, r.exit_policy,
-                    r.family, r.subnet16, r.country, r.as_number,
-                )
-            except _RowError as err:
-                raise InvariantError(f"{r.fingerprint}: {err}") from None
+            fault = _entry_fault(r)
+            if fault is None:
+                try:
+                    self.add(
+                        r.fingerprint, r.nickname, r.consensus_weight, r.flags, r.exit_policy,
+                        r.family, r.subnet16, r.country, r.as_number,
+                    )
+                    continue
+                except _RowError as err:
+                    fault = str(err)
+            raise InvariantError(f"{r.fingerprint}: {fault}")
         base, first, row = self.base, self.first, self.row
         n = first + len(self.fingerprints)
         families = self.family.items()

@@ -1,9 +1,11 @@
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
+from waterweights import cli
 from waterweights.cli import (
     CostReport,
     compare_runs,
@@ -408,6 +410,27 @@ class TestSimulateAndCompare:
         summary = json.loads(res1.output)
         assert summary["seed"] == 77
         assert summary["version"]
+
+    def test_client_loop_holds_only_the_prepared_states(self, runner, tmp_path, monkeypatch):
+        # the parsed snapshots are let go once prepare_sequence returns; the
+        # adversary is injected, so each state holds a copy, not the parse
+        loaded, held = [], []
+        load, run = cli._load_snapshot, cli.simulate_prepared
+
+        def spy_load(path):
+            snapshot = load(path)
+            loaded.append(weakref.ref(snapshot))
+            return snapshot
+
+        def spy_run(states, *args, **kwargs):
+            held.extend(ref() for ref in loaded if ref() is not None)
+            return run(states, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_snapshot", spy_load)
+        monkeypatch.setattr(cli, "simulate_prepared", spy_run)
+        result = self.simulate(runner, tmp_path, tmp_path / "r.csv")
+        assert result.exit_code == 0, result.output
+        assert len(loaded) == 1 and held == []
 
     def test_seed_required(self, runner, tmp_path):
         snaps, adv = self.write_inputs(tmp_path)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from waterweights.consensus import (
     EXIT,
+    REJECT_ALL,
     ConsensusSnapshot,
     LoadCase,
+    PolicyRule,
     PoolTotals,
     classify_load_case,
     parse_native,
@@ -352,6 +354,38 @@ class TestExitPolicy:
         snap = make_snapshot([("C", 1, "g"), ("A", 2, "e"), ("B", 3, "m")])
         assert [r.fingerprint for r in snap.relays] == ["C", "A", "B"]
 
+    def test_parsed_policies_are_memoized_by_text(self):
+        text = ";".join(["accept:80,443", "reject:*"])  # built at run time
+        assert parse_policy(text) is parse_policy("accept:80,443;reject:*")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["accept", "reject", "allow", ""]),
+            st.sampled_from([":", ": ", "", "::"]),
+            st.one_of(
+                st.just("*"),
+                st.lists(
+                    st.integers(0, 70_000).map(str)
+                    | st.tuples(st.integers(0, 70_000), st.integers(0, 70_000)).map(
+                        lambda t: f"{t[0]}-{t[1]}"
+                    ),
+                    min_size=1, max_size=3,
+                ).map(",".join),
+                st.text(max_size=8),
+            ),
+        ).map("".join),
+        max_size=4,
+    ).map(";".join))
+    def test_memo_matches_the_unmemoized_parser(self, text):
+        def outcome(parse):
+            try:
+                return parse(text)
+            except ValueError as err:
+                return type(err), str(err)
+
+        assert outcome(parse_policy) == outcome(parse_policy.__wrapped__)
+
 
 # Fingerprints a family may name: the first few are in the relay list, the
 # rest (and the X ones) are absent, so families can be one-sided, name the
@@ -563,6 +597,24 @@ class TestJsonFieldTypes:
         with pytest.raises(InvariantError, match=r"^A: consensus weight -1 is outside"):
             ConsensusSnapshot.from_relays(0, [make_relay("B", 1, "g")]).with_relays([negative])
 
+    @pytest.mark.parametrize("field,value", [
+        ("consensus_weight", 5.5), ("consensus_weight", True), ("fingerprint", 5),
+        ("nickname", None), ("subnet16", 7), ("country", 5), ("as_number", "1 2"),
+        ("flags", frozenset({"Guard", 1})), ("family", frozenset({None})),
+        ("exit_policy", (PolicyRule(True, ((80, 80),)),)),  # no terminal wildcard
+        ("exit_policy", (PolicyRule(True, ((90, 80),)), REJECT_ALL)),
+        ("exit_policy", (PolicyRule(True, ((0, 80),)), REJECT_ALL)),
+    ], ids=repr)
+    def test_relay_list_field_no_parser_passes_is_an_invariant_breach(self, field, value):
+        # each used to be stored as it was, or altered (5.5 -> 5, True -> 1),
+        # or, for a flag, to raise a bare TypeError
+        relay = dataclasses.replace(make_relay("A", 10, "e"), **{field: value})
+        message = rf"^{relay.fingerprint}: {field} "
+        with pytest.raises(InvariantError, match=message):
+            ConsensusSnapshot.from_relays(0, [relay])
+        with pytest.raises(InvariantError, match=message):
+            ConsensusSnapshot.from_relays(0, [make_relay("B", 1, "g")]).with_relays([relay])
+
     def test_native_weight_outside_int64_is_a_parse_error(self):
         for weight in (-1, 2**63):
             with pytest.raises(ParseError, match="line 2"):
@@ -696,9 +748,9 @@ class TestJsonRelayByRelay:
         assert len(snapshot_from_json(text).relays) == 1
 
 
-def tor_size_document(relays=6000) -> str:
+def tor_size_document(relays=6000, seed=16) -> str:
     """A snapshot document the size of a Tor consensus, with every field set."""
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(seed)
     digests = rng.integers(0, 256, (relays, 20), np.uint8)
     fingerprints = [bytes(row).hex().upper() for row in digests]
     octets = rng.integers(1, 224, (relays, 2)).tolist()
@@ -730,3 +782,53 @@ class TestParseMemory:
         count, _, kept = traced_peak(lambda: len(snap.relays))
         assert count == 6000
         assert kept < 64 * 1024, f"reading relays kept {kept} bytes"
+
+    def test_a_second_parse_keeps_at_most_half_of_the_first(self):
+        # relays no other test parses: on CPython 3.12 interned strings
+        # outlive their tables, and the first parse would share them
+        text = tor_size_document(seed=18)
+        first, _, kept_first = traced_peak(lambda: snapshot_from_json(text))
+        second, _, kept_second = traced_peak(lambda: snapshot_from_json(text))
+        assert second == first
+        assert kept_second <= 0.5 * kept_first, (
+            f"the second parse kept {kept_second} bytes, the first {kept_first}"
+        )
+
+
+def shared_strings_snapshot() -> ConsensusSnapshot:
+    """Relays with every string field set, no string a single character
+    (CPython keeps one object per single-character string anyway)."""
+    return ConsensusSnapshot.from_relays(1_432_548_000, [
+        make_relay(
+            f"RELAY{i:02d}", 100 + i, "gmed"[i % 4], subnet=f"10.{i % 3}",
+            country=("de", "us")[i % 2], as_number=3320,
+            family=frozenset({f"RELAY{i ^ 1:02d}", "GONE00"}) if i < 4 else frozenset(),
+            policy=parse_policy(("accept:80,443", "reject:25;accept:*")[i % 2]),
+        )
+        for i in range(8)
+    ])
+
+
+class TestSharedValues:
+    """Two parses of one document share one object per distinct relay
+    string and policy, so memory grows with the distinct relays."""
+
+    @pytest.mark.parametrize("fmt", ["json", "native", "v3"])
+    def test_two_parses_share_every_relay_string(self, fmt):
+        if fmt == "v3":
+            text, parse = (DATA / "mini_status_v3.txt").read_text(), parse_v3_subset
+        elif fmt == "native":
+            text, parse = serialize_native(shared_strings_snapshot()), parse_native
+        else:
+            text, parse = snapshot_to_json(shared_strings_snapshot()), snapshot_from_json
+        a, b = parse(text).table, parse(text).table
+        assert a.family or fmt == "v3"
+        pairs = [
+            *zip(a.fingerprints, b.fingerprints), *zip(a.nicknames, b.nicknames),
+            *zip(a.country, b.country), *zip(a.subnet_codes, b.subnet_codes),
+            *zip(a.policies, b.policies),
+            *(pair for x, y in zip(a.flag_sets, b.flag_sets) for pair in zip(sorted(x), sorted(y))),
+            *(pair for i in a.family for pair in zip(sorted(a.family[i]), sorted(b.family[i]))),
+        ]
+        assert [x for x, y in pairs if x is not y] == []
+        assert len(pairs) > 4 * len(a)
