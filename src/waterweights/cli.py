@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .consensus import (
+    _sorted_unique,
     classify_load_case,
     parse_native,
     parse_v3_subset,
@@ -141,7 +142,8 @@ def _logrank(times_a: np.ndarray, times_b: np.ndarray, n: int):
     Returns (expected events in A, hypergeometric variance, z), with z the
     standardized excess of A's observed events over that expectation.
     """
-    event_times = np.unique(np.concatenate([times_a, times_b]))
+    # not np.unique: its plain form imports numpy.ma (see _sorted_unique)
+    event_times = _sorted_unique(np.concatenate([times_a, times_b]))
     if not event_times.size:
         return 0.0, 0.0, 0.0
     earlier_a = np.searchsorted(times_a, event_times, side="left")
@@ -460,14 +462,17 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
         except ParseError as err:
             raise ParseError(f"{path}: {err}") from None
     sequence.sort(key=lambda s: s.valid_after)
+    snapshot_count = len(sequence)
     try:
         adversary_spec = AdversarySpec.from_json_dict(json.loads(adversary.read_text()))
     except (json.JSONDecodeError, ParseError, TypeError, ValueError) as exc:
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
-    states = prepare_sequence(sequence, adversary_spec, Algorithm(algo), duration)
-    snapshot_count = len(sequence)
-    del sequence  # the client loop reads only the prepared states
+    # prepare_sequence reads each snapshot once, in order; popping it off
+    # the list frees the parse as soon as its period's state exists
+    sequence.reverse()
+    drained = (sequence.pop() for _ in range(snapshot_count))
+    states = prepare_sequence(drained, adversary_spec, Algorithm(algo), duration)
     trace = simulate_prepared(
         states, clients, seed,
         schedule=schedule, num_entry_guards=num_guards, workers=workers,

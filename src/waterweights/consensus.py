@@ -168,14 +168,15 @@ class RelayTable:
     Weights are int64; exact products and sums convert them to Python ints.
     ``pool`` holds each relay's pool code.  Flag sets and exit policies are
     interned: a row holds an id into the table's distinct values, so
-    unknown flags round-trip.  ``subnet_codes`` maps each known /16 string
-    to its code; a relay with no known subnet gets the code ``-(row + 1)``,
-    which matches only itself.  ``family`` keeps each non-empty family set
-    as published; ``family_keys`` holds the resolved pairs as sorted
-    ``i*n + j`` keys in both directions, and ``dangling`` the (row, name)
-    entries that name no relay here, in case a later row does;
-    ``in_family`` marks the rows that take part in a resolved pair.  ``row``
-    maps each fingerprint to its row.
+    unknown flags round-trip.  ``subnet`` holds each relay's /16 code from
+    the process-wide /16 table (``_SUBNET_CODES``), so equal /16 strings
+    get equal codes in every table; a relay with no known subnet gets the
+    code ``-(row + 1)``, which matches only itself.  ``family`` keeps each
+    non-empty family set as published; ``family_keys`` holds the resolved
+    pairs as sorted ``i*n + j`` keys in both directions, and ``dangling``
+    the (row, name) entries that name no relay here, in case a later row
+    does; ``in_family`` marks the rows that take part in a resolved pair.
+    ``row`` maps each fingerprint to its row.
 
     Fingerprints, nicknames, countries, /16 strings, flag names and family
     names are interned strings (``sys.intern``), and policies come from
@@ -188,7 +189,7 @@ class RelayTable:
 
     __slots__ = (
         "fingerprints", "nicknames", "weights", "pool", "flag_id", "flag_sets",
-        "policy_id", "policies", "subnet", "subnet_codes", "family", "family_keys",
+        "policy_id", "policies", "subnet", "family", "family_keys",
         "in_family", "dangling", "country", "as_number", "row",
     )
 
@@ -202,6 +203,13 @@ class RelayTable:
     @property
     def guard(self) -> np.ndarray:
         return (self.pool & GUARD) != 0
+
+    @property
+    def subnet_codes(self) -> dict[str, int]:
+        """The table's known /16 strings, each to its code, in first-row
+        order; derived from ``subnet`` on each read."""
+        known = dict.fromkeys(c for c in self.subnet.tolist() if c >= 0)
+        return {_SUBNET_NAMES[c]: c for c in known}
 
     def totals(self) -> PoolTotals:
         """Exact weight sums per pool code, over Python ints."""
@@ -251,15 +259,20 @@ class RelayTable:
         policies = self.policies if policy is None else [policy(p) for p in self.policies]
         families = self.family if family is None else {i: family(f) for i, f in self.family.items()}
         empty = frozenset() if family is None else family(frozenset())
-        names = tuple(self.subnet_codes)
         return zip(
             self.fingerprints, self.nicknames, self.weights.tolist(),
             [flag_sets[i] for i in self.flag_id.tolist()],
             [policies[i] for i in self.policy_id.tolist()],
             [families.get(i, empty) for i in range(len(self))],
-            [names[c] if c >= 0 else None for c in self.subnet.tolist()],
+            [_SUBNET_NAMES[c] if c >= 0 else None for c in self.subnet.tolist()],
             self.country, self.as_number,
         )
+
+    def __reduce__(self):
+        # ``subnet`` codes index this process's /16 table, so a pickle carries
+        # the /16 strings, and the loading process codes them afresh
+        columns = {name: getattr(self, name) for name in self.__slots__}
+        return _unpickle_table, (columns, self.subnet_codes)
 
     def __eq__(self, other) -> bool:
         """Equal exactly when the two tables hold the same rows.  The weights
@@ -279,6 +292,42 @@ class _RowError(ParseError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+# The process-wide /16 table: each /16 string a table has held, to its
+# code, and the strings by code.  Tables keep only codes, so no table holds
+# a /16 dict of its own, and a code means the same /16 in every table.  It
+# only grows, bounded by the distinct /16 strings the process has seen (on
+# CPython 3.12 an interned string lives until exit anyway).
+_SUBNET_CODES: dict[str, int] = {}
+_SUBNET_NAMES: list[str] = []
+
+
+def _subnet_code(subnet16: str) -> int:
+    """The code of ``subnet16`` in the /16 table, added if it is new."""
+    code = _SUBNET_CODES.get(subnet16)
+    if code is None:
+        subnet16 = sys.intern(subnet16)
+        code = _SUBNET_CODES[subnet16] = len(_SUBNET_NAMES)
+        _SUBNET_NAMES.append(subnet16)
+    return code
+
+
+def _unpickle_table(columns: dict, subnet_codes: dict[str, int]) -> RelayTable:
+    recode = {code: _subnet_code(name) for name, code in subnet_codes.items()}
+    subnet = [recode.get(c, c) for c in columns["subnet"].tolist()]
+    return RelayTable(**{**columns, "subnet": np.array(subnet, dtype=np.int64)})
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-d array.  A plain ``np.unique`` call
+    asks ``np.ma.is_masked``, which imports numpy.ma (about 1.5 MB of RSS
+    and 10-12 ms) on first use in a process; a sort and an adjacent
+    difference do not."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _interned(values) -> frozenset[str]:
@@ -328,7 +377,8 @@ class _TableBuilder:
     hold one object per distinct fingerprint, nickname, country, /16,
     flag name, family name and policy, not one per relay per snapshot.
     An interned string lives until its last table goes on CPython 3.10
-    and 3.11, and until the process exits on 3.12 (``RelayTable``).
+    and 3.11, and until the process exits on 3.12 (``RelayTable``); a /16
+    string lives in the process-wide /16 table, and a row keeps its code.
     """
 
     def __init__(self, base: RelayTable | None = None):
@@ -352,12 +402,10 @@ class _TableBuilder:
             self.row: dict[str, int] = {}
             self.flag_ids: dict[frozenset[str], int] = {}
             self.policy_ids: dict[tuple[PolicyRule, ...], int] = {}
-            self.subnet_codes: dict[str, int] = {}
         else:
             self.row = dict(base.row)
             self.flag_ids = {flags: i for i, flags in enumerate(base.flag_sets)}
             self.policy_ids = {policy: i for i, policy in enumerate(base.policies)}
-            self.subnet_codes = dict(base.subnet_codes)
 
     def add(self, fingerprint, nickname, weight, flags=frozenset(), policy=(REJECT_ALL,),
             family=(), subnet16=None, country=None, as_number=None) -> None:
@@ -368,8 +416,8 @@ class _TableBuilder:
         outside [0, 2**63 - 1] or a policy that does not parse raises
         _RowError, a string or item that is no ``str`` TypeError, and a
         repeated fingerprint DuplicateRelayError (``row`` keeps its first
-        row).  Strings are interned; a /16 and a flag set only the first
-        time the table sees them.
+        row).  Strings are interned; a /16 only the first time the process
+        sees it, and a flag set the first time the table does.
         """
         if not 0 <= weight <= INT64_MAX:
             raise _RowError(
@@ -399,13 +447,7 @@ class _TableBuilder:
         self.policy_id.append(policy_id)
         if family:
             self.family[i] = family
-        if subnet16 is None:
-            self.subnet.append(-(i + 1))
-        else:
-            code = self.subnet_codes.get(subnet16)
-            if code is None:
-                code = self.subnet_codes[sys.intern(subnet16)] = len(self.subnet_codes)
-            self.subnet.append(code)
+        self.subnet.append(-(i + 1) if subnet16 is None else _subnet_code(subnet16))
         self.country.append(None if country is None else sys.intern(country))
         self.as_number.append(self.as_numbers.setdefault(as_number, as_number))
 
@@ -471,7 +513,7 @@ class _TableBuilder:
             i, j = np.divmod(base.family_keys, first)  # re-encode for the new row count
             keys.append(i * n + j)
 
-        family_keys = np.unique(np.concatenate(keys))
+        family_keys = _sorted_unique(np.concatenate(keys))
         in_family = np.zeros(n, dtype=bool)
         if family_keys.size:  # keys run both ways, so i covers every member
             in_family[family_keys // n] = True
@@ -494,7 +536,6 @@ class _TableBuilder:
             policy_id=column("policy_id", np.int32),
             policies=tuple(self.policy_ids),
             subnet=column("subnet", np.int64),
-            subnet_codes=self.subnet_codes,
             family=self.family if base is None else {**base.family, **self.family},
             family_keys=family_keys,
             in_family=in_family,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,6 +116,12 @@ class AdversarySpec:
     @property
     def fingerprints(self) -> tuple[str, ...]:
         return tuple(self.fingerprint(i) for i in range(len(self.relays)))
+
+    def joined(self, at_time: int) -> frozenset[str]:
+        """The fingerprints of the relays live at ``at_time``."""
+        return frozenset(
+            self.fingerprint(i) for i, adv in enumerate(self.relays) if adv.join_time <= at_time
+        )
 
     def relay_entries(self, at_time: int) -> list[RelayEntry]:
         entries = []
@@ -335,48 +341,54 @@ class NetworkState:
 
 
 def prepare_sequence(
-    sequence: Sequence[ConsensusSnapshot],
+    sequence: Iterable[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
     duration: int | None = None,
 ) -> tuple[NetworkState, ...]:
-    """Cut a chronological snapshot list into periods and prepare each state.
+    """Cut a chronological snapshot sequence into periods and prepare each state.
 
-    A snapshot whose relay list repeats the previous one extends that
-    period; two different relay lists at one time are an error.
-    ``duration`` defaults to the span of the list plus one snapshot period.
-    ``simulate_prepared`` runs the states from the first one's start.
+    The sequence is read once, in order, so it may be any iterable.  A
+    snapshot extends the open period when both its relay list and its
+    live adversary relays repeat those of the snapshot that opened the
+    period; two different relay lists at one time are an error.  A
+    period's state is prepared as soon as the next period, or the end,
+    fixes where it ends, so no snapshot but the period's opener is held
+    past its turn.  ``duration`` defaults to the span of the sequence plus
+    one snapshot period.  ``simulate_prepared`` runs the states from the
+    first one's start.
     """
-    if not sequence:
+    snapshots = iter(sequence)
+    opener = next(snapshots, None)
+    if opener is None:
         raise WaterweightsError("consensus sequence is empty")
-    boundaries: list[ConsensusSnapshot] = []
-    for before, snap in zip([None, *sequence], sequence):
-        if before is not None:
-            if snap.valid_after < before.valid_after:
-                raise WaterweightsError(
-                    f"consensus sequence not chronological at {snap.valid_after}"
-                )
-            if snap is before or snap.table == before.table:
-                continue  # republished relay list: extend the previous state's period
-            if snap.valid_after == before.valid_after:
-                raise WaterweightsError(
-                    f"two different relay lists at valid_after {snap.valid_after}"
-                )
-        boundaries.append(snap)
-    sim_start = sequence[0].valid_after
-    if duration is None:
-        duration = (sequence[-1].valid_after - sim_start) + DEFAULT_SNAPSHOT_PERIOD
-    sim_end = sim_start + duration
-    states = []
+    last = opener.valid_after  # of the snapshot read before
+    sim_end = None if duration is None else last + duration
+    joined = adversary.joined(last)
     adv_fps = frozenset(adversary.fingerprints)
-    for i, snap in enumerate(boundaries):
-        start = snap.valid_after
-        end = boundaries[i + 1].valid_after if i + 1 < len(boundaries) else sim_end
-        end = min(end, sim_end)
-        if end <= start:
-            continue
-        live = inject_adversary(snap, adversary)
-        states.append(NetworkState(live, algorithm, adv_fps, start, end))
+    states = []
+
+    def prepare(snap: ConsensusSnapshot, end: int) -> None:
+        if sim_end is not None:
+            end = min(end, sim_end)
+        if end > snap.valid_after:
+            live = inject_adversary(snap, adversary)
+            states.append(NetworkState(live, algorithm, adv_fps, snap.valid_after, end))
+
+    for snap in snapshots:
+        if snap.valid_after < last:
+            raise WaterweightsError(f"consensus sequence not chronological at {snap.valid_after}")
+        now_joined = adversary.joined(snap.valid_after)
+        if now_joined == joined and (snap is opener or snap.table == opener.table):
+            last = snap.valid_after
+            continue  # republished relay list, same adversary: extend the open period
+        if snap.valid_after == last:
+            raise WaterweightsError(f"two different relay lists at valid_after {snap.valid_after}")
+        prepare(opener, snap.valid_after)
+        opener, joined, last = snap, now_joined, snap.valid_after
+    if sim_end is None:
+        sim_end = last + DEFAULT_SNAPSHOT_PERIOD
+    prepare(opener, sim_end)
     if not states:
         raise WaterweightsError("simulation duration covers no snapshot")
     return tuple(states)
@@ -697,7 +709,7 @@ def _pool_job(bounds: tuple[int, int]) -> SimulationTrace:
 
 
 def run_simulation(
-    consensus_sequence: Sequence[ConsensusSnapshot],
+    consensus_sequence: Iterable[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
     clients: int,
@@ -775,7 +787,7 @@ def simulate_prepared(
 
 
 def network_summaries(
-    consensus_sequence: Sequence[ConsensusSnapshot],
+    consensus_sequence: Iterable[ConsensusSnapshot],
     adversary: AdversarySpec,
     algorithm: Algorithm,
     duration: int | None = None,

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -611,6 +615,48 @@ class TestSimulateAndCompare:
         result = self.simulate(runner, tmp_path, tmp_path / "r.csv")
         assert result.exit_code == 0, result.output
         assert len(prepared) == len(json.loads(result.stdout)["periods"]) == 1
+
+    def test_waterweights_never_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs each process about 1.5 MB of RSS and 10-12 ms; under
+        # numpy 2 a plain np.unique(x) imports it, numpy 1 imports it with numpy
+        snaps, adv = self.write_inputs(tmp_path)
+        families = ConsensusSnapshot.from_relays(1_432_548_000, [
+            make_relay("G1", 500, "g", subnet="10.1", family=frozenset({"M1", "GONE"})),
+            make_relay("G2", 300, "g", subnet="10.2"),
+            make_relay("M1", 400, "m", subnet="10.3", family=frozenset({"G1"})),
+            make_relay("E1", 200, "e", subnet="10.4"),
+            make_relay("D1", 50, "d", subnet="10.5"),
+        ])
+        assert families.table.family_keys.size and families.table.dangling
+        (snaps / "one.snapshot").write_text(serialize_native(families))
+        out = tmp_path / "r.csv"
+        script = f"""
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from waterweights.cli import main
+for args in (
+    ["simulate", "--snapshots", {str(snaps)!r}, "--adversary", {str(adv)!r}, "--algo",
+     "wf", "--clients", "30", "--seed", "77", "--out", {str(out)!r},
+     "--duration", "12000"],
+    ["compare", {str(out)!r}, {str(out)!r}, "--horizon", "12000"],
+):
+    try:
+        main(args)
+    except SystemExit as done:
+        assert not done.code, args
+print(before, "numpy.ma" in sys.modules)
+"""
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        before, after = result.stdout.split()[-2:]
+        assert after == before, "waterweights imported numpy.ma"
+        assert "," in out.read_text()
 
     def test_compare_identical_records(self, runner, tmp_path):
         out = tmp_path / "a.csv"

@@ -1,6 +1,8 @@
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +280,51 @@ class TestRunSimulation:
             [hourly[0]], adv, Algorithm.ABWRS, clients=10, seed=3, duration=5 * 3600
         )
         assert merged == single
+
+    def test_adversary_joining_at_a_republished_list_is_injected(self):
+        snap = make_snapshot([
+            ("G1", 500, "g"), ("G2", 300, "g"), ("G3", 200, "g"),
+            ("M1", 400, "m"), ("E1", 200, "e"), ("D1", 50, "d"),
+        ])
+        t = snap.valid_after
+        again = ConsensusSnapshot.from_relays(t + 3600, snap.relays)
+        adv = AdversarySpec((
+            AdversaryRelay(RoleHint.GUARD_LIKE, 300, join_time=t + 3600),
+            AdversaryRelay(RoleHint.EXIT_LIKE, 100, join_time=t + 3600),
+        ))
+        states = prepare_sequence([snap, again], adv, Algorithm.ABWRS)
+        assert [(s.start, s.end) for s in states] == [(t, t + 3600), (t + 3600, t + 7200)]
+        assert [int(s.adv_mask.sum()) for s in states] == [0, 2]
+
+    def test_preparation_streams(self):
+        # each snapshot is freed once the next one has fixed its period's end
+        base = calibration_snapshot()
+        adv = adversary(guard_weights=(300,), exit_weights=(100,))
+
+        def hour(i):
+            first = dataclasses.replace(base.relays[0], consensus_weight=200 + i)
+            return ConsensusSnapshot.from_relays(
+                base.valid_after + 3600 * i, (first, *base.relays[1:])
+            )
+
+        refs, alive = [], []
+
+        def one_shot():
+            for i in range(6):
+                snap = hour(i)
+                refs.append(weakref.ref(snap))
+                yield snap
+                del snap
+                alive.append(sum(ref() is not None for ref in refs))
+
+        states = prepare_sequence(one_shot(), adv, Algorithm.WATERFILLING)
+        assert len(alive) == 6 and max(alive) <= 2, alive
+        listed = prepare_sequence([hour(i) for i in range(6)], adv, Algorithm.WATERFILLING)
+        assert len(states) == len(listed) == 6
+        for got, want in zip(states, listed):
+            assert (got.start, got.end, got.summary()) == (want.start, want.end, want.summary())
+            assert got.snapshot == want.snapshot
+            assert np.array_equal(got.adv_mask, want.adv_mask)
 
     def test_different_relay_lists_at_one_time_rejected(self):
         relays = [make_relay(fp, 100, fp[0].lower()) for fp in ("G1", "G2", "G3", "M1", "E1")]

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waterweights import consensus
 from waterweights.consensus import (
     ConsensusSnapshot,
     PolicyRule,
@@ -237,12 +238,42 @@ class TestRoundTrips:
 
 class TestViews:
     @settings(max_examples=100, deadline=None)
-    @given(relay_lists())
-    def test_totals_and_conflicts(self, relays):
+    @given(relay_lists(), relay_lists(), st.integers(0, 2**64))
+    def test_totals_and_conflicts(self, relays, others, salt):
         snap = ConsensusSnapshot.from_relays(0, relays)
         assert snap.totals == totals_of(relays)
         assert snap.table.guard.tolist() == [is_guard(r) for r in relays]
         assert conflicts_match(snap)
+
+        # /16 codes are kept per process, so a table's codes depend on the
+        # tables parsed before it; what the codes say must not.  Table B is
+        # parsed alone, and again, under a second salt that makes its /16s
+        # new to the process, after a table A that shares some of them
+        def salted(entries, tag, prefix=""):
+            return [
+                dataclasses.replace(
+                    r, fingerprint=prefix + r.fingerprint,
+                    subnet16=None if r.subnet16 is None else f"{tag}:{r.subnet16}",
+                )
+                for r in entries
+            ]
+
+        def views(table):
+            rows = np.arange(len(table))
+            unsalted = [
+                (*cells[:6], cells[6] and cells[6].partition(":")[2], *cells[7:])
+                for cells in table._cells()
+            ]
+            names = [name.partition(":")[2] for name in table.subnet_codes]
+            return table.conflict(rows[:, None], rows[None, :]).tolist(), unsalted, names
+
+        alone = ConsensusSnapshot.from_relays(0, salted(relays, f"{salt}a")).table
+        a = salted(others, f"{salt}b", "A") + salted(relays[1::2], f"{salt}b", "B")
+        ConsensusSnapshot.from_relays(0, a)
+        after = ConsensusSnapshot.from_relays(0, salted(relays, f"{salt}b"))
+        assert views(after.table) == views(alone)
+        # relays that share a /16 conflict across an injected copy's rows
+        assert conflicts_match(after.with_relays(a))
 
     @settings(max_examples=200, deadline=None)
     @given(relay_lists(), st.sampled_from(sorted(FIELD_VALUES)), st.data())
@@ -307,6 +338,22 @@ class TestViews:
         rows = state.entry.indices.tolist()
         assert rows == sorted(rows)
         assert all(is_guard(relays[i]) and relays[i].consensus_weight for i in rows)
+
+
+def test_a_pickled_table_keeps_its_subnets_in_another_process(monkeypatch):
+    relays = [
+        make_relay("G1", 1000, "g", subnet="7.1"), make_relay("G2", 500, "g", subnet="7.2"),
+        make_relay("M1", 600, "m"), make_relay("E1", 100, "e", subnet="7.1"),
+    ]
+    data = pickle.dumps(ConsensusSnapshot.from_relays(0, relays))
+    # a fresh process's /16 table, which codes another /16 first
+    monkeypatch.setattr(consensus, "_SUBNET_CODES", {"7.2": 0})
+    monkeypatch.setattr(consensus, "_SUBNET_NAMES", ["7.2"])
+    again = pickle.loads(data)
+    assert again.relays == tuple(relays)
+    assert list(again.table.subnet_codes) == ["7.1", "7.2"]
+    joined = again.with_relays([make_relay("E2", 100, "e", subnet="7.2")])
+    assert conflicts_match(joined)
 
 
 def test_prepared_states_survive_pickling():
