@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, strictjson
 from .consensus import (
     _sorted_unique,
     classify_load_case,
@@ -464,8 +464,8 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     sequence.sort(key=lambda s: s.valid_after)
     snapshot_count = len(sequence)
     try:
-        adversary_spec = AdversarySpec.from_json_dict(json.loads(adversary.read_text()))
-    except (json.JSONDecodeError, ParseError, TypeError, ValueError) as exc:
+        adversary_spec = AdversarySpec.from_json_dict(strictjson.loads(adversary.read_text()))
+    except (ParseError, TypeError, ValueError) as exc:
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
     # prepare_sequence reads each snapshot once, in order; popping it off
@@ -582,8 +582,8 @@ def metrics(ctx, joint, snapshot):
 def report(ctx, waterfill_file, target_weight, entry_weight):
     """Adversary cost statistics derived from a waterfilling solution."""
     try:
-        doc = json.loads(waterfill_file.read_text())
-    except json.JSONDecodeError as exc:
+        doc = strictjson.loads(waterfill_file.read_text())
+    except ParseError as exc:
         raise ParseError(f"bad waterfill file {waterfill_file}: {exc}") from None
     pools = doc.get("pools") if type(doc) is dict else None
     guards = pools.get("guards") if type(pools) is dict else None

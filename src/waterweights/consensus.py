@@ -24,9 +24,11 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import chain, islice, starmap
+from operator import itemgetter
 
 import numpy as np
 
+from . import strictjson
 from .errors import (
     DegenerateNetworkError,
     DuplicateRelayError,
@@ -890,24 +892,35 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON rendering
+# JSON snapshot documents, format v1
 # ---------------------------------------------------------------------------
+
+# The v1 key sets: a key outside its object's set is rejected.
+SNAPSHOT_FORMAT = "waterweights-snapshot-v1"
+_DOCUMENT_KEYS = frozenset({"format", "valid_after", "totals", "relays"})
+_TOTALS_KEYS = frozenset("GMEDT")
+_RELAY_KEYS = frozenset(_ROW_FIELDS)
+
 
 def snapshot_to_json(snapshot: ConsensusSnapshot) -> str:
     """Stable-key-order JSON; relays keep document order."""
-    totals = snapshot.totals
     rows = snapshot.table._cells(flags=sorted, policy=lambda p: list(map(str, p)), family=sorted)
     doc = {
-        "format": "waterweights-snapshot-v1",
+        "format": SNAPSHOT_FORMAT,
         "valid_after": snapshot.valid_after,
-        "totals": {"G": totals.G, "M": totals.M, "E": totals.E, "D": totals.D, "T": totals.T},
+        "totals": _totals_json(snapshot.totals),
         "relays": [dict(zip(_ROW_FIELDS, row)) for row in rows],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# Each relay field's JSON types and their name; type(True) is bool, so
-# booleans are no integers.  The items of a list must be strings.
+def _totals_json(t: PoolTotals) -> dict:
+    return {"G": t.G, "M": t.M, "E": t.E, "D": t.D, "T": t.T}
+
+
+# Each relay field's JSON types and their name, in ``_ROW_FIELDS`` order;
+# type(True) is bool, so booleans are no integers.  The items of a list
+# must be strings.
 _RELAY_FIELDS = (
     ("fingerprint", (str,), "a string"),
     ("nickname", (str,), "a string"),
@@ -921,30 +934,56 @@ _RELAY_FIELDS = (
 )
 
 
-def _field_error(r: dict, i: int) -> ParseError:
-    """The ParseError naming relay ``i``'s first field of a wrong type."""
-    return next(
+_row_values = itemgetter(*_ROW_FIELDS)  # a relay object's values, if it has every key
+
+
+def _relay_values(r: dict) -> tuple:
+    """Relay object ``r``'s values in ``_ROW_FIELDS`` order; an absent list
+    is empty, any other absent value None."""
+    return tuple(r.get(field, [] if list in types else None) for field, types, _ in _RELAY_FIELDS)
+
+
+def _field_fault(r: dict, i: int) -> ParseError | None:
+    """The ParseError naming relay ``i``'s first field of a wrong type, if any."""
+    return next((
         ParseError(f"relays[{i}].{field} must be {wanted}, not {value!r}")
-        for field, types, wanted in _RELAY_FIELDS
-        for value in [r.get(field, [] if list in types else None)]
+        for (field, types, wanted), value in zip(_RELAY_FIELDS, _relay_values(r))
         if type(value) not in types or list in types and not all(type(s) is str for s in value)
-    )
+    ), None)
 
 
 def snapshot_from_json(text: str) -> ConsensusSnapshot:
-    """Read a snapshot document straight into a column table, relay by relay.
+    """Read a ``waterweights-snapshot-v1`` document into a column table.
 
-    Field types are checked, not coerced: weights and ``valid_after`` are
-    JSON integers, ``flags``, ``family`` and ``exit_policy`` lists of
-    strings, ``subnet16`` and ``country`` strings or null, ``as_number`` an
-    integer or null.  A wrong type raises ParseError naming the relay
-    index and the field.
+    The document is an object with the keys ``format`` (exactly
+    ``SNAPSHOT_FORMAT``), ``valid_after`` (an integer), ``relays`` (a list
+    of relay objects) and, optionally, ``totals`` (null, or an object with
+    the integers ``G``, ``M``, ``E``, ``D`` and ``T``, which must match the
+    relays).  A relay object has the keys of ``RelayEntry``: ``fingerprint``
+    and ``nickname`` strings and a ``consensus_weight`` integer, required;
+    ``flags``, ``exit_policy`` and ``family`` lists of strings (default
+    empty; an empty policy rejects every port); ``subnet16`` and
+    ``country`` strings or null and ``as_number`` an integer or null
+    (default null).  Types are checked, not coerced.
 
-    Each relay object becomes a table row as soon as it is decoded, so the
-    decoded document is never held whole.  A document that does not parse
-    that way (invalid JSON, a bad row, a relay-shaped object outside
-    ``relays``) is read again by the row loop, which gives the error or
-    accepts the document.
+    ParseError is raised, with its location, for: text that is not JSON; a
+    key repeated in any object (``<path>: repeated key '<key>'``); a key
+    outside its object's set (``snapshot document``, ``totals`` or
+    ``relays[i]``: ``unknown key(s) ...``); a missing or other ``format``; a
+    missing or wrong-typed ``valid_after``, ``relays``, ``totals`` or total;
+    a relays item that is no object; a relay field of a wrong type
+    (``relays[i].field must be ...``); a weight outside 64 bits or a policy
+    that does not parse (``relays[i].field: ...``); stored totals that do
+    not match.  A repeated fingerprint raises DuplicateRelayError naming
+    both relays.
+
+    There is one decoding pass: each relay object becomes a table row as
+    soon as it is decoded, so the decoded document is never held whole.
+    Only that pass accepts a document.  When it fails, a second read, on
+    this error path only, checks the document's shape (the top level,
+    then each relay in order); a shape fault it finds is the error, since
+    it also places the relays the first pass counted.  Otherwise the first
+    pass's error stands.
     """
     # The decoded objects hold no reference cycles, so the collector's
     # passes over them while they are built free nothing; pause it, and
@@ -952,106 +991,108 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        snapshot = _snapshot_relay_by_relay(text)
-        return _snapshot_from_json(text) if snapshot is None else snapshot
+        b = _TableBuilder()
+        try:
+            doc = strictjson.loads(text, _relay_adder(b))
+            relays = _document_relays(doc)
+            if relays.count(_ADDED) == len(relays) == len(b.fingerprints):
+                return _checked_totals(doc, b.snapshot(doc["valid_after"]))
+            error = ParseError("relay object outside 'relays'")
+        except ParseError as err:
+            error = err
+        raise _shape_fault(text) or error
     finally:
         if enabled:
             gc.enable()
 
 
-_ADDED = object()  # what the relay-by-relay decoder leaves in place of a relay it added
+_ADDED = object()  # what the decoder leaves in place of a relay it added
 
 
-def _snapshot_relay_by_relay(text: str) -> ConsensusSnapshot | None:
-    """The snapshot of a document whose ``relays`` list held exactly the
-    relay objects (those with a ``fingerprint`` key), each added to the
-    table as the decoder finished it; None for any other document.
-    """
-    b = _TableBuilder()
-
-    def add(obj: dict):
-        if "fingerprint" not in obj:
-            return obj
-        _add_relay(b, obj)
+def _relay_adder(b: _TableBuilder):
+    """The decoder hook that checks each relay object (one with a
+    ``fingerprint``) and adds it to ``b`` as a row, leaving ``_ADDED`` in
+    its place; other objects pass unchanged.  A relay is named
+    ``relays[i]`` for ``i`` the rows ``b`` holds, which is its place in the
+    list when the document's shape is sound (a failed ``add`` appends
+    nothing)."""
+    def add(r: dict):
+        if "fingerprint" not in r:
+            return r
+        i = len(b.fingerprints)
+        try:  # all nine keys and no other, as snapshot_to_json writes them
+            values = _row_values(r) if len(r) == len(_ROW_FIELDS) else None
+        except KeyError:
+            values = None
+        if values is None:
+            strictjson.reject_unknown_keys(r, _RELAY_KEYS, f"relays[{i}]")
+            values = _relay_values(r)
+        fingerprint, nickname, weight, flags, rules, family, subnet16, country, as_number = values
+        if (
+            type(fingerprint) is not str or type(nickname) is not str or type(weight) is not int
+            or type(flags) is not list or type(rules) is not list or type(family) is not list
+            or not (subnet16 is None or type(subnet16) is str)
+            or not (country is None or type(country) is str)
+            or not (as_number is None or type(as_number) is int)
+        ):
+            raise _field_fault(r, i)
+        try:
+            b.add(fingerprint, nickname, weight, tuple(flags), tuple(rules), family, subnet16,
+                  country, as_number)
+        except TypeError:  # a list item that is no string
+            raise _field_fault(r, i) from None
+        except DuplicateRelayError:
+            raise DuplicateRelayError(
+                f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row[fingerprint]}]"
+            ) from None
+        except _RowError as err:
+            raise ParseError(f"relays[{i}].{err.field}: {err}") from None
         return _ADDED
 
-    try:
-        doc = json.loads(text, object_hook=add)
-        if type(doc) is not dict or type(relays := doc.get("relays")) is not list:
-            return None
-        if not relays.count(_ADDED) == len(relays) == len(b.fingerprints):
-            return None
-        return _checked_totals(doc, b.snapshot(_valid_after(doc)))
-    except (json.JSONDecodeError, ParseError):
-        return None
+    return add
 
 
-def _snapshot_from_json(text: str) -> ConsensusSnapshot:
-    """The row loop over the decoded document: the reference reading, and
-    the one that locates every error."""
+def _shape_fault(text: str) -> ParseError | None:
+    """The first fault in the document's shape, located: a plain read that
+    checks the top level, then each relay's keys and field types in order.
+    None if it finds none; it never builds a snapshot."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if type(doc) is not dict or type(doc.get("relays")) is not list:
+        for i, r in enumerate(_document_relays(strictjson.loads(text))):
+            if type(r) is not dict:
+                return ParseError(f"relays[{i}] must be an object")
+            strictjson.reject_unknown_keys(r, _RELAY_KEYS, f"relays[{i}]")
+            if (fault := _field_fault(r, i)) is not None:
+                return fault
+    except ParseError as err:
+        return err
+    return None
+
+
+def _document_relays(doc) -> list:
+    """The ``relays`` list of snapshot document ``doc``, once its top level
+    (keys, format, valid_after, totals) is checked."""
+    if type(doc) is not dict:
         raise ParseError("snapshot document must be an object with a 'relays' list")
-    valid_after = _valid_after(doc)
-    b = _TableBuilder()
-    for r in doc["relays"]:
-        _add_relay(b, r)
-    return _checked_totals(doc, b.snapshot(valid_after))
-
-
-def _valid_after(doc: dict) -> int:
-    valid_after = doc.get("valid_after")
-    if type(valid_after) is not int:
+    strictjson.reject_unknown_keys(doc, _DOCUMENT_KEYS, "snapshot document")
+    if doc.get("format") != SNAPSHOT_FORMAT:
+        found = repr(doc["format"]) if "format" in doc else "missing"
+        raise ParseError(f"format must be {SNAPSHOT_FORMAT!r}, not {found}")
+    if type(valid_after := doc.get("valid_after")) is not int:
         raise ParseError(f"valid_after must be an integer, not {valid_after!r}")
-    return valid_after
-
-
-def _add_relay(b: _TableBuilder, r) -> None:
-    """Check relay object ``r`` and add its row to ``b``: every per-row rule
-    of the JSON format.  ``r`` is ``relays[i]`` for ``i`` the rows ``b``
-    holds, since a failed ``add`` appends nothing."""
-    i = len(b.fingerprints)
-    if type(r) is not dict:
-        raise ParseError(f"relays[{i}] must be an object")
-    fingerprint, nickname = r.get("fingerprint"), r.get("nickname")
-    weight, subnet16 = r.get("consensus_weight"), r.get("subnet16")
-    flags, rules, family = r.get("flags", []), r.get("exit_policy", []), r.get("family", [])
-    country, as_number = r.get("country"), r.get("as_number")
-    if (
-        type(fingerprint) is not str or type(nickname) is not str or type(weight) is not int
-        or type(flags) is not list or type(rules) is not list or type(family) is not list
-        or not (subnet16 is None or type(subnet16) is str)
-        or not (country is None or type(country) is str)
-        or not (as_number is None or type(as_number) is int)
-    ):
-        raise _field_error(r, i)
-    try:
-        b.add(fingerprint, nickname, weight, tuple(flags), tuple(rules), family, subnet16,
-              country, as_number)
-    except TypeError:  # a list item that is no string
-        raise _field_error(r, i) from None
-    except DuplicateRelayError:
-        raise DuplicateRelayError(
-            f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row[fingerprint]}]"
-        ) from None
-    except _RowError as err:
-        raise ParseError(f"relays[{i}].{err.field}: {err}") from None
+    if type(relays := doc.get("relays")) is not list:
+        raise ParseError("snapshot document must be an object with a 'relays' list")
+    if (stored := doc.get("totals")) is not None:
+        if type(stored) is not dict:
+            raise ParseError("totals must be an object")
+        strictjson.reject_unknown_keys(stored, _TOTALS_KEYS, "totals")
+        for k in "GMEDT":
+            if type(value := stored.get(k)) is not int:
+                raise ParseError(f"totals.{k} must be an integer, not {value!r}")
+    return relays
 
 
 def _checked_totals(doc: dict, snapshot: ConsensusSnapshot) -> ConsensusSnapshot:
     """``snapshot``, once the document's stored totals, if any, match it."""
-    stored = doc.get("totals")
-    if stored is not None:
-        expected = {k: getattr(snapshot.totals, k) for k in "GMED"}
-        expected["T"] = snapshot.totals.T
-        if type(stored) is not dict:
-            raise ParseError("totals must be an object")
-        for k in expected:
-            if type(value := stored.get(k)) is not int:
-                raise ParseError(f"totals.{k} must be an integer, not {value!r}")
-        if {k: stored[k] for k in expected} != expected:
-            raise ParseError("stored totals do not match relay list")
+    if doc.get("totals") not in (None, _totals_json(snapshot.totals)):
+        raise ParseError("stored totals do not match relay list")
     return snapshot

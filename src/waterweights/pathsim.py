@@ -57,6 +57,7 @@ from .errors import (
     UnsupportedLoadCaseError,
     WaterweightsError,
 )
+from . import strictjson
 from .waterfill import (
     Position,
     solve_dset_waterfill,
@@ -96,12 +97,6 @@ class AdversaryRelay:
 
 
 _ADVERSARY_RELAY_KEYS = frozenset({"role", "consensus_weight", "join_time", "count"})
-
-
-def _reject_unknown_keys(doc: dict, known, where: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ParseError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -146,13 +141,13 @@ class AdversarySpec:
         """Read an ``adv.json`` document; a malformed one raises ParseError."""
         if not isinstance(doc, dict) or not isinstance(doc.get("relays"), list):
             raise ParseError("adversary document must be an object with a 'relays' list")
-        _reject_unknown_keys(doc, {"relays"}, "adversary document")
+        strictjson.reject_unknown_keys(doc, {"relays"}, "adversary document")
         relays = []
         for n, item in enumerate(doc["relays"]):
             where = f"relays[{n}]"
             if not isinstance(item, dict):
                 raise ParseError(f"{where} must be an object")
-            _reject_unknown_keys(item, _ADVERSARY_RELAY_KEYS, where)
+            strictjson.reject_unknown_keys(item, _ADVERSARY_RELAY_KEYS, where)
             if "role" not in item or "consensus_weight" not in item:
                 raise ParseError(f"{where} needs 'role' and 'consensus_weight'")
             roles = [hint.value for hint in RoleHint]

@@ -515,6 +515,23 @@ class TestSimulateAndCompare:
         assert field in result.stderr
         assert not out.exists()
 
+    def test_adversary_with_a_repeated_key_exits_2(self, runner, tmp_path):
+        # json.loads alone keeps the last value: this file used to load as weight 900
+        snaps, adv = self.write_inputs(tmp_path)
+        adv.write_text(
+            '{"relays":[{"role":"guard","consensus_weight":5,"consensus_weight":900}]}'
+        )
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "3", "--seed", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert f"bad adversary file {adv}: relays[0]: repeated key 'consensus_weight'" in (
+            result.stderr
+        )
+        assert not out.exists()
+
     def test_failure_split_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
         from waterweights import cli
 
@@ -756,3 +773,15 @@ print(before, "numpy.ma" in sys.modules)
         assert result.exit_code == 2
         assert problem in result.stderr
         assert "Traceback" not in result.output
+
+    def test_report_rejects_a_repeated_key(self, runner, tmp_path):
+        wf = tmp_path / "wf.json"
+        wf.write_text(
+            '{"pools": {"guards": {"water_level": 1.0, "source_Wgg": 0.6, "water_level": 8710.0}}}'
+        )
+        result = runner.invoke(main, ["report", "--waterfill", str(wf), "--target-weight", "9"])
+        assert result.exit_code == 2
+        assert f"bad waterfill file {wf}: pools.guards: repeated key 'water_level'" in (
+            result.stderr
+        )
+        assert result.stdout == ""

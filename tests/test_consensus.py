@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from waterweights.consensus import (
     EXIT,
     REJECT_ALL,
+    SNAPSHOT_FORMAT,
     ConsensusSnapshot,
     LoadCase,
     PolicyRule,
@@ -25,7 +26,7 @@ from waterweights.consensus import (
     snapshot_from_json,
     snapshot_to_json,
 )
-from waterweights.consensus import _snapshot_from_json, _snapshot_relay_by_relay
+from waterweights.consensus import _ROW_FIELDS
 from waterweights.errors import (
     DegenerateNetworkError,
     DuplicateRelayError,
@@ -659,98 +660,220 @@ def relay_documents(draw):
     return doc
 
 
-def _relay_shaped(doc, data):
-    """A relay-shaped object: a copy of a listed relay, under a new
-    fingerprint or its own, or an object whose only key is a fingerprint."""
-    relay = copy.deepcopy(data.draw(st.sampled_from(doc["relays"])))
-    return data.draw(st.sampled_from([relay, {**relay, "fingerprint": "NEW"}, {"fingerprint": 5}]))
+def dumps_repeating(value, target, key, again, position) -> str:
+    """JSON text of ``value`` in which the object ``target`` (by identity)
+    lists ``key`` a second time, with value ``again``, at ``position``."""
+    def dump(v):
+        if isinstance(v, dict):
+            items = list(v.items())
+            if v is target:
+                items.insert(position, (key, again))
+            return "{" + ", ".join(f"{json.dumps(k)}: {dump(x)}" for k, x in items) + "}"
+        if isinstance(v, list):
+            return "[" + ", ".join(map(dump, v)) + "]"
+        return json.dumps(v)
+    return dump(value)
 
 
-def _pick(doc, data):
-    return data.draw(st.sampled_from(doc["relays"]))
+def in_place(change):
+    """An edit that makes ``change`` to the document, then writes it."""
+    def edit(doc):
+        change(doc)
+        return json.dumps(doc)
+    return edit
 
 
-def _repeat_fingerprint(doc, data):
-    relays = doc["relays"]
-    relays.insert(data.draw(st.integers(0, len(relays))), {**_pick(doc, data), "nickname": "again"})
+def relay_copy(doc, i, **fields):
+    return {**copy.deepcopy(doc["relays"][i]), **fields}
 
 
-# each fault edits a valid document in place
-JSON_FAULTS = {
-    "relay under an unknown key": lambda doc, data: doc.update(extra=_relay_shaped(doc, data)),
-    "relay inside totals": lambda doc, data: doc.update(
-        totals={**doc.get("totals", {}), "X": _relay_shaped(doc, data)}
+def rename_key(relay, old, new):
+    relay[new] = relay.pop(old)
+
+
+def repeat_key(where, key, again):
+    """An edit that writes ``where(doc)`` with ``key`` a second time."""
+    return lambda doc: dumps_repeating(doc, where(doc), key, again, len(where(doc)))
+
+
+TOTALS = {"G": 10, "M": 0, "E": 20, "D": 0, "T": 30}
+RELAY_KEYS = ", ".join(map(repr, sorted(_ROW_FIELDS)))
+
+# Each fault's edit writes the valid two-relay document (AAAA, then BBBB)
+# with one fault; the error is its type and its message's start.  The
+# first 14 are the 13 faults (a relay nested in family in two forms) that
+# the relay-by-relay reading used to hand to a second, row-loop reading;
+# that reading accepted the first, second, fifth and sixth.  Several copy a listed fingerprint, so the one pass
+# meets a repeated fingerprint before the misplaced relay's own fault.
+JSON_FAULTS = [
+    pytest.param(
+        in_place(lambda doc: doc.update(extra=relay_copy(doc, 0))),
+        ParseError, "snapshot document: unknown key(s) 'extra'",
+        id="relay under an unknown key",
     ),
-    "relay nested in family": lambda doc, data: _pick(doc, data)["family"].append(
-        _relay_shaped(doc, data)
+    pytest.param(
+        in_place(lambda doc: doc.update(totals={**TOTALS, "X": relay_copy(doc, 1)})),
+        ParseError, "totals: unknown key(s) 'X'",
+        id="relay inside totals",
     ),
-    "relay under a relay's unknown key": lambda doc, data: _pick(doc, data).update(
-        extra=_relay_shaped(doc, data)
+    pytest.param(
+        in_place(lambda doc: doc["relays"][1]["family"].append(relay_copy(doc, 0, nickname="x"))),
+        ParseError, "relays[1].family must be a list of strings, not ['AAAA', {",
+        id="relay nested in family",
     ),
-    "relay as the document": lambda doc, data: doc.update(_relay_shaped(doc, data)),
-    "non-object element": lambda doc, data: doc["relays"].insert(
-        data.draw(st.integers(0, len(doc["relays"]))),
-        data.draw(st.sampled_from([None, 7, "R0", ["R0"]])),
+    pytest.param(
+        in_place(lambda doc: doc["relays"][1]["family"].append({"fingerprint": 5})),
+        ParseError, "relays[1].family must be a list of strings, not ['AAAA', {'fingerprint': 5}]",
+        id="bad relay nested in family",
     ),
-    "relay without a fingerprint": lambda doc, data: _pick(doc, data).pop("fingerprint"),
-    "repeated fingerprint": _repeat_fingerprint,
-    "weight of 2**63": lambda doc, data: _pick(doc, data).update(consensus_weight=2**63),
-    "bad policy": lambda doc, data: _pick(doc, data).update(exit_policy=["accept:bogus"]),
-    "totals mismatch": lambda doc, data: doc.update(
-        totals={"G": 1, "M": 0, "E": 0, "D": 0, "T": 1}
+    pytest.param(
+        in_place(lambda doc: doc["relays"][0].update(extra=relay_copy(doc, 1))),
+        ParseError, "relays[0]: unknown key(s) 'extra'",
+        id="relay under a relay's unknown key",
     ),
-    "bool valid_after": lambda doc, data: doc.update(valid_after=True),
-    "flag that is no string": lambda doc, data: _pick(doc, data)["flags"].append(1),
-}
-
-
-def json_outcome(parse, text):
-    """The snapshot ``parse`` reads from ``text``, or its error's type and message."""
-    try:
-        return parse(text)
-    except ParseError as err:
-        return type(err), str(err)
-
-
-class TestJsonRelayByRelay:
-    """``snapshot_from_json`` decodes relay by relay; the row loop
-    ``_snapshot_from_json`` is its reference, result for result and error
-    for error."""
-
-    def assert_same(self, text):
-        got, want = json_outcome(snapshot_from_json, text), json_outcome(_snapshot_from_json, text)
-        if isinstance(want, tuple):
-            assert got == want
-            return
-        assert isinstance(got, ConsensusSnapshot) and got == want
-        a, b = got.table, want.table
-        assert (a.flag_sets, a.policies, a.family, a.dangling) == (
-            b.flag_sets, b.policies, b.family, b.dangling
+    pytest.param(
+        in_place(lambda doc: doc.update(relay_copy(doc, 0))),
+        ParseError, f"snapshot document: unknown key(s) {RELAY_KEYS}",
+        id="relay as the document",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc["relays"].insert(1, None)),
+        ParseError, "relays[1] must be an object",
+        id="non-object element",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc["relays"][1].pop("fingerprint")),
+        ParseError, "relays[1].fingerprint must be a string, not None",
+        id="relay without a fingerprint",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc["relays"].append(relay_copy(doc, 0, nickname="again"))),
+        DuplicateRelayError, "relays[2].fingerprint AAAA repeats relays[0]",
+        id="repeated fingerprint",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc["relays"][1].update(consensus_weight=2**63)),
+        ParseError, "relays[1].consensus_weight: consensus weight 9223372036854775808 is outside"
+        " [0, 2**63 - 1] (64 bits)",
+        id="weight of 2**63",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc["relays"][1].update(exit_policy=["accept:bogus"])),
+        ParseError, "relays[1].exit_policy: bad policy value 'accept:bogus'",
+        id="bad policy",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc.update(totals={"G": 1, "M": 0, "E": 0, "D": 0, "T": 1})),
+        ParseError, "stored totals do not match relay list",
+        id="totals mismatch",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc.update(valid_after=True)),
+        ParseError, "valid_after must be an integer, not True",
+        id="bool valid_after",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc["relays"][1]["flags"].append(1)),
+        ParseError,
+        "relays[1].flags must be a list of strings, not ['Exit', 'Fast', 'Running', 'Valid', 1]",
+        id="flag that is no string",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc.update(comment="hand-edited")),
+        ParseError, "snapshot document: unknown key(s) 'comment'",
+        id="unknown top-level key",
+    ),
+    *(
+        pytest.param(
+            in_place(lambda doc, old=old, new=new: rename_key(doc["relays"][1], old, new)),
+            ParseError, f"relays[1]: unknown key(s) '{new}'",
+            id=f"native key name {new}",
         )
-        assert list(a.subnet_codes.items()) == list(b.subnet_codes.items())
-        assert np.array_equal(a.family_keys, b.family_keys)
-        assert a.family_keys.dtype == b.family_keys.dtype
+        for old, new in [("exit_policy", "policy"), ("subnet16", "subnet"), ("as_number", "as")]
+    ),
+    pytest.param(
+        repeat_key(lambda doc: doc, "valid_after", 5),
+        ParseError, "top level: repeated key 'valid_after'",
+        id="repeated top-level key",
+    ),
+    pytest.param(
+        repeat_key(lambda doc: doc.setdefault("totals", dict(TOTALS)), "G", 10),
+        ParseError, "totals: repeated key 'G'",
+        id="repeated totals key",
+    ),
+    pytest.param(
+        repeat_key(lambda doc: doc["relays"][1], "consensus_weight", 9),
+        ParseError, "relays[1]: repeated key 'consensus_weight'",
+        id="repeated relay key",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc.update(format="waterweights-snapshot-v2")),
+        ParseError, "format must be 'waterweights-snapshot-v1', not 'waterweights-snapshot-v2'",
+        id="wrong format",
+    ),
+    pytest.param(
+        in_place(lambda doc: doc.pop("format")),
+        ParseError, "format must be 'waterweights-snapshot-v1', not missing",
+        id="missing format",
+    ),
+    pytest.param(
+        lambda doc: json.dumps(doc)[:-1],
+        ParseError, "invalid JSON: ",
+        id="truncated",
+    ),
+]
+
+
+class TestJsonDocument:
+    """One strict reading: every fault is an error of its own, located."""
+
+    @pytest.mark.parametrize("edit,error,message", JSON_FAULTS)
+    def test_fault_is_rejected(self, edit, error, message):
+        with pytest.raises(ParseError) as err:
+            snapshot_from_json(edit(one_relay_document()))
+        assert type(err.value) is error
+        assert str(err.value).startswith(message), str(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relay_documents())
+    def test_a_document_reads_back_as_written(self, doc):
+        again = json.loads(snapshot_to_json(snapshot_from_json(json.dumps(doc))))
+        doc.setdefault("totals", again["totals"])
+        assert again == doc
 
     @settings(max_examples=150, deadline=None)
-    @given(relay_documents(), st.sampled_from([None, *JSON_FAULTS]), st.data())
-    def test_matches_the_row_loop(self, doc, fault, data):
-        if fault is None:
-            assert _snapshot_relay_by_relay(json.dumps(doc)) is not None
-        else:
-            JSON_FAULTS[fault](doc, data)
-        self.assert_same(json.dumps(doc))
+    @given(relay_documents(), st.data())
+    def test_a_repeated_key_is_named(self, doc, data):
+        objects = [("top level", doc), *[(f"relays[{i}]", r) for i, r in enumerate(doc["relays"])]]
+        if "totals" in doc:
+            objects.append(("totals", doc["totals"]))
+        where, target = data.draw(st.sampled_from(objects))
+        key = data.draw(st.sampled_from(sorted(target)))
+        again = data.draw(st.sampled_from([target[key], None, 7]))
+        text = dumps_repeating(doc, target, key, again, data.draw(st.integers(0, len(target))))
+        with pytest.raises(ParseError) as err:
+            snapshot_from_json(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{where}: repeated key {key!r}"
 
     @settings(max_examples=50, deadline=None)
     @given(relay_documents(), st.data())
-    def test_invalid_json_matches_the_row_loop(self, doc, data):
+    def test_a_truncated_document_is_invalid_json(self, doc, data):
         text = json.dumps(doc)
-        self.assert_same(text[: data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            snapshot_from_json(text[: data.draw(st.integers(0, len(text) - 1))])
 
-    def test_repeated_relays_key_keeps_the_last_list(self):
+    def test_repeated_relays_key_is_rejected(self):
+        # a second "relays" list used to replace the first, with no error
         doc = one_relay_document()
         text = json.dumps(doc)[:-1] + ', "relays": ' + json.dumps(doc["relays"][:1]) + "}"
-        self.assert_same(text)
-        assert len(snapshot_from_json(text).relays) == 1
+        with pytest.raises(ParseError, match=r"^top level: repeated key 'relays'$"):
+            snapshot_from_json(text)
+
+    def test_null_totals_are_no_totals(self):
+        doc = one_relay_document()
+        doc["totals"] = None
+        assert snapshot_from_json(json.dumps(doc)).totals == PoolTotals(G=10, E=20)
 
 
 def tor_size_document(relays=6000, seed=16) -> str:
@@ -784,7 +907,7 @@ def tor_size_document(relays=6000, seed=16) -> str:
             "subnet16": f"{a}.{b}",
         })
     doc = {
-        "format": "waterweights-snapshot-v1",
+        "format": SNAPSHOT_FORMAT,
         "relays": rows,
         "totals": {**totals, "T": sum(totals.values())},
         "valid_after": 1_432_548_000,
