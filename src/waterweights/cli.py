@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -326,6 +327,65 @@ def _load_snapshot(path: Path):
     return parse_native(text)
 
 
+# ``snapshot_to_json`` sorts its keys, so a document it wrote ends in its
+# top-level ``valid_after``
+_JSON_TAIL = re.compile(rb'"valid_after"\s*:\s*(-?[0-9]+)\s*}\s*\Z')
+
+
+def _read_ahead_time(path: Path) -> int | None:
+    """A snapshot file's ``valid_after`` from a cheap read, or None where
+    that read finds none: a JSON document's tail, or a native file's first
+    line that is neither blank nor a comment, which must be its header."""
+    try:
+        if path.suffix == ".json":
+            with path.open("rb") as f:
+                f.seek(max(0, f.seek(0, 2) - 128))
+                match = _JSON_TAIL.search(f.read())
+            return int(match[1]) if match else None
+        with path.open() as f:
+            for raw in f:
+                for line in raw.splitlines():  # the lines parse_native sees
+                    fields = line.split()
+                    if fields and not fields[0].startswith("#"):
+                        header = fields[0] == "snapshot" and len(fields) == 2
+                        return int(fields[1]) if header else None
+    except (OSError, ValueError):  # a file the parse will reject, or a bad number
+        return None
+    return None
+
+
+def _parse_file(path: Path, at: int | None = None):
+    """Parse one snapshot file; a ParseError names the file, and so does a
+    ``valid_after`` other than ``at``, the time it was ordered by."""
+    try:
+        snapshot = _load_snapshot(path)
+    except ParseError as err:
+        raise ParseError(f"{path}: {err}") from None
+    if at is not None and snapshot.valid_after != at:
+        raise ParseError(
+            f"{path}: valid_after is {snapshot.valid_after}, but it was ordered at {at}"
+        )
+    return snapshot
+
+
+def _snapshots_in_time_order(files: list[Path]):
+    """Parse each snapshot file when its turn comes, in ``valid_after``
+    order, files of one time in the order given.
+
+    The order comes from ``_read_ahead_time``; a file it cannot place is
+    parsed once up front for its time, and that parse is dropped.  Each
+    parse must agree with the time it was ordered by.  Nothing is read
+    before the first snapshot is asked for.
+    """
+    ahead = []
+    for path in files:
+        at = _read_ahead_time(path)
+        ahead.append((_parse_file(path).valid_after if at is None else at, path))
+    ahead.sort(key=lambda item: item[0])
+    for at, path in ahead:
+        yield _parse_file(path, at)  # held by the caller alone
+
+
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
@@ -340,7 +400,8 @@ class _Group(click.Group):
 
 @click.group(cls=_Group)
 @click.version_option(__version__)
-@click.option("--seed", type=int, default=None, help="Default seed for randomized subcommands.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Default seed for randomized subcommands.")
 @click.option("--json", "json_only", is_flag=True, help="Suppress non-JSON text output.")
 @click.option("--quiet", is_flag=True, help="Suppress warnings and progress on stderr.")
 @click.pass_context
@@ -435,7 +496,8 @@ def waterfill(ctx, mode, pools, snapshot):
 @click.option("--adversary", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--algo", type=click.Choice([a.value for a in Algorithm]), required=True)
 @click.option("--clients", type=int, required=True)
-@click.option("--seed", type=int, default=None, help="Required here or at the group level.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Required here or at the group level.")
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 @click.option("--duration", type=int, default=None, help="Seconds simulated past the first snapshot.")
 @click.option("--interval", type=click.IntRange(min=1), default=600, show_default=True,
@@ -455,24 +517,16 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     files = sorted(p for p in snapshots.iterdir() if p.is_file())
     if not files:
         raise ParseError(f"no snapshot files under {snapshots}")
-    sequence = []
-    for path in files:
-        try:
-            sequence.append(_load_snapshot(path))
-        except ParseError as err:
-            raise ParseError(f"{path}: {err}") from None
-    sequence.sort(key=lambda s: s.valid_after)
-    snapshot_count = len(sequence)
     try:
         adversary_spec = AdversarySpec.from_json_dict(strictjson.loads(adversary.read_text()))
     except (ParseError, TypeError, ValueError) as exc:
         raise ParseError(f"bad adversary file {adversary}: {exc}") from None
     schedule = StreamSchedule(circuit_interval=interval, destination_port=port)
-    # prepare_sequence reads each snapshot once, in order; popping it off
-    # the list frees the parse as soon as its period's state exists
-    sequence.reverse()
-    drained = (sequence.pop() for _ in range(snapshot_count))
-    states = prepare_sequence(drained, adversary_spec, Algorithm(algo), duration)
+    # one live period: each file is parsed, prepared and simulated in turn,
+    # once simulate_prepared has checked its arguments
+    states = prepare_sequence(
+        _snapshots_in_time_order(files), adversary_spec, Algorithm(algo), duration
+    )
     trace = simulate_prepared(
         states, clients, seed,
         schedule=schedule, num_entry_guards=num_guards, workers=workers,
@@ -480,8 +534,7 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
     records = trace.records
     out.write_text(records_to_csv(records))
     compromised = sum(1 for r in records if r.circuits_compromised > 0)
-    periods = [state.summary() for state in states]
-    scheduled = clients * sum(len(schedule.stream_times(s.start, s.end)) for s in states)
+    scheduled = trace.circuits_scheduled
     unbuilt = scheduled - sum(r.circuits_built for r in records)
     skipped, failed = trace.streams_skipped, trace.circuits_failed
     on_guard, on_middle = trace.circuits_failed_guard, trace.circuits_failed_middle
@@ -519,7 +572,7 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
         {
             "algo": algo,
             "clients": clients,
-            "snapshots": snapshot_count,
+            "snapshots": len(files),
             "adversary_relays": len(adversary_spec.relays),
             "records": str(out),
             "circuits_scheduled": scheduled,
@@ -532,7 +585,7 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
             "guard_rotations": trace.guard_rotations,
             "clients_compromised": compromised,
             "compromised_fraction": compromised / clients,
-            "periods": periods,
+            "periods": trace.periods,
         },
         seed=seed,
     )

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -340,18 +340,21 @@ def prepare_sequence(
     adversary: AdversarySpec,
     algorithm: Algorithm,
     duration: int | None = None,
-) -> tuple[NetworkState, ...]:
-    """Cut a chronological snapshot sequence into periods and prepare each state.
+) -> Iterator[NetworkState]:
+    """Cut a chronological snapshot sequence into periods and yield each state.
 
-    The sequence is read once, in order, so it may be any iterable.  A
-    snapshot extends the open period when both its relay list and its
-    live adversary relays repeat those of the snapshot that opened the
-    period; two different relay lists at one time are an error.  A
-    period's state is prepared as soon as the next period, or the end,
-    fixes where it ends, so no snapshot but the period's opener is held
-    past its turn.  ``duration`` defaults to the span of the sequence plus
-    one snapshot period.  ``simulate_prepared`` runs the states from the
-    first one's start.
+    The sequence is read once, in order, so it may be any iterable, and
+    nothing is read before the first state is asked for.  A snapshot
+    extends the open period when both its relay list and its live
+    adversary relays repeat those of the snapshot that opened the period;
+    two different relay lists at one time are an error.  A period's state
+    is prepared and yielded as soon as the next period, or the end, fixes
+    where it ends.  While a state is out, only its period's opener and the
+    snapshot that closed the period are held, and no state is kept once
+    the next one is asked for.  Errors are raised as the generator is
+    read, when the sequence reaches them.  ``duration`` defaults to the
+    span of the sequence plus one snapshot period.  ``simulate_prepared``
+    runs the states from the first one's start.
     """
     snapshots = iter(sequence)
     opener = next(snapshots, None)
@@ -361,14 +364,19 @@ def prepare_sequence(
     sim_end = None if duration is None else last + duration
     joined = adversary.joined(last)
     adv_fps = frozenset(adversary.fingerprints)
-    states = []
+    prepared = 0
 
-    def prepare(snap: ConsensusSnapshot, end: int) -> None:
+    def prepare(snap: ConsensusSnapshot, end: int) -> tuple[NetworkState, ...]:
+        # a tuple for ``yield from``, which lets go of the state when the
+        # next one is asked for
+        nonlocal prepared
         if sim_end is not None:
             end = min(end, sim_end)
-        if end > snap.valid_after:
-            live = inject_adversary(snap, adversary)
-            states.append(NetworkState(live, algorithm, adv_fps, snap.valid_after, end))
+        if end <= snap.valid_after:
+            return ()
+        prepared += 1
+        live = inject_adversary(snap, adversary)
+        return (NetworkState(live, algorithm, adv_fps, snap.valid_after, end),)
 
     for snap in snapshots:
         if snap.valid_after < last:
@@ -376,17 +384,17 @@ def prepare_sequence(
         now_joined = adversary.joined(snap.valid_after)
         if now_joined == joined and (snap is opener or snap.table == opener.table):
             last = snap.valid_after
+            del snap  # not held while the next snapshot is read
             continue  # republished relay list, same adversary: extend the open period
         if snap.valid_after == last:
             raise WaterweightsError(f"two different relay lists at valid_after {snap.valid_after}")
-        prepare(opener, snap.valid_after)
+        yield from prepare(opener, snap.valid_after)
         opener, joined, last = snap, now_joined, snap.valid_after
     if sim_end is None:
         sim_end = last + DEFAULT_SNAPSHOT_PERIOD
-    prepare(opener, sim_end)
-    if not states:
+    yield from prepare(opener, sim_end)
+    if not prepared:
         raise WaterweightsError("simulation duration covers no snapshot")
-    return tuple(states)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +473,13 @@ class _GuardLists:
             self.rows[c, :k], self.deadlines[c, :k] = zip(*slots)
         self.size[c] = k
 
-    def move(self, old: RelayTable, new: RelayTable) -> None:
-        """Readdress the held rows from table ``old`` to ``new``; -1 where a relay left."""
+    def move(self, old: list[str], new: RelayTable) -> None:
+        """Readdress the held rows from a table with fingerprints ``old`` to
+        table ``new``; -1 where a relay left."""
         held = self.rows >= 0
         rows, inverse = np.unique(self.rows[held], return_inverse=True)
-        fps, row = old.fingerprints, new.row
-        moved = np.array([row.get(fps[r], -1) for r in rows.tolist()], dtype=np.int64)
+        row = new.row
+        moved = np.array([row.get(old[r], -1) for r in rows.tolist()], dtype=np.int64)
         self.rows[held] = moved[inverse]
 
 
@@ -563,19 +572,25 @@ def _build_circuits(
 
 @dataclass
 class SimulationTrace:
-    """A run's records, its circuits when collected, and what it counted.
+    """A run's records, its circuits when collected, its periods, and what
+    it counted.
 
-    ``streams_skipped`` counts streams no exit accepted in their period and
-    ``circuits_failed`` circuits whose relay constraints were not met within
-    MAX_HOP_ATTEMPTS draws: ``circuits_failed_guard`` found no list guard
-    compatible with the exit, ``circuits_failed_middle`` no middle compatible
-    with the guard and the exit.  ``guard_replacements`` counts guard slots
+    ``periods`` holds each period's ``NetworkState.summary()``, in order,
+    and ``circuits_scheduled`` counts the streams scheduled over all of
+    them, one per client and stream time.  ``streams_skipped`` counts
+    streams no exit accepted in their period and ``circuits_failed``
+    circuits whose relay constraints were not met within MAX_HOP_ATTEMPTS
+    draws: ``circuits_failed_guard`` found no list guard compatible with
+    the exit, ``circuits_failed_middle`` no middle compatible with the
+    guard and the exit.  ``guard_replacements`` counts guard slots
     dropped because their relay left the guard pool, ``guard_rotations``
     slots replaced at their rotation deadline.
     """
 
     records: list[CompromiseRecord]
     circuits: list[tuple[int, Circuit]]  # (client_id, circuit); only when traced
+    periods: list[dict] = field(default_factory=list)
+    circuits_scheduled: int = 0
     streams_skipped: int = 0
     circuits_failed: int = 0
     circuits_failed_guard: int = 0
@@ -584,10 +599,12 @@ class SimulationTrace:
     guard_rotations: int = 0
 
     def merge(self, part: "SimulationTrace") -> None:
-        """Append the records and circuits of a later client range and add its counts."""
+        """Append the records and circuits of a later client range and add its
+        counts; every range walks the same periods."""
         self.records.extend(part.records)
         self.circuits.extend(part.circuits)
-        for f in fields(self)[2:]:  # the counts
+        self.periods = part.periods
+        for f in fields(self)[3:]:  # the counts
             setattr(self, f.name, getattr(self, f.name) + getattr(part, f.name))
 
 
@@ -595,9 +612,8 @@ class _Run(NamedTuple):
     """What every client range of one simulation shares."""
 
     seed: int
-    states: tuple[NetworkState, ...]
-    state_times: list[np.ndarray]  # each period's stream times, the same for every client
-    port: int
+    states: Iterable[NetworkState]  # read once, in order
+    schedule: StreamSchedule
     num_entry_guards: int
 
 
@@ -610,9 +626,13 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     guards, refills its list, and takes the streams up to its next guard
     deadline; one ``_build_circuits`` call serves them all.  A client whose
     deadline falls inside the period takes part in one more round.
+
+    The states are read once, in order, and none is held once the next is
+    asked for: the guard lists move to the next table by the fingerprints
+    of the last one.
     """
     n, size = hi - lo, run.num_entry_guards
-    sim_start = run.states[0].start
+    sim_start = None
     rngs = [np.random.default_rng([run.seed, client_id]) for client_id in range(lo, hi)]
     guards = _GuardLists(n, size)
     built = np.zeros(n, dtype=np.int64)
@@ -620,12 +640,18 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     first = np.full(n, -1, dtype=np.int64)
     circuits: list[list[tuple[int, Circuit]]] = [[] for _ in range(n)]
     counts: Counter = Counter()
-    previous = None
+    periods = []
+    fps = None  # the fingerprints of the previous period's table
 
-    for state, times in zip(run.states, run.state_times):
-        if previous is not None:
-            guards.move(previous.snapshot.table, state.snapshot.table)
-        previous = state
+    for state in run.states:
+        if fps is None:
+            sim_start = state.start
+        else:
+            guards.move(fps, state.snapshot.table)
+        fps = state.snapshot.table.fingerprints
+        times = run.schedule.stream_times(state.start, state.end)
+        periods.append(state.summary())
+        counts["circuits_scheduled"] += n * len(times)
         rows = guards.rows
         keep = (rows >= 0) & state.guard[rows]  # -1 reads the last row, masked out
         kept = keep.sum(axis=1)
@@ -635,7 +661,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
             _refill_guards(slots, size, state, rngs[c], state.start)
             guards.put(c, slots)
 
-        pool = state.exit_pool(run.port)
+        pool = state.exit_pool(run.schedule.destination_port)
         position = np.zeros(n, dtype=np.int64)
         active = np.arange(n if len(times) else 0)
         while active.size:
@@ -680,18 +706,18 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
                 unset = first[who] < 0
                 first[who[unset]] = when[hits[at[unset]]] - sim_start
             if collect:
-                fps = state.snapshot.table.fingerprints
                 for c, t, g, mi, e in zip(
                     owner[ok].tolist(), when[ok].tolist(), made.guard[ok].tolist(),
                     made.middle[ok].tolist(), made.exit[ok].tolist(),
                 ):
                     circuits[c].append((lo + c, Circuit(t, fps[g], fps[mi], fps[e])))
+        del state  # so that it is freed before the next state is prepared
 
     records = [
         CompromiseRecord(lo + c, f if f >= 0 else None, b, k)
         for c, (f, b, k) in enumerate(zip(first.tolist(), built.tolist(), compromised.tolist()))
     ]
-    return SimulationTrace(records, [x for mine in circuits for x in mine], **counts)
+    return SimulationTrace(records, [x for mine in circuits for x in mine], periods, **counts)
 
 
 # The run a process pool works on.  simulate_prepared sets it just before
@@ -728,7 +754,7 @@ def run_simulation(
 
 
 def simulate_prepared(
-    states: tuple[NetworkState, ...],
+    states: Iterable[NetworkState],
     clients: int,
     seed: int,
     *,
@@ -739,12 +765,15 @@ def simulate_prepared(
 ) -> SimulationTrace:
     """Simulate over ``prepare_sequence``'s states; the trace counts what went unbuilt.
 
-    With ``workers`` > 1 the client range is split over a pool of forked
-    processes, which inherit the prepared run from this one; each job
-    carries only its client range.  Where the platform cannot fork, and
-    for ``collect`` (keep every built circuit), the clients run serially.
-    Each client draws from its own substream, so the split cannot change
-    any result.
+    The arguments are checked before the first state is taken.  Serially,
+    the states are read once, in order, and each is let go once the next
+    is asked for, so ``prepare_sequence``'s generator keeps one period
+    live.  With ``workers`` > 1 the states are first gathered in a tuple,
+    and the client range is split over a pool of forked processes, which
+    inherit the run from this one; each job carries only its client
+    range.  Where the platform cannot fork, and for ``collect`` (keep every
+    built circuit), the clients run serially.  Each client draws from its
+    own substream, so the split cannot change any result.
     """
     global _RUN
     if clients < 1:
@@ -753,11 +782,9 @@ def simulate_prepared(
         raise WaterweightsError("need at least one worker")
     if num_entry_guards < 1:
         raise WaterweightsError("need at least one entry guard")
-    schedule = schedule or StreamSchedule()
-    run = _Run(
-        seed, states, [schedule.stream_times(s.start, s.end) for s in states],
-        schedule.destination_port, num_entry_guards,
-    )
+    if seed < 0:
+        raise WaterweightsError(f"seed must be at least 0, not {seed}")
+    run = _Run(seed, states, schedule or StreamSchedule(), num_entry_guards)
     if workers == 1 or collect or clients < 2 * workers:
         return _simulate_range(run, 0, clients, collect)
     import multiprocessing
@@ -766,6 +793,8 @@ def simulate_prepared(
     if "fork" not in multiprocessing.get_all_start_methods():
         return _simulate_range(run, 0, clients, collect)
 
+    # every worker walks all the periods, so they must exist before the fork
+    run = run._replace(states=tuple(states))
     bounds = np.linspace(0, clients, workers + 1, dtype=int)
     jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     trace = SimulationTrace(records=[], circuits=[])

@@ -383,6 +383,39 @@ class TestMetricsCommand:
         assert "sum to inf" in result.stderr
 
 
+class TestReadAheadTime:
+    """The cheap ``valid_after`` read that orders simulate's files."""
+
+    @pytest.mark.parametrize("valid_after", [0, -3600, 1_432_548_000])
+    def test_written_files_are_placed(self, tmp_path, valid_after):
+        from waterweights.consensus import snapshot_to_json
+
+        snap = make_snapshot(
+            [("G1", 500, "g"), ("M1", 400, "m"), ("E1", 200, "e")], valid_after=valid_after
+        )
+        (tmp_path / "a.json").write_text(snapshot_to_json(snap))
+        (tmp_path / "b.snapshot").write_text("# a comment\n\n  \n" + serialize_native(snap))
+        for name in ("a.json", "b.snapshot"):
+            assert cli._read_ahead_time(tmp_path / name) == valid_after
+            assert cli._load_snapshot(tmp_path / name).valid_after == valid_after
+
+    @pytest.mark.parametrize("name,text", [
+        ("a.json", '{"valid_after": 5, "relays": []}'),
+        ("a.json", '{"relays": [], "valid_after": 5.0}'),
+        ("a.json", '{"relays": [], "valid_after": 5} []'),
+        ("a.json", ""),
+        ("a.snapshot", "relay G1 nick 5\nsnapshot 5\n"),
+        ("a.snapshot", "snapshot five\n"),
+        ("a.snapshot", "snapshot 5 6\n"),
+        ("a.snapshot", "# only a comment\n"),
+        ("a.snapshot", ""),
+    ])
+    def test_files_it_cannot_place(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli._read_ahead_time(path) is None
+
+
 class TestSimulateAndCompare:
     def write_inputs(self, tmp_path):
         tmp_path.mkdir(parents=True, exist_ok=True)
@@ -415,26 +448,178 @@ class TestSimulateAndCompare:
         assert summary["seed"] == 77
         assert summary["version"]
 
-    def test_client_loop_holds_only_the_prepared_states(self, runner, tmp_path, monkeypatch):
-        # the parsed snapshots are let go once prepare_sequence returns; the
-        # adversary is injected, so each state holds a copy, not the parse
-        loaded, held = [], []
-        load, run = cli._load_snapshot, cli.simulate_prepared
+    T0 = 1_432_548_000  # demo_snapshot_text's valid_after
+
+    def write_hours(self, directory, hours, name=lambda i: f"{i}.snapshot"):
+        """The demo network at each hour in ``hours``, G1's weight changing
+        with the hour; the adversary joins at hour 4."""
+        snaps = directory / "snaps"
+        snaps.mkdir(parents=True)
+        for i in hours:
+            snap = make_snapshot([
+                ("G1", 500 + i, "g"), ("G2", 300, "g"), ("G3", 200, "g"),
+                ("M1", 400, "m"), ("E1", 200, "e"), ("D1", 50, "d"),
+            ], valid_after=self.T0 + 3600 * i)
+            (snaps / name(i)).write_text(serialize_native(snap))
+        adv = directory / "adv.json"
+        adv.write_text(json.dumps({"relays": [
+            {"role": "guard", "consensus_weight": 400, "join_time": self.T0 + 4 * 3600},
+            {"role": "exit", "consensus_weight": 150, "join_time": self.T0 + 4 * 3600},
+        ]}))
+        return snaps, adv
+
+    def run_hours(self, runner, snaps, adv, out, *extra):
+        return runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "wf", "--clients", "12", "--seed", "9", "--out", str(out), *extra,
+        ])
+
+    def test_a_serial_run_holds_one_live_period(self, runner, tmp_path, monkeypatch):
+        # at each parse, each state preparation and each circuit batch, at
+        # most two parsed snapshots and two prepared states are alive.  The
+        # files are named against time order; hour 3 republishes hour 2's
+        # list; the states before hour 4 hold their parse, the later ones an
+        # injected copy; one JSON file's time is not its last key, so the
+        # ordering read cannot place it and it is parsed twice
+        from waterweights import pathsim
+        from waterweights.consensus import parse_native, snapshot_to_json
+
+        snaps, adv = self.write_hours(tmp_path, range(7), name=lambda i: f"{9 - i}.snapshot")
+        republished = parse_native((snaps / "7.snapshot").read_text())
+        (snaps / "6.snapshot").write_text(serialize_native(
+            ConsensusSnapshot(self.T0 + 3 * 3600, republished.table, republished.totals)
+        ))
+        doc = json.loads(snapshot_to_json(parse_native((snaps / "4.snapshot").read_text())))
+        (snaps / "4.snapshot").unlink()
+        (snaps / "4.json").write_text(json.dumps({"valid_after": doc.pop("valid_after"), **doc}))
+        (snaps / "3.json").write_text(
+            snapshot_to_json(parse_native((snaps / "3.snapshot").read_text()))
+        )
+        (snaps / "3.snapshot").unlink()
+
+        parsed, states, alive = [], [], []
+        load, build = cli._load_snapshot, pathsim._build_circuits
+        prepare = pathsim.NetworkState.__init__
+
+        def census(where):
+            alive.append((
+                where,
+                sum(ref() is not None for ref in parsed),
+                sum(ref() is not None for ref in states),
+            ))
 
         def spy_load(path):
             snapshot = load(path)
-            loaded.append(weakref.ref(snapshot))
+            parsed.append(weakref.ref(snapshot))
+            census("parse")
             return snapshot
 
-        def spy_run(states, *args, **kwargs):
-            held.extend(ref() for ref in loaded if ref() is not None)
-            return run(states, *args, **kwargs)
+        def spy_prepare(self, *args, **kwargs):
+            prepare(self, *args, **kwargs)
+            states.append(weakref.ref(self))
+            census("prepare")
+
+        def spy_build(*args, **kwargs):
+            census("build")
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_load_snapshot", spy_load)
-        monkeypatch.setattr(cli, "simulate_prepared", spy_run)
-        result = self.simulate(runner, tmp_path, tmp_path / "r.csv")
+        monkeypatch.setattr(pathsim.NetworkState, "__init__", spy_prepare)
+        monkeypatch.setattr(pathsim, "_build_circuits", spy_build)
+        result = self.run_hours(runner, snaps, adv, tmp_path / "r.csv")
         assert result.exit_code == 0, result.output
-        assert len(loaded) == 1 and held == []
+        assert max(n for _, n, _ in alive) <= 2 and max(n for _, _, n in alive) <= 2, alive
+        assert {where for where, _, _ in alive} == {"parse", "prepare", "build"}
+        assert len(parsed) == 7 + 1 and len(states) == 6
+        periods = json.loads(result.stdout)["periods"]
+        assert [p["valid_after"] for p in periods] == [
+            self.T0 + 3600 * i for i in (0, 1, 2, 4, 5, 6)
+        ]
+
+    def test_workers_write_what_one_process_writes(self, runner, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        snaps, adv = self.write_hours(tmp_path, range(6))
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            result = self.run_hours(runner, snaps, adv, out, "--workers", str(workers))
+            assert result.exit_code == 0, result.output
+            summary = json.loads(result.stdout)
+            assert summary.pop("records") == str(out)
+            runs.append((out.read_bytes(), summary))
+        assert pools == [2]
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]["periods"]) == 6
+
+    @pytest.mark.parametrize("at_group", [False, True])
+    def test_negative_seed_exits_2_before_any_read(self, runner, tmp_path, monkeypatch, at_group):
+        def no_read(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "_load_snapshot", no_read)
+        snaps, adv = self.write_inputs(tmp_path)
+        out = tmp_path / "r.csv"
+        seed = ["--seed", "-1"]
+        result = runner.invoke(main, [
+            *(seed if at_group else []),
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "3", "--out", str(out),
+            *([] if at_group else seed),
+        ])
+        assert result.exit_code == 2
+        assert "--seed" in result.stderr
+        assert not out.exists()
+
+    def test_argument_errors_come_before_any_parse(self, runner, tmp_path):
+        snaps, adv = self.write_inputs(tmp_path)
+        (snaps / "broken.snapshot").write_text("not a snapshot\n")
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "0", "--seed", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "need at least one client" in result.stderr
+        assert "broken" not in result.stderr
+        assert not out.exists()
+
+    def test_the_first_malformed_file_in_time_order_is_reported(self, runner, tmp_path):
+        # both lie past --duration, and are parsed all the same
+        snaps, adv = self.write_inputs(tmp_path)
+        (snaps / "a.snapshot").write_text(f"snapshot {self.T0 + 7200}\nrelay broken\n")
+        (snaps / "b.snapshot").write_text(f"snapshot {self.T0 + 3600}\nrelay broken\n")
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "3", "--seed", "1", "--out", str(out),
+            "--duration", "600",
+        ])
+        assert result.exit_code == 2
+        assert f"{snaps / 'b.snapshot'}: line 2:" in result.stderr
+        assert "a.snapshot" not in result.stderr
+        assert not out.exists()
+
+    def test_a_parse_that_disagrees_with_its_ordering_read_exits_2(
+        self, runner, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_read_ahead_time", lambda path: 5)
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out)
+        assert result.exit_code == 2
+        assert (
+            f"{tmp_path / 'snaps' / 'one.snapshot'}: valid_after is {self.T0},"
+            " but it was ordered at 5"
+        ) in result.stderr
+        assert not out.exists()
 
     def test_seed_required(self, runner, tmp_path):
         snaps, adv = self.write_inputs(tmp_path)

@@ -80,14 +80,16 @@ def mixed_sequence():
     first = ConsensusSnapshot.from_relays(0, relays)
     second = ConsensusSnapshot.from_relays(3600, [r for r in relays if r.fingerprint != "G3"])
     adv = adversary(guard_weights=(100,), exit_weights=(50,))
-    return prepare_sequence([first, second], adv, Algorithm.WATERFILLING, duration=3 * 3600)
+    return tuple(
+        prepare_sequence([first, second], adv, Algorithm.WATERFILLING, duration=3 * 3600)
+    )
 
 
 MIXED = mixed_sequence()
 
 
 def counts(trace) -> dict:
-    return {k: v for k, v in vars(trace).items() if k not in ("records", "circuits")}
+    return {k: v for k, v in vars(trace).items() if k not in ("records", "circuits", "periods")}
 
 
 class TestAdversaryInjection:
@@ -160,6 +162,7 @@ class TestBuildCircuit:
         trace = traced([snap], AdversarySpec(), Algorithm.ABWRS, 4, 1)
         assert trace.circuits == []
         assert counts(trace) == {
+            "circuits_scheduled": 4 * 6,
             "streams_skipped": 0, "circuits_failed": 4 * 6, "circuits_failed_guard": 0,
             "circuits_failed_middle": 4 * 6, "guard_replacements": 0, "guard_rotations": 0,
         }
@@ -292,7 +295,7 @@ class TestRunSimulation:
             AdversaryRelay(RoleHint.GUARD_LIKE, 300, join_time=t + 3600),
             AdversaryRelay(RoleHint.EXIT_LIKE, 100, join_time=t + 3600),
         ))
-        states = prepare_sequence([snap, again], adv, Algorithm.ABWRS)
+        states = tuple(prepare_sequence([snap, again], adv, Algorithm.ABWRS))
         assert [(s.start, s.end) for s in states] == [(t, t + 3600), (t + 3600, t + 7200)]
         assert [int(s.adv_mask.sum()) for s in states] == [0, 2]
 
@@ -317,14 +320,47 @@ class TestRunSimulation:
                 del snap
                 alive.append(sum(ref() is not None for ref in refs))
 
-        states = prepare_sequence(one_shot(), adv, Algorithm.WATERFILLING)
+        states = tuple(prepare_sequence(one_shot(), adv, Algorithm.WATERFILLING))
         assert len(alive) == 6 and max(alive) <= 2, alive
-        listed = prepare_sequence([hour(i) for i in range(6)], adv, Algorithm.WATERFILLING)
+        listed = tuple(
+            prepare_sequence([hour(i) for i in range(6)], adv, Algorithm.WATERFILLING)
+        )
         assert len(states) == len(listed) == 6
         for got, want in zip(states, listed):
             assert (got.start, got.end, got.summary()) == (want.start, want.end, want.summary())
             assert got.snapshot == want.snapshot
             assert np.array_equal(got.adv_mask, want.adv_mask)
+
+    def test_each_state_comes_as_soon_as_its_period_ends(self):
+        # the generator reads nothing before the first state is asked for,
+        # and one snapshot past a state's period before it yields it
+        base = calibration_snapshot()
+        read = []
+
+        def hours():
+            for i in range(4):
+                read.append(i)
+                first = dataclasses.replace(base.relays[0], consensus_weight=200 + i)
+                yield ConsensusSnapshot.from_relays(
+                    base.valid_after + 3600 * i, (first, *base.relays[1:])
+                )
+
+        states = prepare_sequence(hours(), AdversarySpec(), Algorithm.ABWRS)
+        assert read == []
+        seen = []
+        for state in states:
+            seen.append((state.start - base.valid_after) // 3600)
+            assert read == list(range(min(seen[-1] + 2, 4)))
+        assert seen == [0, 1, 2, 3]
+
+    def test_errors_come_as_the_states_are_read(self):
+        early = calibration_snapshot()
+        late = ConsensusSnapshot.from_relays(early.valid_after - 3600, early.relays)
+        states = prepare_sequence([early, late], AdversarySpec(), Algorithm.ABWRS)
+        with pytest.raises(WaterweightsError, match="chronological"):
+            next(states)
+        with pytest.raises(WaterweightsError, match="empty"):
+            next(prepare_sequence([], AdversarySpec(), Algorithm.ABWRS))
 
     def test_different_relay_lists_at_one_time_rejected(self):
         relays = [make_relay(fp, 100, fp[0].lower()) for fp in ("G1", "G2", "G3", "M1", "E1")]
@@ -332,7 +368,7 @@ class TestRunSimulation:
         second = ConsensusSnapshot.from_relays(1000, [r for r in relays if r.fingerprint != "G2"])
         for sequence in ([first, second], [first, first, second], [first, second, first]):
             with pytest.raises(WaterweightsError, match="valid_after 1000") as err:
-                prepare_sequence(sequence, AdversarySpec(), Algorithm.ABWRS)
+                tuple(prepare_sequence(sequence, AdversarySpec(), Algorithm.ABWRS))
             assert err.value.exit_code == 2
 
     def test_prepared_sequence_stands_in_for_the_list(self):
@@ -340,7 +376,7 @@ class TestRunSimulation:
         later = ConsensusSnapshot.from_relays(base.valid_after + 3600, base.relays[1:])
         adv = adversary(guard_weights=(300,), exit_weights=(100,))
         args = ([base, later], adv, Algorithm.WATERFILLING)
-        states = prepare_sequence(*args, duration=9000)
+        states = tuple(prepare_sequence(*args, duration=9000))
         assert [(s.start, s.end) for s in states] == [
             (base.valid_after, later.valid_after),
             (later.valid_after, base.valid_after + 9000),
@@ -352,7 +388,9 @@ class TestRunSimulation:
         audit = simulate_prepared(states, collect=True, **kwargs)
         assert audit.circuits == traced(*args, duration=9000, **kwargs).circuits
         summaries = [state.summary() for state in states]
-        assert summaries == network_summaries(*args, 9000)
+        assert summaries == network_summaries(*args, 9000) == audit.periods
+        streams = sum(len(StreamSchedule().stream_times(s.start, s.end)) for s in states)
+        assert audit.circuits_scheduled == 20 * streams
 
     def test_unordered_sequence_rejected(self):
         early = calibration_snapshot()
@@ -535,6 +573,7 @@ class TestWorkers:
         for run in runs[1:]:
             assert run.records == runs[0].records
             assert counts(run) == counts(runs[0])
+            assert run.periods == runs[0].periods == [s.summary() for s in MIXED]
 
     def test_slot_is_cleared_after_a_run(self):
         simulate_prepared(MIXED, clients=8, seed=1, workers=2)
@@ -570,6 +609,33 @@ class TestWorkers:
     def test_no_entry_guards_rejected(self):
         with pytest.raises(WaterweightsError, match="entry guard"):
             simulate_prepared(MIXED, clients=4, seed=1, num_entry_guards=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("arguments,problem", [
+        (dict(clients=4, seed=-1), "seed must be at least 0, not -1"),
+        (dict(clients=0, seed=1), "client"),
+        (dict(clients=4, seed=1, num_entry_guards=0), "entry guard"),
+    ])
+    def test_arguments_are_checked_before_the_first_state(self, arguments, problem, workers):
+        taken = []
+
+        def states():
+            taken.append(True)
+            yield from MIXED
+
+        with pytest.raises(WaterweightsError, match=problem):
+            simulate_prepared(states(), workers=workers, **arguments)
+        assert taken == []
+
+    def test_the_pool_takes_the_states_from_a_generator(self):
+        # the workers must not inherit the generator: each would read it anew
+        serial = simulate_prepared(MIXED, clients=12, seed=6, num_entry_guards=1)
+        pooled = simulate_prepared(
+            (state for state in MIXED), clients=12, seed=6, num_entry_guards=1, workers=2
+        )
+        assert pooled.records == serial.records
+        assert counts(pooled) == counts(serial)
+        assert pooled.periods == serial.periods
 
 
 class TestBatchComposition:
