@@ -25,6 +25,7 @@ from . import __version__, strictjson
 from .consensus import (
     _sorted_unique,
     classify_load_case,
+    fingerprint_codes,
     parse_native,
     parse_v3_subset,
     snapshot_from_json,
@@ -611,7 +612,8 @@ def metrics(ctx, joint, snapshot):
     }
     if snapshot is not None:
         snap = _load_snapshot(snapshot)
-        absent = [fp for fp in jd.guards if fp not in snap.table.row]
+        rows = snap.table.rows(fingerprint_codes(jd.guards))
+        absent = [fp for fp, row in zip(jd.guards, rows.tolist()) if row < 0]
         if absent:
             raise ConfigMismatchError(
                 f"{len(absent)} guard(s) of {joint} absent from {snapshot}, first {absent[0]}"

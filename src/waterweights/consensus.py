@@ -170,29 +170,32 @@ class RelayTable:
     Weights are int64; exact products and sums convert them to Python ints.
     ``pool`` holds each relay's pool code.  Flag sets and exit policies are
     interned: a row holds an id into the table's distinct values, so
-    unknown flags round-trip.  ``subnet`` holds each relay's /16 code from
-    the process-wide /16 table (``_SUBNET_CODES``), so equal /16 strings
-    get equal codes in every table; a relay with no known subnet gets the
-    code ``-(row + 1)``, which matches only itself.  ``family`` keeps each
-    non-empty family set as published; ``family_keys`` holds the resolved
-    pairs as sorted ``i*n + j`` keys in both directions, and ``dangling``
-    the (row, name) entries that name no relay here, in case a later row
-    does; ``in_family`` marks the rows that take part in a resolved pair.
-    ``row`` maps each fingerprint to its row.
+    unknown flags round-trip.  ``fingerprint``, ``nickname``,
+    ``country_code`` and ``subnet`` are code columns: each row holds the
+    code of its name in that column's process-wide name table (``_NAMES``),
+    so equal names get equal codes in every table, and ``fingerprints``,
+    ``nicknames`` and ``country`` decode them on each read.  A relay with no
+    country gets the code -1, one with no known subnet ``-(row + 1)``,
+    which matches only itself.  ``rows`` maps fingerprint codes to rows.
+    ``family`` keeps each non-empty family set as published;
+    ``family_keys`` holds the resolved pairs as sorted ``i*n + j`` keys in
+    both directions, and ``dangling`` the (row, name) entries that name no
+    relay here, in case a later row does; ``in_family`` marks the rows that
+    take part in a resolved pair.
 
-    Fingerprints, nicknames, countries, /16 strings, flag names and family
-    names are interned strings (``sys.intern``), and policies come from
-    the ``parse_policy`` memo, so tables that share relays share these
-    objects too.  On CPython 3.10 and 3.11 an interned string is freed
-    with its last table, though the interpreter's intern table keeps the
-    slots it grew to; on 3.12, ``sys.intern`` makes a string immortal, so
-    every distinct string lives until the process exits.
+    Flag names and family names are interned strings (``sys.intern``), and
+    policies come from the ``parse_policy`` memo, so tables that share
+    relays share these objects too.  On CPython 3.10 and 3.11 an interned
+    string is freed with its last table, though the interpreter's intern
+    table keeps the slots it grew to; on 3.12, ``sys.intern`` makes a
+    string immortal.  The names of the four code columns live in their
+    name tables until the process exits, on every version.
     """
 
     __slots__ = (
-        "fingerprints", "nicknames", "weights", "pool", "flag_id", "flag_sets",
+        "fingerprint", "nickname", "weights", "pool", "flag_id", "flag_sets",
         "policy_id", "policies", "subnet", "family", "family_keys",
-        "in_family", "dangling", "country", "as_number", "row",
+        "in_family", "dangling", "country_code", "as_number",
     )
 
     def __init__(self, **columns):
@@ -200,18 +203,39 @@ class RelayTable:
             setattr(self, name, columns[name])
 
     def __len__(self) -> int:
-        return len(self.fingerprints)
+        return len(self.fingerprint)
 
     @property
     def guard(self) -> np.ndarray:
         return (self.pool & GUARD) != 0
 
-    @property
-    def subnet_codes(self) -> dict[str, int]:
-        """The table's known /16 strings, each to its code, in first-row
-        order; derived from ``subnet`` on each read."""
-        known = dict.fromkeys(c for c in self.subnet.tolist() if c >= 0)
-        return {_SUBNET_NAMES[c]: c for c in known}
+    # the code columns' names, decoded on each read
+    fingerprints = property(lambda self: tuple(self._names("fingerprint")))
+    nicknames = property(lambda self: tuple(self._names("nickname")))
+    country = property(lambda self: tuple(self._names("country_code")))
+
+    # the table's known /16 strings, each to its code, in first-row order
+    subnet_codes = property(lambda self: self._known("subnet"))
+
+    def _names(self, column: str) -> list:
+        """Code column ``column`` as names; None for a negative code."""
+        names = _NAMES[column].names
+        return [names[c] if c >= 0 else None for c in getattr(self, column).tolist()]
+
+    def _known(self, column: str) -> dict[str, int]:
+        """Each name code column ``column`` holds, to its code, in first-row order."""
+        return {n: c for n, c in zip(self._names(column), getattr(self, column).tolist()) if c >= 0}
+
+    def rows(self, codes) -> np.ndarray:
+        """The row of each fingerprint code in ``codes``, -1 where no row
+        has it: the one map from fingerprints to rows.  It looks the codes
+        up in the fingerprint column's sorted order."""
+        if not len(self):
+            return np.full(codes.shape, -1, dtype=np.int64)
+        order = np.argsort(self.fingerprint)
+        # a code past the last wraps to the first, smaller code, and is not found
+        found = order[np.searchsorted(self.fingerprint, codes, sorter=order) % len(self)]
+        return np.where(self.fingerprint[found] == codes, found, -1)
 
     def totals(self) -> PoolTotals:
         """Exact weight sums per pool code, over Python ints."""
@@ -252,37 +276,41 @@ class RelayTable:
         return verdicts[self.policy_id]
 
     def _cells(self, flags=None, policy=None, family=None):
-        """Each row's fields in ``RelayEntry`` order, the interned columns
-        decoded: the table's one decoder.  ``flags`` and ``policy``, when
-        given, render each distinct value once, and a row gets the rendering
-        of its own; ``family`` renders each row's family set.
+        """Each row's fields in ``RelayEntry`` order, the coded and interned
+        columns decoded: the table's one decoder.  ``flags`` and ``policy``,
+        when given, render each distinct value once, and a row gets the
+        rendering of its own; ``family`` renders each row's family set.
         """
         flag_sets = self.flag_sets if flags is None else [flags(f) for f in self.flag_sets]
         policies = self.policies if policy is None else [policy(p) for p in self.policies]
         families = self.family if family is None else {i: family(f) for i, f in self.family.items()}
         empty = frozenset() if family is None else family(frozenset())
         return zip(
-            self.fingerprints, self.nicknames, self.weights.tolist(),
+            self._names("fingerprint"), self._names("nickname"), self.weights.tolist(),
             [flag_sets[i] for i in self.flag_id.tolist()],
             [policies[i] for i in self.policy_id.tolist()],
             [families.get(i, empty) for i in range(len(self))],
-            [_SUBNET_NAMES[c] if c >= 0 else None for c in self.subnet.tolist()],
-            self.country, self.as_number,
+            self._names("subnet"), self._names("country_code"), self.as_number,
         )
 
     def __reduce__(self):
-        # ``subnet`` codes index this process's /16 table, so a pickle carries
-        # the /16 strings, and the loading process codes them afresh
+        # the code columns index this process's name tables, so a pickle
+        # carries each column's names, and the loading process codes them afresh
         columns = {name: getattr(self, name) for name in self.__slots__}
-        return _unpickle_table, (columns, self.subnet_codes)
+        return _unpickle_table, (columns, {c: self._known(c) for c in _NAMES})
 
     def __eq__(self, other) -> bool:
-        """Equal exactly when the two tables hold the same rows.  The weights
-        are compared first: consecutive relay lists mostly differ there."""
+        """Equal exactly when the two tables hold the same rows.  Within one
+        process equal codes mean equal names, and a table numbers its
+        distinct flag sets and policies in first-row order, so equal rows
+        give equal columns.  The weights are compared first: consecutive
+        relay lists mostly differ there."""
         if not isinstance(other, RelayTable):
             return NotImplemented
-        return np.array_equal(self.weights, other.weights) and (
-            list(self._cells()) == list(other._cells())
+        arrays = ("weights", *_NAMES, "flag_id", "policy_id")
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in arrays) and all(
+            getattr(self, c) == getattr(other, c)
+            for c in ("flag_sets", "policies", "family", "as_number")
         )
 
     __hash__ = None
@@ -296,29 +324,45 @@ class _RowError(ParseError):
         self.field = field
 
 
-# The process-wide /16 table: each /16 string a table has held, to its
-# code, and the strings by code.  Tables keep only codes, so no table holds
-# a /16 dict of its own, and a code means the same /16 in every table.  It
-# only grows, bounded by the distinct /16 strings the process has seen (on
-# CPython 3.12 an interned string lives until exit anyway).
-_SUBNET_CODES: dict[str, int] = {}
-_SUBNET_NAMES: list[str] = []
+class _NameTable(dict):
+    """A process-wide name table: each name a table has held, to its code,
+    and ``names``, the names by code.
+
+    Indexing by a name the table lacks adds it (interned, so that family
+    sets share it); ``get`` never adds one.  A table only grows, bounded by
+    the distinct names the process has seen, so its names live until the
+    process exits.
+    """
+
+    def __init__(self):
+        self.names: list[str] = []
+
+    def __missing__(self, name: str) -> int:
+        name = sys.intern(name)
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
 
 
-def _subnet_code(subnet16: str) -> int:
-    """The code of ``subnet16`` in the /16 table, added if it is new."""
-    code = _SUBNET_CODES.get(subnet16)
-    if code is None:
-        subnet16 = sys.intern(subnet16)
-        code = _SUBNET_CODES[subnet16] = len(_SUBNET_NAMES)
-        _SUBNET_NAMES.append(subnet16)
-    return code
+# Each code column's name table.  Tables keep only codes, so no table holds
+# a name of its own, and a code means the same name in every table.
+_NAMES: dict[str, _NameTable] = {
+    column: _NameTable() for column in ("fingerprint", "nickname", "country_code", "subnet")
+}
 
 
-def _unpickle_table(columns: dict, subnet_codes: dict[str, int]) -> RelayTable:
-    recode = {code: _subnet_code(name) for name, code in subnet_codes.items()}
-    subnet = [recode.get(c, c) for c in columns["subnet"].tolist()]
-    return RelayTable(**{**columns, "subnet": np.array(subnet, dtype=np.int64)})
+def fingerprint_codes(names) -> np.ndarray:
+    """The code of each fingerprint in ``names``, for ``RelayTable.rows``;
+    -1 for a fingerprint no table has held.  Adds no name."""
+    return np.array([_NAMES["fingerprint"].get(name, -1) for name in names], dtype=np.int64)
+
+
+def _unpickle_table(columns: dict, known: dict[str, dict[str, int]]) -> RelayTable:
+    for column, codes in known.items():
+        recode = {code: _NAMES[column][name] for name, code in codes.items()}
+        old = columns[column]
+        columns[column] = np.array([recode.get(c, c) for c in old.tolist()], dtype=old.dtype)
+    return RelayTable(**columns)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -371,29 +415,31 @@ def _entry_fault(r: RelayEntry) -> str | None:
     )
 
 
+# The int columns a builder collects, each with its dtype in the table.
+_INT_COLUMNS = {
+    "fingerprint": np.int32, "nickname": np.int32, "weights": np.int64, "pool": np.int8,
+    "flag_id": np.int32, "policy_id": np.int32, "subnet": np.int64, "country_code": np.int32,
+}
+
+
 class _TableBuilder:
     """Collects rows in document order, after the rows of an optional base.
 
-    Every string a row keeps is interned, and every parsed policy comes
-    from the ``parse_policy`` memo, so the tables of consecutive snapshots
-    hold one object per distinct fingerprint, nickname, country, /16,
-    flag name, family name and policy, not one per relay per snapshot.
-    An interned string lives until its last table goes on CPython 3.10
-    and 3.11, and until the process exits on 3.12 (``RelayTable``); a /16
-    string lives in the process-wide /16 table, and a row keeps its code.
+    A row keeps the codes of its fingerprint, nickname, country and /16 in
+    the process-wide name tables, and ids into the table's distinct flag
+    sets and policies; flag and family names are interned, and every
+    parsed policy comes from the ``parse_policy`` memo.  So the tables of
+    consecutive snapshots hold one object per distinct name and policy,
+    not one per relay per snapshot.  ``row_of`` maps each fingerprint added
+    to its row while the table is built, for repeated fingerprints and
+    family resolution; the table does not keep it.
     """
 
     def __init__(self, base: RelayTable | None = None):
         self.base = base
         self.first = 0 if base is None else len(base)
-        self.fingerprints: list[str] = []
-        self.nicknames: list[str] = []
-        self.weights: list[int] = []
-        self.pool: list[int] = []
-        self.flag_id: list[int] = []
-        self.policy_id: list[int] = []
-        self.subnet: list[int] = []
-        self.country: list = []
+        for name in _INT_COLUMNS:  # each a list of the rows' values
+            setattr(self, name, [])
         self.as_number: list = []
         self.family: dict[int, frozenset[str]] = {}
         self.as_numbers: dict = {}  # one object per distinct AS number
@@ -401,11 +447,11 @@ class _TableBuilder:
         self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set id)
         self.policy_keys: dict = {}  # passed policy -> policy id
         if base is None:
-            self.row: dict[str, int] = {}
+            self.row_of: dict[str, int] = {}
             self.flag_ids: dict[frozenset[str], int] = {}
             self.policy_ids: dict[tuple[PolicyRule, ...], int] = {}
         else:
-            self.row = dict(base.row)
+            self.row_of = dict(zip(base.fingerprints, range(self.first)))
             self.flag_ids = {flags: i for i, flags in enumerate(base.flag_sets)}
             self.policy_ids = {policy: i for i, policy in enumerate(base.policies)}
 
@@ -417,9 +463,9 @@ class _TableBuilder:
         policy text or a tuple of rule texts or of ``PolicyRule``s.  A weight
         outside [0, 2**63 - 1] or a policy that does not parse raises
         _RowError, a string or item that is no ``str`` TypeError, and a
-        repeated fingerprint DuplicateRelayError (``row`` keeps its first
-        row).  Strings are interned; a /16 only the first time the process
-        sees it, and a flag set the first time the table does.
+        repeated fingerprint DuplicateRelayError (``row_of`` keeps its first
+        row).  A name table codes a name only the first time the process
+        sees it, and a flag set is interned the first time the table does.
         """
         if not 0 <= weight <= INT64_MAX:
             raise _RowError(
@@ -437,20 +483,19 @@ class _TableBuilder:
             policy_id = self.policy_keys[policy] = self._policy_id(policy)
         if family:
             family = _interned(family)
-        fingerprint = sys.intern(fingerprint)
-        i = self.first + len(self.fingerprints)
-        if self.row.setdefault(fingerprint, i) != i:
+        i = self.first + len(self.fingerprint)
+        if self.row_of.setdefault(fingerprint, i) != i:
             raise DuplicateRelayError(f"duplicate fingerprint {fingerprint}")
-        self.fingerprints.append(fingerprint)
-        self.nicknames.append(sys.intern(nickname))
+        self.fingerprint.append(_NAMES["fingerprint"][fingerprint])
+        self.nickname.append(_NAMES["nickname"][nickname])
         self.weights.append(weight)
         self.pool.append(codes[0])
         self.flag_id.append(codes[1])
         self.policy_id.append(policy_id)
         if family:
             self.family[i] = family
-        self.subnet.append(-(i + 1) if subnet16 is None else _subnet_code(subnet16))
-        self.country.append(None if country is None else sys.intern(country))
+        self.subnet.append(-(i + 1) if subnet16 is None else _NAMES["subnet"][subnet16])
+        self.country_code.append(-1 if country is None else _NAMES["country_code"][country])
         self.as_number.append(self.as_numbers.setdefault(as_number, as_number))
 
     def _policy_id(self, policy) -> int:
@@ -494,22 +539,16 @@ class _TableBuilder:
                 except _RowError as err:
                     fault = str(err)
             raise InvariantError(f"{r.fingerprint}: {fault}")
-        base, first, row = self.base, self.first, self.row
-        n = first + len(self.fingerprints)
+        base, first, row_of = self.base, self.first, self.row_of
+        n = first + len(self.fingerprint)
         families = self.family.items()
         if base is not None:
             families = chain(((i, (name,)) for i, name in base.dangling), families)
-        left, right, dangling = [], [], []
-        for i, names in families:
-            for name in names:
-                j = row.get(name)
-                if j is None:
-                    dangling.append((i, name))
-                else:
-                    left.append(i)
-                    right.append(j)
-        left = np.array(left, dtype=np.int64)
-        right = np.array(right, dtype=np.int64)
+        pairs = [(i, name) for i, names in families for name in names]
+        left = np.array([i for i, _ in pairs], dtype=np.int64)
+        right = np.array([row_of.get(name, -1) for _, name in pairs], dtype=np.int64)
+        dangling = [pair for pair, j in zip(pairs, right.tolist()) if j < 0]
+        left, right = left[right >= 0], right[right >= 0]
         keys = [left * n + right, right * n + left]
         if base is not None and base.family_keys.size:
             i, j = np.divmod(base.family_keys, first)  # re-encode for the new row count
@@ -524,27 +563,16 @@ class _TableBuilder:
             fresh = np.array(getattr(self, name), dtype=dtype)
             return fresh if base is None else np.concatenate([getattr(base, name), fresh])
 
-        def values(name):
-            fresh = tuple(getattr(self, name))
-            return fresh if base is None else getattr(base, name) + fresh
-
+        as_numbers = tuple(self.as_number)
         table = RelayTable(
-            fingerprints=values("fingerprints"),
-            nicknames=values("nicknames"),
-            weights=column("weights", np.int64),
-            pool=column("pool", np.int8),
-            flag_id=column("flag_id", np.int32),
+            **{name: column(name, dtype) for name, dtype in _INT_COLUMNS.items()},
             flag_sets=tuple(self.flag_ids),
-            policy_id=column("policy_id", np.int32),
             policies=tuple(self.policy_ids),
-            subnet=column("subnet", np.int64),
             family=self.family if base is None else {**base.family, **self.family},
             family_keys=family_keys,
             in_family=in_family,
             dangling=tuple(dangling),
-            country=values("country"),
-            as_number=values("as_number"),
-            row=row,
+            as_number=as_numbers if base is None else base.as_number + as_numbers,
         )
         return ConsensusSnapshot(valid_after, table, table.totals())
 
@@ -725,7 +753,7 @@ def _add_located(builder: _TableBuilder, args: dict, lines: dict[str, int], text
     except DuplicateRelayError:
         fingerprint = args["fingerprint"]
         starts = (n for n, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == [keyword])
-        first = next(islice(starts, builder.row[fingerprint], None))
+        first = next(islice(starts, builder.row_of[fingerprint], None))
         raise DuplicateRelayError(
             f"fingerprint {fingerprint} already declared on line {first}",
             line=lines["fingerprint"],
@@ -772,11 +800,10 @@ def _words(values, items: bool) -> bool:
 
 def _check_native(t: RelayTable) -> None:
     """ValueError naming the first relay, and its field, whose value a relay
-    line cannot carry.  The columns and distinct values are checked whole first,
-    each in one join and split; only a failed check walks the rows."""
+    line cannot carry.  The distinct names and values are checked whole first,
+    each kind in one join and split; only a failed check walks the rows."""
     if all(_words(values, items) for values, items in (
-        (t.fingerprints, False), (t.nicknames, False), (t.subnet_codes, False),
-        ([c for c in t.country if c is not None], False),
+        *((t._known(column), False) for column in _NAMES),
         (chain.from_iterable(t.flag_sets), True), (chain.from_iterable(t.family.values()), True),
     )):
         return
@@ -995,7 +1022,7 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
         try:
             doc = strictjson.loads(text, _relay_adder(b))
             relays = _document_relays(doc)
-            if relays.count(_ADDED) == len(relays) == len(b.fingerprints):
+            if relays.count(_ADDED) == len(relays) == len(b.fingerprint):
                 return _checked_totals(doc, b.snapshot(doc["valid_after"]))
             error = ParseError("relay object outside 'relays'")
         except ParseError as err:
@@ -1019,7 +1046,7 @@ def _relay_adder(b: _TableBuilder):
     def add(r: dict):
         if "fingerprint" not in r:
             return r
-        i = len(b.fingerprints)
+        i = len(b.fingerprint)
         try:  # all nine keys and no other, as snapshot_to_json writes them
             values = _row_values(r) if len(r) == len(_ROW_FIELDS) else None
         except KeyError:
@@ -1043,7 +1070,7 @@ def _relay_adder(b: _TableBuilder):
             raise _field_fault(r, i) from None
         except DuplicateRelayError:
             raise DuplicateRelayError(
-                f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row[fingerprint]}]"
+                f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row_of[fingerprint]}]"
             ) from None
         except _RowError as err:
             raise ParseError(f"relays[{i}].{err.field}: {err}") from None

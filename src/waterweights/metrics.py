@@ -36,24 +36,32 @@ BLOCK_CELLS = 1 << 16
 def shannon_entropy(probabilities) -> float:
     """Base-2 entropy with the 0*log(0) = 0 convention.
 
-    The positive cells are gathered, block by block, into one 1-D buffer
-    sized by a first counting pass, so no full-size mask is made.  Each
-    block of that buffer becomes ``x * log2(x)`` in place; summing it adds
-    the same products in the same order as summing ``p * log2(p)`` would.
+    The sum of ``x * log2(x)`` over the positive cells, in C order, is
+    the one ``np.add.reduce`` gives on a vector of those products, bit for
+    bit, in bounded memory.  On a contiguous float64 vector of more than
+    128 terms numpy's pairwise sum adds the sums of its two halves, split
+    at ``n // 2`` rounded down to a multiple of 8; this follows the same
+    tree down to leaves of at most BLOCK_CELLS terms, each gathered from
+    the cells and reduced by numpy, so no full-size vector or mask is made.
     """
     p = np.asarray(probabilities, dtype=np.float64).ravel()
-    starts = range(0, p.size, BLOCK_CELLS)
-    counts = [np.count_nonzero(p[start : start + BLOCK_CELLS] > 0) for start in starts]
-    terms = np.empty(sum(counts))
-    filled = 0
-    for start, count in zip(starts, counts):
-        block = p[start : start + BLOCK_CELLS]
-        terms[filled : filled + count] = block[block > 0]
-        filled += count
-    for start in range(0, terms.size, BLOCK_CELLS):
-        block = terms[start : start + BLOCK_CELLS]
-        block *= np.log2(block)
-    return float(-terms.sum())
+    blocks = [p[start : start + BLOCK_CELLS] for start in range(0, p.size, BLOCK_CELLS)]
+    positives = (block[block > 0] for block in blocks)
+    pending = np.empty(0)
+
+    def tree(n: int):
+        nonlocal pending
+        if n > BLOCK_CELLS:
+            half = n // 2
+            half -= half % 8
+            return tree(half) + tree(n - half)
+        while pending.size < n:
+            pending = np.concatenate([pending, next(positives)])
+        leaf, pending = pending[:n], pending[n:]
+        leaf *= np.log2(leaf)
+        return np.add.reduce(leaf)
+
+    return float(-tree(sum(np.count_nonzero(block > 0) for block in blocks)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,7 @@ from .consensus import (
     RelayEntry,
     RelayTable,
     classify_load_case,
+    fingerprint_codes,
 )
 from .errors import (
     EmptyPoolError,
@@ -292,10 +293,8 @@ class NetworkState:
                 except NotApplicableError:
                     pass
 
-        table = snapshot.table
-        self.guard = table.guard
-        self.adv_mask = np.zeros(len(table), dtype=bool)
-        self.adv_mask[[table.row[fp] for fp in adversary_fps if fp in table.row]] = True
+        self.guard = snapshot.table.guard
+        self.adv_mask = np.isin(snapshot.table.fingerprint, fingerprint_codes(adversary_fps))
 
         self.entry = self._pool(Position.ENTRY)
         self.middle = self._pool(Position.MIDDLE)
@@ -473,14 +472,11 @@ class _GuardLists:
             self.rows[c, :k], self.deadlines[c, :k] = zip(*slots)
         self.size[c] = k
 
-    def move(self, old: list[str], new: RelayTable) -> None:
-        """Readdress the held rows from a table with fingerprints ``old`` to
-        table ``new``; -1 where a relay left."""
+    def move(self, old: np.ndarray, new: RelayTable) -> None:
+        """Readdress the held rows from a table with fingerprint codes
+        ``old`` to table ``new``; -1 where a relay left."""
         held = self.rows >= 0
-        rows, inverse = np.unique(self.rows[held], return_inverse=True)
-        row = new.row
-        moved = np.array([row.get(old[r], -1) for r in rows.tolist()], dtype=np.int64)
-        self.rows[held] = moved[inverse]
+        self.rows[held] = new.rows(old[self.rows[held]])
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +624,8 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     deadline falls inside the period takes part in one more round.
 
     The states are read once, in order, and none is held once the next is
-    asked for: the guard lists move to the next table by the fingerprints
-    of the last one.
+    asked for: the guard lists move to the next table by the fingerprint
+    codes of the last one.
     """
     n, size = hi - lo, run.num_entry_guards
     sim_start = None
@@ -641,14 +637,15 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     circuits: list[list[tuple[int, Circuit]]] = [[] for _ in range(n)]
     counts: Counter = Counter()
     periods = []
-    fps = None  # the fingerprints of the previous period's table
+    codes = None  # the fingerprint codes of the previous period's table
 
     for state in run.states:
-        if fps is None:
+        if codes is None:
             sim_start = state.start
         else:
-            guards.move(fps, state.snapshot.table)
-        fps = state.snapshot.table.fingerprints
+            guards.move(codes, state.snapshot.table)
+        codes = state.snapshot.table.fingerprint
+        fps = state.snapshot.table.fingerprints if collect else None
         times = run.schedule.stream_times(state.start, state.end)
         periods.append(state.summary())
         counts["circuits_scheduled"] += n * len(times)

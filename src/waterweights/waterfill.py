@@ -22,14 +22,14 @@ its nearest-float fraction and its weights rounded to the integer grid.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .consensus import EXIT, GUARD, ConsensusSnapshot, RelayTable
+from .consensus import EXIT, GUARD, ConsensusSnapshot, RelayTable, fingerprint_codes
 from .errors import EmptyPoolError, InvariantError, NotApplicableError
 from .weights import SCALE, PositionWeights
 
@@ -62,12 +62,15 @@ class WaterfillSolution:
     fingerprint tiebreak, zero-weight relays last.  A relay of rank ``i``
     (0-based) keeps ``min(BW_i, L)`` of its bandwidth in the solved
     position(s): the fraction L/BW_i when ``i < pivot_index``, else all of
-    it.
+    it.  ``bandwidths`` is int64: exact sums and products go through
+    ``tolist()``, since int64 arithmetic wraps past 2**63.  Two solutions
+    are equal when every field but ``table`` and ``rows`` is, the
+    bandwidths element by element.
     """
 
     pool: TargetPool
     fingerprints: tuple[str, ...]
-    bandwidths: tuple[int, ...]
+    bandwidths: np.ndarray = field(compare=False)
     water_level: Fraction
     pivot_index: int  # 1-based rank of the last relay above the water level
     target: Fraction  # pool total times its positional weight
@@ -75,6 +78,13 @@ class WaterfillSolution:
     source_weights: PositionWeights
     table: RelayTable = field(compare=False, repr=False)  # the table solved
     rows: np.ndarray = field(compare=False, repr=False)  # its rows, in solved order
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WaterfillSolution):
+            return NotImplemented
+        return np.array_equal(self.bandwidths, other.bandwidths) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
+        )
 
     @cached_property
     def shares(self) -> tuple[RelayShare, ...]:
@@ -98,11 +108,12 @@ class WaterfillSolution:
 
         p, q = self.water_level.numerator, self.water_level.denominator
         pivot = self.pivot_index
-        above = zip(self.fingerprints[:pivot], self.bandwidths[:pivot])
+        bandwidths = self.bandwidths.tolist()
+        above = zip(self.fingerprints[:pivot], bandwidths[:pivot])
         # int / int is correctly rounded, so this is float(Fraction(p, q * bw))
         out = [RelayShare(fp, bw, p / (q * bw), scaled(p, q * bw)) for fp, bw in above]
         whole = scaled(1, 1)
-        below = zip(self.fingerprints[pivot:], self.bandwidths[pivot:])
+        below = zip(self.fingerprints[pivot:], bandwidths[pivot:])
         out.extend(RelayShare(fp, bw, 1.0, whole) for fp, bw in below)
         return tuple(out)
 
@@ -189,7 +200,7 @@ def _solve_pool(
     return WaterfillSolution(
         pool=pool,
         fingerprints=tuple(map(fps.__getitem__, order.tolist())),
-        bandwidths=tuple(bandwidths.tolist()),
+        bandwidths=bandwidths,
         water_level=level,
         pivot_index=pivot,
         target=target,
@@ -242,10 +253,16 @@ class ProbabilityVector:
     rows: np.ndarray | None = None
 
     def rows_in(self, table: RelayTable) -> np.ndarray:
-        """The vector's relays as rows of ``table``; KeyError names one absent."""
+        """The vector's relays as rows of ``table``: its own rows when
+        ``table`` is the one it was drawn from, else the fingerprints'
+        rows by ``RelayTable.rows``.  KeyError names one relay absent
+        from ``table``."""
         if table is self.table:
             return self.rows
-        return np.array([table.row[fp] for fp in self.fingerprints], dtype=np.int64)
+        rows = table.rows(fingerprint_codes(self.fingerprints))
+        if (rows < 0).any():
+            raise KeyError(self.fingerprints[int(np.argmin(rows))])
+        return rows
 
 
 def _scalar_factors(w: PositionWeights, position: Position) -> dict[int, Fraction]:
@@ -293,7 +310,7 @@ def _weight_fractions(
         den[sol.rows] = share.denominator
         rows = sol.rows[: sol.pivot_index]  # the relays above the water level
         p, q = sol.water_level.numerator, sol.water_level.denominator
-        q_bw = q * np.array(sol.bandwidths[: sol.pivot_index], dtype=object)
+        q_bw = q * sol.bandwidths[: sol.pivot_index].astype(object)
         if middle:
             num[rows] = q_bw - p
             den[rows] = q_bw
@@ -365,7 +382,8 @@ def quantization_residual(solution: WaterfillSolution) -> Fraction:
     to the 0..SCALE grid."""
     p, q = solution.water_level.numerator, solution.water_level.denominator
     pivot = solution.pivot_index
-    kept = SCALE * sum(solution.bandwidths[pivot:]) + sum(
-        _round_half_even(SCALE * p, q * bw) * bw for bw in solution.bandwidths[:pivot]
+    bandwidths = solution.bandwidths.tolist()
+    kept = SCALE * sum(bandwidths[pivot:]) + sum(
+        _round_half_even(SCALE * p, q * bw) * bw for bw in bandwidths[:pivot]
     )
     return Fraction(kept, SCALE) - solution.target

@@ -114,7 +114,7 @@ def test_criterion_03_hand_solved_instance_exact():
     assert solution.water_level == Fraction(50)
     assert solution.pivot_index == 2
     level = solution.water_level
-    kept = [min(Fraction(bw), level) / bw for bw in solution.bandwidths]
+    kept = [min(Fraction(bw), level) / bw for bw in solution.bandwidths.tolist()]
     assert kept == [Fraction(1, 2), Fraction(5, 6), Fraction(1)]
     assert [s.scaled for s in solution.shares] == [
         (("Wgg", 5000), ("Wmg", 5000)),

@@ -942,6 +942,8 @@ class TestParseMemory:
         assert kept_second <= 0.5 * kept_first, (
             f"the second parse kept {kept_second} bytes, the first {kept_first}"
         )
+        # code columns, not a fingerprint dict and per-row tuples
+        assert kept_second <= 0.5 * 2**20, f"the second parse kept {kept_second} bytes"
 
 
 def shared_strings_snapshot() -> ConsensusSnapshot:

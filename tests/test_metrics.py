@@ -486,7 +486,8 @@ class TestAnalysisMemory:
         jd = estimate_joint_analytic(*tor_size)
         degree, peak, _ = traced_peak(lambda: uniformity_degree(jd))
         assert 0 < degree < 1
-        assert peak <= 1.05 * jd.p.nbytes, f"peak {peak / jd.p.nbytes:.2f}x the joint"
+        # the entropy sum gathers its leaves of at most BLOCK_CELLS terms one at a time
+        assert peak <= 0.15 * jd.p.nbytes, f"peak {peak / jd.p.nbytes:.2f}x the joint"
 
 
 class TestGroupDiversity:

@@ -13,6 +13,7 @@ import dataclasses
 import pickle
 from datetime import datetime, timezone
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from waterweights.consensus import (
     ConsensusSnapshot,
     PolicyRule,
     RelayEntry,
+    fingerprint_codes,
     parse_native,
     parse_policy,
     parse_v3_subset,
@@ -38,6 +40,7 @@ from waterweights.pathsim import (
     Algorithm,
     NetworkState,
     RoleHint,
+    _GuardLists,
     inject_adversary,
 )
 from waterweights.waterfill import (
@@ -340,20 +343,29 @@ class TestViews:
         assert all(is_guard(relays[i]) and relays[i].consensus_weight for i in rows)
 
 
-def test_a_pickled_table_keeps_its_subnets_in_another_process(monkeypatch):
+def another_process(first):
+    """The process-wide name tables of a process that coded the names
+    ``first`` in each before anything else, in place of this one's."""
+    tables = {column: consensus._NameTable() for column in consensus._NAMES}
+    for table in tables.values():
+        for name in first:
+            table[name]
+    return mock.patch.object(consensus, "_NAMES", tables)
+
+
+def test_a_pickled_table_keeps_its_subnets_in_another_process():
     relays = [
         make_relay("G1", 1000, "g", subnet="7.1"), make_relay("G2", 500, "g", subnet="7.2"),
         make_relay("M1", 600, "m"), make_relay("E1", 100, "e", subnet="7.1"),
     ]
     data = pickle.dumps(ConsensusSnapshot.from_relays(0, relays))
-    # a fresh process's /16 table, which codes another /16 first
-    monkeypatch.setattr(consensus, "_SUBNET_CODES", {"7.2": 0})
-    monkeypatch.setattr(consensus, "_SUBNET_NAMES", ["7.2"])
-    again = pickle.loads(data)
-    assert again.relays == tuple(relays)
-    assert list(again.table.subnet_codes) == ["7.1", "7.2"]
-    joined = again.with_relays([make_relay("E2", 100, "e", subnet="7.2")])
-    assert conflicts_match(joined)
+    # a fresh process's name tables, which code another /16 first
+    with another_process(["7.2"]):
+        again = pickle.loads(data)
+        assert again.relays == tuple(relays)
+        assert list(again.table.subnet_codes) == ["7.1", "7.2"]
+        joined = again.with_relays([make_relay("E2", 100, "e", subnet="7.2")])
+        assert conflicts_match(joined)
 
 
 def test_prepared_states_survive_pickling():
@@ -371,6 +383,77 @@ def test_prepared_states_survive_pickling():
     assert np.array_equal(table.in_family, before.in_family)
     assert again.waterfills[0].table is again.snapshot.table
     assert again.summary() == state.summary()
+
+
+class TestCodes:
+    """The code columns against the names they code, and the one map from
+    fingerprints to rows."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(text_relay_lists(), text_relay_lists(), st.lists(texts, max_size=4))
+    def test_rows_agree_with_a_dict_of_the_fingerprints(self, relays, others, unknown):
+        ConsensusSnapshot.from_relays(0, others)  # names coded, but absent from the table
+        table = ConsensusSnapshot.from_relays(0, relays).table
+        row_of = {fp: i for i, fp in enumerate(table.fingerprints)}
+        names = [
+            *table.fingerprints, *(r.fingerprint for r in others), *unknown,
+            *(fp + "\x00" for fp in table.fingerprints),
+        ]
+        coded = len(consensus._NAMES["fingerprint"])
+        rows = table.rows(fingerprint_codes(names))
+        assert rows.tolist() == [row_of.get(name, -1) for name in names]
+        assert len(consensus._NAMES["fingerprint"]) == coded  # a lookup adds no name
+
+    @settings(max_examples=50, deadline=None)
+    @given(text_relay_lists(), text_relay_lists())
+    def test_codes_are_equal_exactly_when_names_are(self, a, b):
+        a = ConsensusSnapshot.from_relays(0, a).table
+        b = ConsensusSnapshot.from_relays(0, b).table
+        for column, names in (
+            ("fingerprint", "fingerprints"), ("nickname", "nicknames"), ("country_code", "country"),
+        ):
+            equal = getattr(a, column)[:, None] == getattr(b, column)[None, :]
+            assert equal.tolist() == [
+                [x == y for y in getattr(b, names)] for x in getattr(a, names)
+            ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(relay_lists(), min_size=2, max_size=4), st.data())
+    def test_guard_lists_move_by_name(self, lists, data):
+        # relays leave and return across the tables
+        tables = [ConsensusSnapshot.from_relays(0, r).table for r in lists]
+        clients, capacity = 3, 2
+        guards = _GuardLists(clients, capacity)
+        n = len(tables[0])
+        guards.rows[:] = data.draw(st.lists(
+            st.lists(st.integers(-1, n - 1), min_size=capacity, max_size=capacity),
+            min_size=clients, max_size=clients,
+        ))
+        for old, new in zip(tables, tables[1:]):
+            names = old.fingerprints
+            row_of = {fp: i for i, fp in enumerate(new.fingerprints)}
+            expected = [[row_of.get(names[r], -1) if r >= 0 else -1 for r in held]
+                        for held in guards.rows.tolist()]
+            guards.move(old.fingerprint, new)
+            assert guards.rows.tolist() == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(text_relay_lists(), st.lists(texts, max_size=6))
+    def test_a_pickle_decodes_to_the_same_rows_in_another_process(self, relays, first):
+        snap = inject_adversary(ConsensusSnapshot.from_relays(0, relays), ADVERSARY)
+        expected = snap.relays
+        conflicts = snap.table.conflict(np.arange(len(expected))[:, None], np.arange(len(expected)))
+        data = pickle.dumps(snap)
+        with another_process(first):
+            again = pickle.loads(data)
+            assert again.relays == expected
+            assert again == ConsensusSnapshot.from_relays(0, expected)
+            rows = again.table.rows(fingerprint_codes(r.fingerprint for r in expected))
+            assert rows.tolist() == list(range(len(expected)))
+            assert np.array_equal(
+                again.table.conflict(np.arange(len(expected))[:, None], np.arange(len(expected))),
+                conflicts,
+            )
 
 
 def solved_order(relays, dual):
@@ -406,6 +489,6 @@ class TestWaterfillOrder:
                 continue
             sol = solve(snap, w)
             assert sol.fingerprints == tuple(r.fingerprint for r in order)
-            assert sol.bandwidths == tuple(bandwidths)
+            assert sol.bandwidths.tolist() == bandwidths
             assert (sol.water_level, sol.pivot_index) == find_water_level(positive, sol.target)
             assert [snap.table.fingerprints[i] for i in sol.rows] == list(sol.fingerprints)

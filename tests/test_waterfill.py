@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from typing import NamedTuple
@@ -44,7 +45,7 @@ def share_for(sol, fingerprint):
 def kept_fractions(sol):
     """Each relay's exact kept fraction min(BW_i, L) / BW_i, in solved order."""
     level = sol.water_level
-    return [min(Fraction(bw), level) / bw if bw else Fraction(1) for bw in sol.bandwidths]
+    return [min(Fraction(bw), level) / bw if bw else Fraction(1) for bw in sol.bandwidths.tolist()]
 
 
 def oracle_level(bws, target):
@@ -145,6 +146,17 @@ class TestGuardWaterfill:
                 ("M1", 60, "m"), ("E1", 50, "e"), ("D1", 10, "d"),
             ]
         )
+
+    def test_solutions_compare_by_value(self):
+        a = solve_guard_waterfill(self.snapshot(), scalar_weights(Fraction(2, 3)))
+        b = solve_guard_waterfill(self.snapshot(), scalar_weights(Fraction(2, 3)))
+        assert a.table is not b.table
+        assert a == b and not a != b
+        # the bandwidths compare element by element, whatever their lengths
+        for bandwidths in (a.bandwidths[::-1].copy(), a.bandwidths[:-1], a.bandwidths + 1):
+            assert a != dataclasses.replace(a, bandwidths=bandwidths)
+        assert a != dataclasses.replace(a, water_level=a.water_level + 1)
+        assert a != dataclasses.replace(a, fingerprints=a.fingerprints[::-1])
 
     def test_full_stack_hand_instance(self):
         snap = self.snapshot()
@@ -271,7 +283,7 @@ class TestConservationProperty:
         sol = solve_guard_waterfill(snap, scalar_weights(Wgg))
 
         assert sol.conservation_residual == 0
-        bws = list(sol.bandwidths)
+        bws = sol.bandwidths.tolist()
         assert bws == sorted(bws, reverse=True)
         n = sol.pivot_index
         level = sol.water_level
@@ -616,7 +628,7 @@ class TestArrayFormIsExact:
         assert sol.conservation_residual == 0
         assert sol.water_level == oracle_level(bws, sol.target)
         assert sol.pivot_index == oracle_pivot(bws, sol.water_level)
-        assert sol.bandwidths == tuple(sorted(bws, reverse=True)) + (0,) * zeros
+        assert sol.bandwidths.tolist() == sorted(bws, reverse=True) + [0] * zeros
 
 
 @st.composite
@@ -695,6 +707,23 @@ class TestRenderingIsExact:
         assert (top.weights["Wgg"] * SCALE).denominator == 2
         for sol in solutions:
             self.check_rows(snapshot, sol)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(2**61, 2**63 - 1), min_size=2, max_size=6),
+        st.lists(st.integers(2**61, 2**63 - 1), min_size=2, max_size=6),
+        weight_sets(),
+    )
+    def test_pools_summing_past_int64_render_exactly(self, guards, duals, w):
+        # int64 bandwidths: every sum and product must run over Python ints
+        spec = [(f"G{i}", bw, "g") for i, bw in enumerate(guards)]
+        spec += [(f"D{i}", bw, "d") for i, bw in enumerate(duals)]
+        snapshot = make_snapshot(spec)
+        solutions = solve_all(snapshot, w)
+        for sol in solutions:
+            assert sol.conservation_residual == 0
+            self.check_rows(snapshot, sol)
+        TestArrayFormIsExact().check(snapshot, w, solutions)
 
     @settings(max_examples=500, deadline=None)
     @given(rounding_cases())
