@@ -618,7 +618,7 @@ def metrics(ctx, joint, snapshot):
             raise ConfigMismatchError(
                 f"{len(absent)} guard(s) of {joint} absent from {snapshot}, first {absent[0]}"
             )
-        marginal = ProbabilityVector(jd.guards, jd.p.sum(axis=1))
+        marginal = ProbabilityVector(snap.table, rows, jd.p.sum(axis=1))
         doc["group_tables"] = {
             key: [{"group": g, "probability": p} for g, p in group_diversity(snap, marginal, key)]
             for key in ("country", "as")

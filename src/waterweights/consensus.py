@@ -176,12 +176,13 @@ class RelayTable:
     so equal names get equal codes in every table, and ``fingerprints``,
     ``nicknames`` and ``country`` decode them on each read.  A relay with no
     country gets the code -1, one with no known subnet ``-(row + 1)``,
-    which matches only itself.  ``rows`` maps fingerprint codes to rows.
-    ``family`` keeps each non-empty family set as published;
-    ``family_keys`` holds the resolved pairs as sorted ``i*n + j`` keys in
-    both directions, and ``dangling`` the (row, name) entries that name no
-    relay here, in case a later row does; ``in_family`` marks the rows that
-    take part in a resolved pair.
+    which matches only itself.  ``rows`` maps fingerprint codes to rows:
+    outside the table a relay is a fingerprint code or a row, and names
+    are decoded only where they are printed.  ``family`` keeps each
+    non-empty family set as published, names that match no row included;
+    ``family_keys`` holds the pairs that resolve to rows of this table as
+    sorted ``i*n + j`` keys in both directions, and ``in_family`` marks the
+    rows that take part in such a pair.
 
     Flag names and family names are interned strings (``sys.intern``), and
     policies come from the ``parse_policy`` memo, so tables that share
@@ -195,7 +196,7 @@ class RelayTable:
     __slots__ = (
         "fingerprint", "nickname", "weights", "pool", "flag_id", "flag_sets",
         "policy_id", "policies", "subnet", "family", "family_keys",
-        "in_family", "dangling", "country_code", "as_number",
+        "in_family", "country_code", "as_number",
     )
 
     def __init__(self, **columns):
@@ -217,10 +218,11 @@ class RelayTable:
     # the table's known /16 strings, each to its code, in first-row order
     subnet_codes = property(lambda self: self._known("subnet"))
 
-    def _names(self, column: str) -> list:
-        """Code column ``column`` as names; None for a negative code."""
+    def _names(self, column: str, rows=slice(None)) -> list:
+        """Code column ``column`` as names, at ``rows`` if given; None for a
+        negative code."""
         names = _NAMES[column].names
-        return [names[c] if c >= 0 else None for c in getattr(self, column).tolist()]
+        return [names[c] if c >= 0 else None for c in getattr(self, column)[rows].tolist()]
 
     def _known(self, column: str) -> dict[str, int]:
         """Each name code column ``column`` holds, to its code, in first-row order."""
@@ -430,9 +432,12 @@ class _TableBuilder:
     sets and policies; flag and family names are interned, and every
     parsed policy comes from the ``parse_policy`` memo.  So the tables of
     consecutive snapshots hold one object per distinct name and policy,
-    not one per relay per snapshot.  ``row_of`` maps each fingerprint added
-    to its row while the table is built, for repeated fingerprints and
-    family resolution; the table does not keep it.
+    not one per relay per snapshot.  ``row_of`` maps the fingerprint code
+    of each row, the base's included, to its row while the table is built,
+    for repeated fingerprints and family resolution; the table does not
+    keep it.  ``snapshot`` resolves every family entry of the base and of
+    the new rows in one pass, so an extended table is the table a fresh
+    build of the same rows gives.
     """
 
     def __init__(self, base: RelayTable | None = None):
@@ -447,11 +452,11 @@ class _TableBuilder:
         self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set id)
         self.policy_keys: dict = {}  # passed policy -> policy id
         if base is None:
-            self.row_of: dict[str, int] = {}
+            self.row_of: dict[int, int] = {}
             self.flag_ids: dict[frozenset[str], int] = {}
             self.policy_ids: dict[tuple[PolicyRule, ...], int] = {}
         else:
-            self.row_of = dict(zip(base.fingerprints, range(self.first)))
+            self.row_of = dict(zip(base.fingerprint.tolist(), range(self.first)))
             self.flag_ids = {flags: i for i, flags in enumerate(base.flag_sets)}
             self.policy_ids = {policy: i for i, policy in enumerate(base.policies)}
 
@@ -484,9 +489,10 @@ class _TableBuilder:
         if family:
             family = _interned(family)
         i = self.first + len(self.fingerprint)
-        if self.row_of.setdefault(fingerprint, i) != i:
+        code = _NAMES["fingerprint"][fingerprint]
+        if self.row_of.setdefault(code, i) != i:
             raise DuplicateRelayError(f"duplicate fingerprint {fingerprint}")
-        self.fingerprint.append(_NAMES["fingerprint"][fingerprint])
+        self.fingerprint.append(code)
         self.nickname.append(_NAMES["nickname"][nickname])
         self.weights.append(weight)
         self.pool.append(codes[0])
@@ -539,22 +545,16 @@ class _TableBuilder:
                 except _RowError as err:
                     fault = str(err)
             raise InvariantError(f"{r.fingerprint}: {fault}")
-        base, first, row_of = self.base, self.first, self.row_of
-        n = first + len(self.fingerprint)
-        families = self.family.items()
-        if base is not None:
-            families = chain(((i, (name,)) for i, name in base.dangling), families)
-        pairs = [(i, name) for i, names in families for name in names]
-        left = np.array([i for i, _ in pairs], dtype=np.int64)
-        right = np.array([row_of.get(name, -1) for _, name in pairs], dtype=np.int64)
-        dangling = [pair for pair, j in zip(pairs, right.tolist()) if j < 0]
+        base, row_of, codes = self.base, self.row_of, _NAMES["fingerprint"]
+        n = self.first + len(self.fingerprint)
+        family = self.family if base is None else {**base.family, **self.family}
+        # every (row, name) entry, resolved against every row: a name that
+        # was never coded, or names no row here, gets -1
+        left = np.array([i for i, f in family.items() for _ in f], dtype=np.int64)
+        right = [row_of.get(codes.get(name), -1) for f in family.values() for name in f]
+        right = np.array(right, dtype=np.int64)
         left, right = left[right >= 0], right[right >= 0]
-        keys = [left * n + right, right * n + left]
-        if base is not None and base.family_keys.size:
-            i, j = np.divmod(base.family_keys, first)  # re-encode for the new row count
-            keys.append(i * n + j)
-
-        family_keys = _sorted_unique(np.concatenate(keys))
+        family_keys = _sorted_unique(np.concatenate([left * n + right, right * n + left]))
         in_family = np.zeros(n, dtype=bool)
         if family_keys.size:  # keys run both ways, so i covers every member
             in_family[family_keys // n] = True
@@ -568,10 +568,9 @@ class _TableBuilder:
             **{name: column(name, dtype) for name, dtype in _INT_COLUMNS.items()},
             flag_sets=tuple(self.flag_ids),
             policies=tuple(self.policy_ids),
-            family=self.family if base is None else {**base.family, **self.family},
+            family=family,
             family_keys=family_keys,
             in_family=in_family,
-            dangling=tuple(dangling),
             as_number=as_numbers if base is None else base.as_number + as_numbers,
         )
         return ConsensusSnapshot(valid_after, table, table.totals())
@@ -753,7 +752,8 @@ def _add_located(builder: _TableBuilder, args: dict, lines: dict[str, int], text
     except DuplicateRelayError:
         fingerprint = args["fingerprint"]
         starts = (n for n, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == [keyword])
-        first = next(islice(starts, builder.row_of[fingerprint], None))
+        row = builder.row_of[_NAMES["fingerprint"][fingerprint]]
+        first = next(islice(starts, row, None))
         raise DuplicateRelayError(
             f"fingerprint {fingerprint} already declared on line {first}",
             line=lines["fingerprint"],
@@ -1069,8 +1069,9 @@ def _relay_adder(b: _TableBuilder):
         except TypeError:  # a list item that is no string
             raise _field_fault(r, i) from None
         except DuplicateRelayError:
+            first = b.row_of[_NAMES["fingerprint"][fingerprint]]
             raise DuplicateRelayError(
-                f"relays[{i}].fingerprint {fingerprint} repeats relays[{b.row_of[fingerprint]}]"
+                f"relays[{i}].fingerprint {fingerprint} repeats relays[{first}]"
             ) from None
         except _RowError as err:
             raise ParseError(f"relays[{i}].{err.field}: {err}") from None

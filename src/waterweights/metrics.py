@@ -89,6 +89,13 @@ class JointDistribution:
             raise InvariantError(f"cell probabilities sum to {total!r}, not 1")
 
 
+def _rows(snapshot: ConsensusSnapshot, vector: ProbabilityVector) -> np.ndarray:
+    """The vector's rows, which must index ``snapshot``'s own table."""
+    if vector.table is not snapshot.table:
+        raise ValueError("a probability vector was drawn from another snapshot's table")
+    return vector.rows
+
+
 def estimate_joint_analytic(
     snapshot: ConsensusSnapshot,
     entry: ProbabilityVector,
@@ -99,12 +106,13 @@ def estimate_joint_analytic(
     Pairs that could never share a circuit (same relay, same family, same
     /16) get probability zero and the rest is renormalized.  The product is
     the only full-size array: conflicts are found and zeroed one block of
-    guard rows at a time, and the renormalization divides in place.
+    guard rows at a time, and the renormalization divides in place.  Both
+    vectors must index the snapshot's own table (ValueError otherwise).
     """
     table = snapshot.table
+    guard_rows = _rows(snapshot, entry)[:, None]
+    exit_rows = _rows(snapshot, exit_)[None, :]
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    guard_rows = entry.rows_in(table)[:, None]
-    exit_rows = exit_.rows_in(table)[None, :]
     step = max(1, BLOCK_CELLS // max(1, exit_rows.size))
     for start in range(0, len(guard_rows), step):
         block = matrix[start : start + step]
@@ -215,28 +223,43 @@ def group_diversity(
     entry: ProbabilityVector,
     key: Literal["country", "as"],
 ) -> list[tuple[str, float]]:
-    """Selection probability per country or AS, sorted by falling weight."""
+    """Selection probability per country or AS, sorted by falling weight.
+    The vector must index the snapshot's own table (ValueError otherwise)."""
     if key not in ("country", "as"):
         raise ValueError(f"unknown grouping key {key!r}")
     table = snapshot.table
+    rows = _rows(snapshot, entry)
     if key == "country":
         labels = [c if c is not None else "unknown" for c in table.country]
     else:
         labels = [f"AS{a}" if a is not None else "unknown" for a in table.as_number]
     groups: dict[str, float] = {}
-    for row, prob in zip(entry.rows_in(table).tolist(), entry.probabilities.tolist()):
+    for row, prob in zip(rows.tolist(), entry.probabilities.tolist()):
         label = labels[row]
         groups[label] = groups.get(label, 0.0) + prob
     return sorted(groups.items(), key=lambda item: (-item[1], item[0]))
 
 
 def joint_to_csv(jd: JointDistribution) -> str:
-    """Header row of exit fingerprints; one row per guard."""
-    lines = ["guard," + ",".join(jd.exits)]
+    """Header row of exit fingerprints; one row per guard.
+
+    A name is quoted where CSV needs it, so ``joint_from_csv`` reads every
+    name back.  ValueError names a fingerprint holding a carriage return:
+    the writer leaves a lone one unquoted, and reading a file with newline
+    translation (``Path.read_text``) turns each one into a line feed.
+    """
+    import csv
+    import io
+
+    bad = next((name for name in (*jd.guards, *jd.exits) if "\r" in name), None)
+    if bad is not None:
+        raise ValueError(f"fingerprint {bad!r} holds a carriage return, which CSV cannot carry")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["guard", *jd.exits])
     for i, guard in enumerate(jd.guards):
-        cells = ",".join(repr(float(v)) for v in jd.p[i])
-        lines.append(f"{guard},{cells}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([guard, *map(repr, jd.p[i].tolist())])
+    return out.getvalue()
 
 
 def joint_from_csv(text: str) -> JointDistribution:

@@ -298,7 +298,6 @@ class NetworkState:
 
         self.entry = self._pool(Position.ENTRY)
         self.middle = self._pool(Position.MIDDLE)
-        self._exit_pools: dict[int, _Pool | None] = {}
 
     def _pool(self, position: Position, stream=None) -> _Pool:
         dist = selection_distribution(
@@ -309,12 +308,12 @@ class NetworkState:
         return _Pool(dist.rows, cumulative)
 
     def exit_pool(self, port: int) -> _Pool | None:
-        if port not in self._exit_pools:
-            try:
-                self._exit_pools[port] = self._pool(Position.EXIT, stream=port)
-            except EmptyPoolError:
-                self._exit_pools[port] = None
-        return self._exit_pools[port]
+        """The exit pool for ``port``, built on each call; None when no exit
+        relay carries weight for it."""
+        try:
+            return self._pool(Position.EXIT, stream=port)
+        except EmptyPoolError:
+            return None
 
     def summary(self) -> dict:
         """The period's load case, weights and water levels, as simulate reports them."""

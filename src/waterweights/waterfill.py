@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .consensus import EXIT, GUARD, ConsensusSnapshot, RelayTable, fingerprint_codes
+from .consensus import EXIT, GUARD, ConsensusSnapshot, RelayTable
 from .errors import EmptyPoolError, InvariantError, NotApplicableError
 from .weights import SCALE, PositionWeights
 
@@ -241,28 +241,21 @@ def solve_dset_waterfill(snapshot: ConsensusSnapshot, w: PositionWeights) -> Wat
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
-    """Selection probabilities over a fixed fingerprint order.
+    """Selection probabilities over rows of one table.
 
-    A vector from ``selection_distribution`` also carries the table it was
-    drawn from and its relays' rows there.
+    ``probabilities[k]`` is the probability of row ``rows[k]`` of
+    ``table``.  The vector holds no names: ``fingerprints`` decodes the
+    rows' fingerprints on each read, for output.  The metrics take a vector
+    only together with the snapshot whose table it indexes.
     """
 
-    fingerprints: tuple[str, ...]
+    table: RelayTable
+    rows: np.ndarray  # int64 rows of ``table``
     probabilities: np.ndarray  # float64, sums to 1
-    table: RelayTable | None = None
-    rows: np.ndarray | None = None
 
-    def rows_in(self, table: RelayTable) -> np.ndarray:
-        """The vector's relays as rows of ``table``: its own rows when
-        ``table`` is the one it was drawn from, else the fingerprints'
-        rows by ``RelayTable.rows``.  KeyError names one relay absent
-        from ``table``."""
-        if table is self.table:
-            return self.rows
-        rows = table.rows(fingerprint_codes(self.fingerprints))
-        if (rows < 0).any():
-            raise KeyError(self.fingerprints[int(np.argmin(rows))])
-        return rows
+    @property
+    def fingerprints(self) -> tuple[str, ...]:
+        return tuple(self.table._names("fingerprint", self.rows))
 
 
 def _scalar_factors(w: PositionWeights, position: Position) -> dict[int, Fraction]:
@@ -352,9 +345,7 @@ def selection_distribution(
     total = sum(raw)  # builtin sum in document order; np.sum would round differently
     if total <= 0:
         raise EmptyPoolError(f"no eligible relay carries weight for {position.value}")
-    probs = np.asarray(raw, dtype=np.float64) / total
-    fingerprints = tuple(map(snapshot.table.fingerprints.__getitem__, rows.tolist()))
-    return ProbabilityVector(fingerprints, probs, snapshot.table, rows)
+    return ProbabilityVector(snapshot.table, rows, np.asarray(raw, dtype=np.float64) / total)
 
 
 # ---------------------------------------------------------------------------

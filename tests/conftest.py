@@ -7,9 +7,11 @@ from waterweights.consensus import (
     ConsensusSnapshot,
     PoolTotals,
     RelayEntry,
+    fingerprint_codes,
     parse_policy,
     policy_accepts,
 )
+from waterweights.waterfill import ProbabilityVector
 
 GUARD_FLAGS = frozenset({"Guard", "Fast", "Stable", "Running", "Valid"})
 EXIT_FLAGS = frozenset({"Exit", "Fast", "Running", "Valid"})
@@ -70,6 +72,13 @@ def totals_of(relays) -> PoolTotals:
     for relay in relays:
         sums[pool_of(relay)] += relay.consensus_weight
     return PoolTotals(**sums)
+
+
+def vector_of(snapshot, names, probabilities) -> ProbabilityVector:
+    """A ``ProbabilityVector`` over the relays of ``snapshot`` named ``names``."""
+    rows = snapshot.table.rows(fingerprint_codes(names))
+    assert (rows >= 0).all(), "every name must be a relay of the snapshot"
+    return ProbabilityVector(snapshot.table, rows, np.asarray(probabilities, dtype=np.float64))
 
 
 def probabilities(vector) -> dict[str, float]:

@@ -829,7 +829,10 @@ class TestSimulateAndCompare:
             make_relay("E1", 200, "e", subnet="10.4"),
             make_relay("D1", 50, "d", subnet="10.5"),
         ])
-        assert families.table.family_keys.size and families.table.dangling
+        # "GONE" names no relay: G1's family keeps it, and only G1-M1 (rows 0
+        # and 2 of 5) resolves, both ways
+        assert "GONE" in families.table.family[0]
+        assert families.table.family_keys.tolist() == [0 * 5 + 2, 2 * 5 + 0]
         (snaps / "one.snapshot").write_text(serialize_native(families))
         out = tmp_path / "r.csv"
         script = f"""

@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waterweights.consensus import ConsensusSnapshot
@@ -19,9 +20,7 @@ from waterweights.metrics import (
     shannon_entropy,
     uniformity_degree,
 )
-from waterweights.waterfill import ProbabilityVector
-
-from conftest import make_relay, traced_peak
+from conftest import make_relay, traced_peak, vector_of
 
 # the worked three-guard / two-exit instance used as the golden fixture
 GOLDEN_P = np.array(
@@ -328,8 +327,8 @@ class TestEstimateJoint:
             make_relay("e2", 10, "e", subnet="4.4"),
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        entry = ProbabilityVector(("g1", "g2"), np.array([0.5, 0.5]))
-        exit_ = ProbabilityVector(("e1", "e2"), np.array([0.5, 0.5]))
+        entry = vector_of(snap, ("g1", "g2"), [0.5, 0.5])
+        exit_ = vector_of(snap, ("e1", "e2"), [0.5, 0.5])
         return snap, entry, exit_
 
     def test_independent_outer_product(self):
@@ -345,6 +344,19 @@ class TestEstimateJoint:
             cell = jd.p[jd.guards.index(g), jd.exits.index(e)]
             assert cell == pytest.approx(raw / total)
 
+    def test_vectors_of_another_table_rejected(self):
+        # an equal snapshot built apart holds an equal table, not the same one
+        snap, entry, exit_ = self.analytic_fixture(conflict=False)
+        twin, twin_entry, twin_exit = self.analytic_fixture(conflict=False)
+        assert twin == snap and twin.table is not snap.table
+        for vectors in ((twin_entry, exit_), (entry, twin_exit), (twin_entry, twin_exit)):
+            with pytest.raises(ValueError, match="another snapshot's table"):
+                estimate_joint_analytic(snap, *vectors)
+        for key in ("country", "as"):
+            with pytest.raises(ValueError, match="another snapshot's table"):
+                group_diversity(snap, twin_entry, key)
+        assert np.allclose(estimate_joint_analytic(twin, twin_entry, twin_exit).p, 0.25)
+
     def test_family_conflicts_zeroed(self):
         relays = [
             make_relay("g1", 10, "g", subnet="1.1", family=frozenset({"e1"})),
@@ -352,8 +364,8 @@ class TestEstimateJoint:
             make_relay("e2", 10, "e", subnet="3.3"),
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        entry = ProbabilityVector(("g1",), np.array([1.0]))
-        exit_ = ProbabilityVector(("e1", "e2"), np.array([0.5, 0.5]))
+        entry = vector_of(snap, ("g1",), [1.0])
+        exit_ = vector_of(snap, ("e1", "e2"), [0.5, 0.5])
         jd = estimate_joint_analytic(snap, entry, exit_)
         assert jd.p[0, 0] == 0.0
         assert jd.p[0, 1] == 1.0
@@ -363,9 +375,7 @@ def reference_joint(snapshot, entry, exit_):
     """The joint with one full-grid conflict mask and a dividing copy."""
     table = snapshot.table
     matrix = np.outer(entry.probabilities, exit_.probabilities)
-    conflicts = table.conflict(
-        entry.rows_in(table)[:, None], exit_.rows_in(table)[None, :]
-    )
+    conflicts = table.conflict(entry.rows[:, None], exit_.rows[None, :])
     matrix[conflicts] = 0.0
     total = matrix.sum()
     return matrix / total if total > 0 else None
@@ -401,7 +411,7 @@ def random_positions(rng, n_guards, n_exits, n_duals, zero_share, subnets):
         p[rng.random(len(names)) < zero_share] = 0.0
         if not p.any():
             p[0] = 1.0
-        return ProbabilityVector(tuple(names), p / p.sum())
+        return vector_of(snap, names, p / p.sum())
 
     duals = fps[n_guards + n_exits:]
     return snap, side(fps[:n_guards] + duals), side(fps[n_guards:n_guards + n_exits] + duals)
@@ -491,13 +501,13 @@ class TestAnalysisMemory:
 
 
 class TestGroupDiversity:
-    def entry(self, probs):
-        return ProbabilityVector(tuple(f"r{i}" for i in range(len(probs))), np.asarray(probs))
+    def entry(self, snap, probs):
+        return vector_of(snap, [f"r{i}" for i in range(len(probs))], probs)
 
     def test_single_country(self):
         relays = [make_relay(f"r{i}", 10, "g", country="be") for i in range(3)]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        table = group_diversity(snap, self.entry([0.2, 0.3, 0.5]), "country")
+        table = group_diversity(snap, self.entry(snap, [0.2, 0.3, 0.5]), "country")
         assert table == [("be", pytest.approx(1.0))]
 
     def test_two_countries_sorted(self):
@@ -506,7 +516,7 @@ class TestGroupDiversity:
             make_relay("r1", 10, "g", country="bb"),
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
-        table = group_diversity(snap, self.entry([0.3, 0.7]), "country")
+        table = group_diversity(snap, self.entry(snap, [0.3, 0.7]), "country")
         assert table == [("bb", pytest.approx(0.7)), ("aa", pytest.approx(0.3))]
 
     def test_five_as_instance_matches_brute_force(self, rng):
@@ -517,7 +527,7 @@ class TestGroupDiversity:
         ]
         snap = ConsensusSnapshot.from_relays(0, relays)
         probs = rng.dirichlet(np.ones(5))
-        table = dict(group_diversity(snap, self.entry(probs), "as"))
+        table = dict(group_diversity(snap, self.entry(snap, probs), "as"))
         expected = {}
         for asn, prob in zip(as_numbers, probs):
             label = f"AS{asn}" if asn is not None else "unknown"
@@ -535,6 +545,31 @@ class TestJointCsv:
         assert again.guards == jd.guards
         assert again.exits == jd.exits
         assert np.allclose(again.p, jd.p, atol=1e-15)
+
+    def test_plain_names_keep_the_unquoted_layout(self):
+        jd = golden_joint()
+        rows = [["guard", *jd.exits]]
+        rows += [[guard, *map(repr, cells)] for guard, cells in zip(jd.guards, jd.p.tolist())]
+        assert joint_to_csv(jd) == "".join(",".join(row) + "\n" for row in rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(), min_size=1, max_size=4, unique=True),
+        st.lists(st.text(), min_size=1, max_size=4, unique=True),
+    )
+    @example(["g,1", "g2"], ["e"])
+    def test_any_names_round_trip_or_are_refused(self, guards, exits):
+        # native and JSON snapshots accept any string as a fingerprint
+        p = np.arange(1.0, len(guards) * len(exits) + 1).reshape(len(guards), len(exits))
+        jd = JointDistribution(tuple(guards), tuple(exits), p / p.sum())
+        refused = next((name for name in guards + exits if "\r" in name), None)
+        if refused is not None:
+            with pytest.raises(ValueError, match=re.escape(f"{refused!r} holds a carriage return")):
+                joint_to_csv(jd)
+            return
+        again = joint_from_csv(joint_to_csv(jd))
+        assert (again.guards, again.exits) == (jd.guards, jd.exits)
+        assert np.allclose(again.p, jd.p, rtol=1e-15, atol=0)
 
     def test_header_required(self):
         with pytest.raises(UndefinedMetricError):

@@ -44,7 +44,6 @@ from waterweights.pathsim import (
     inject_adversary,
 )
 from waterweights.waterfill import (
-    ProbabilityVector,
     TargetPool,
     find_water_level,
     solve_dset_waterfill,
@@ -52,7 +51,7 @@ from waterweights.waterfill import (
 )
 from waterweights.weights import PositionWeights
 
-from conftest import is_exit, is_guard, make_relay, relays_conflict, totals_of
+from conftest import is_exit, is_guard, make_relay, relays_conflict, totals_of, vector_of
 
 ADVERSARY = AdversarySpec((
     AdversaryRelay(RoleHint.GUARD_LIKE, 3),
@@ -298,7 +297,9 @@ class TestViews:
         fresh = ConsensusSnapshot.from_relays(0, relays + ADVERSARY.relay_entries(0))
         assert live == fresh
         assert live.totals == totals_of(fresh.relays)
+        # ``==`` compares the family dict as published, not how it resolved
         assert np.array_equal(live.table.family_keys, fresh.table.family_keys)
+        assert np.array_equal(live.table.in_family, fresh.table.in_family)
         assert np.array_equal(live.table.subnet, fresh.table.subnet)
         # the adversary's /16 matches a real relay's, and families naming
         # an adversary fingerprint pair with it once it is injected
@@ -312,7 +313,7 @@ class TestViews:
         probs = np.array(data.draw(st.lists(
             st.floats(0, 1), min_size=len(picked), max_size=len(picked)
         )))
-        vector = ProbabilityVector(tuple(r.fingerprint for r in picked), probs)
+        vector = vector_of(snap, [r.fingerprint for r in picked], probs)
         for key in ("country", "as"):
             expected: dict[str, float] = {}
             for relay, p in zip(picked, probs):
