@@ -10,8 +10,7 @@ pytest reports a failed test; it survives when its tests pass, and any
 other outcome (a collection error, no test found, a timeout) is an error.
 A listed test that passes under its mutant is named in the report.
 
-    python mutants/run.py               # every mutant
-    python mutants/run.py NAME [NAME...]  # the named ones
+    python mutants/run.py
 
 It exits 0 only when every mutant run is killed.  An old text found other
 than exactly once stops the run before any test starts.  Hypothesis runs
@@ -48,19 +47,14 @@ settings.load_profile("mutants")
 """
 
 
-def load(names: list[str]) -> list[dict]:
-    """The mutants named, or all of them; SystemExit for an unknown name or
-    an old text that its file does not hold exactly once."""
+def load() -> list[dict]:
+    """Every mutant; SystemExit for a repeated name or an old text that its
+    file does not hold exactly once."""
     mutants = json.loads(MUTANTS.read_text())
-    known = {m["name"] for m in mutants}
-    unknown = sorted(set(names) - known)
-    if unknown:
-        sys.exit(f"unknown mutant(s): {', '.join(unknown)}")
-    if len(known) != len(mutants):
+    if len({m["name"] for m in mutants}) != len(mutants):
         sys.exit("mutants.json repeats a name")
-    chosen = [m for m in mutants if not names or m["name"] in names]
     faults = []
-    for m in chosen:
+    for m in mutants:
         count = (ROOT / "src" / m["file"]).read_text().count(m["old"])
         if count != 1:
             faults.append(f"{m['name']}: old text found {count} times in src/{m['file']}")
@@ -68,7 +62,7 @@ def load(names: list[str]) -> list[dict]:
             faults.append(f"{m['name']}: lists no test")
     if faults:
         sys.exit("\n".join(["mutants.json no longer matches the source:", *faults]))
-    return chosen
+    return mutants
 
 
 def pytest(work: Path, tests: list[str]) -> tuple[int | None, list[str], str]:
@@ -86,8 +80,8 @@ def pytest(work: Path, tests: list[str]) -> tuple[int | None, list[str], str]:
     return done.returncode, failed, done.stdout + done.stderr
 
 
-def main(names: list[str]) -> int:
-    mutants = load(names)
+def main() -> int:
+    mutants = load()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
         for tree in ("src", "tests"):
@@ -141,4 +135,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -244,16 +244,17 @@ def joint_to_csv(jd: JointDistribution) -> str:
     """Header row of exit fingerprints; one row per guard.
 
     A name is quoted where CSV needs it, so ``joint_from_csv`` reads every
-    name back.  ValueError names a fingerprint holding a carriage return:
-    the writer leaves a lone one unquoted, and reading a file with newline
-    translation (``Path.read_text``) turns each one into a line feed.
+    name back.  ValueError names a fingerprint holding a carriage return or
+    a NUL: the writer leaves a lone carriage return unquoted, and reading a
+    file with newline translation (``Path.read_text``) turns each one into a
+    line feed; Python 3.10's CSV reader rejects a line holding a NUL.
     """
     import csv
     import io
 
-    bad = next((name for name in (*jd.guards, *jd.exits) if "\r" in name), None)
+    bad = next((name for name in (*jd.guards, *jd.exits) if "\r" in name or "\0" in name), None)
     if bad is not None:
-        raise ValueError(f"fingerprint {bad!r} holds a carriage return, which CSV cannot carry")
+        raise ValueError(f"fingerprint {bad!r} holds a carriage return or a NUL, which CSV cannot carry")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["guard", *jd.exits])
@@ -266,7 +267,10 @@ def joint_from_csv(text: str) -> JointDistribution:
     import csv
     import io
 
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # a NUL on Python 3.10, an over-long field
+        raise UndefinedMetricError(f"joint CSV: {exc}") from None
     rows = [row for row in rows if row]
     if len(rows) < 2 or len(rows[0]) < 2:
         raise UndefinedMetricError("joint CSV needs a header row and at least one guard row")

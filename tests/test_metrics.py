@@ -1,3 +1,4 @@
+import csv
 import re
 from fractions import Fraction
 
@@ -558,18 +559,24 @@ class TestJointCsv:
         st.lists(st.text(), min_size=1, max_size=4, unique=True),
     )
     @example(["g,1", "g2"], ["e"])
+    @example(["g\x00"], ["e"])
     def test_any_names_round_trip_or_are_refused(self, guards, exits):
         # native and JSON snapshots accept any string as a fingerprint
         p = np.arange(1.0, len(guards) * len(exits) + 1).reshape(len(guards), len(exits))
         jd = JointDistribution(tuple(guards), tuple(exits), p / p.sum())
-        refused = next((name for name in guards + exits if "\r" in name), None)
+        refused = next((name for name in guards + exits if "\r" in name or "\x00" in name), None)
         if refused is not None:
-            with pytest.raises(ValueError, match=re.escape(f"{refused!r} holds a carriage return")):
+            with pytest.raises(ValueError, match=re.escape(f"{refused!r} holds a carriage return or a NUL")):
                 joint_to_csv(jd)
             return
         again = joint_from_csv(joint_to_csv(jd))
         assert (again.guards, again.exits) == (jd.guards, jd.exits)
         assert np.allclose(again.p, jd.p, rtol=1e-15, atol=0)
+
+    def test_unreadable_csv_is_undefined(self):
+        # the reader's own errors (an over-long field here) are input errors
+        with pytest.raises(UndefinedMetricError, match="joint CSV: field larger than field limit"):
+            joint_from_csv("guard,E1\n" + "G" * (csv.field_size_limit() + 1) + ",1\n")
 
     def test_header_required(self):
         with pytest.raises(UndefinedMetricError):
