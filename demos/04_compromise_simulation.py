@@ -7,7 +7,6 @@ water level is what defuses it.  Run: python demos/04_compromise_simulation.py
 
 import numpy as np
 
-from waterweights.cli import compare_runs
 from waterweights.consensus import ConsensusSnapshot, RelayEntry, parse_policy
 from waterweights.pathsim import (
     AdversaryRelay,
@@ -16,6 +15,7 @@ from waterweights.pathsim import (
     RoleHint,
     run_simulation,
 )
+from waterweights.stats import compare_runs
 
 rng = np.random.default_rng(11)
 

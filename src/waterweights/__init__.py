@@ -6,12 +6,13 @@ Submodules:
     waterfill  per-relay water-level solutions and selection distributions
     pathsim    seeded Monte Carlo circuit simulation with relay adversaries
     metrics    uniformity degree, guessing entropy, grouped diversity
+    stats      compromise curves, their log-rank comparison, adversary cost
     cli        the ``waterweights`` command-line front end
 """
 
 __version__ = "0.1.0"
 
-from . import consensus, metrics, pathsim, waterfill, weights  # noqa: F401
+from . import consensus, metrics, pathsim, stats, waterfill, weights  # noqa: F401
 from .consensus import (
     ConsensusSnapshot,
     LoadCase,
@@ -39,7 +40,6 @@ from .pathsim import (
     CompromiseRecord,
     RoleHint,
     StreamSchedule,
-    compromise_curve,
     inject_adversary,
     run_simulation,
 )
@@ -51,6 +51,7 @@ from .metrics import (
     shannon_entropy,
     uniformity_degree,
 )
+from .stats import compromise_curve
 
 __all__ = [
     "AdversaryRelay",

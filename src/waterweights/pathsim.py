@@ -818,37 +818,8 @@ def network_summaries(
 
 
 # ---------------------------------------------------------------------------
-# Compromise curves and records I/O
+# Records I/O
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    times: np.ndarray
-    values: np.ndarray
-
-
-def compromise_curve(
-    records: Sequence[CompromiseRecord], horizon: int, resolution: int
-) -> TimeSeries:
-    """Cumulative fraction of clients first compromised by each grid time.
-
-    The grid runs from 0 to the horizon in resolution steps; the horizon
-    itself is always the final point.
-    """
-    if not records:
-        raise WaterweightsError("no records to summarize")
-    hits = np.sort(
-        np.array(
-            [r.first_compromise_time for r in records if r.first_compromise_time is not None],
-            dtype=np.int64,
-        )
-    )
-    times = np.arange(0, horizon + 1, resolution, dtype=np.int64)
-    if times[-1] != horizon:
-        times = np.append(times, horizon)
-    counts = np.searchsorted(hits, times, side="right")
-    return TimeSeries(times, counts / len(records))
-
 
 RECORDS_HEADER = "client_id,first_compromise_time,circuits_built,circuits_compromised"
 

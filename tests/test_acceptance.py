@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from waterweights.cli import compare_runs, main as cli_main
-from waterweights.cli import report_adversary_cost
+from waterweights.cli import main as cli_main
 from waterweights.consensus import (
     ConsensusSnapshot,
     LoadCase,
@@ -31,6 +30,7 @@ from waterweights.pathsim import (
     inject_adversary,
     run_simulation,
 )
+from waterweights.stats import compare_runs, report_adversary_cost
 from waterweights.waterfill import find_water_level, solve_guard_waterfill
 from waterweights.weights import WeightMode, check_balance, compute_weights
 

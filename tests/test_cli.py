@@ -10,16 +10,12 @@ import pytest
 from click.testing import CliRunner
 
 from waterweights import cli
-from waterweights.cli import (
-    CostReport,
-    compare_runs,
-    main,
-    report_adversary_cost,
-)
+from waterweights.cli import main
 from waterweights.consensus import ConsensusSnapshot, serialize_native
 from waterweights.errors import ConfigMismatchError, NotApplicableError, WaterweightsError
 from waterweights.metrics import JointDistribution, joint_to_csv
 from waterweights.pathsim import CompromiseRecord
+from waterweights.stats import CostReport, compare_runs, report_adversary_cost
 
 from conftest import make_relay, make_snapshot
 
@@ -898,6 +894,8 @@ print(before, "numpy.ma" in sys.modules)
     @pytest.mark.parametrize("args", [
         ["--horizon", "-5"],
         ["--horizon", "600", "--resolution", "0"],
+        ["--horizon", str(2**63)],
+        ["--horizon", str(10**20)],
     ])
     def test_compare_rejects_bad_ranges(self, runner, tmp_path, args):
         from waterweights.pathsim import RECORDS_HEADER
@@ -961,6 +959,14 @@ print(before, "numpy.ma" in sys.modules)
         assert result.exit_code == 2
         assert problem in result.stderr
         assert "Traceback" not in result.output
+
+    def test_report_rejects_a_target_past_int64(self, runner, tmp_path):
+        wf = tmp_path / "wf.json"
+        wf.write_text(json.dumps({"pools": {"guards": {"water_level": 8710.0, "source_Wgg": 0.5}}}))
+        result = runner.invoke(main, ["report", "--waterfill", str(wf), "--target-weight", "1" + "0" * 400])
+        assert result.exit_code == 2
+        assert "target weight must be at most 2**63 - 1" in result.stderr
+        assert result.stdout == ""
 
     def test_report_rejects_a_repeated_key(self, runner, tmp_path):
         wf = tmp_path / "wf.json"

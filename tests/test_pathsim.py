@@ -20,7 +20,6 @@ from waterweights.pathsim import (
     DAY,
     RoleHint,
     StreamSchedule,
-    compromise_curve,
     inject_adversary,
     network_summaries,
     prepare_sequence,
@@ -29,6 +28,7 @@ from waterweights.pathsim import (
     run_simulation,
     simulate_prepared,
 )
+from waterweights.stats import compromise_curve
 
 from conftest import (
     accepts_port,
