@@ -6,13 +6,14 @@ Submodules:
     waterfill  per-relay water-level solutions and selection distributions
     pathsim    seeded Monte Carlo circuit simulation with relay adversaries
     metrics    uniformity degree, guessing entropy, grouped diversity
-    stats      compromise curves, their log-rank comparison, adversary cost
+    stats      compromise curves, their log-rank comparison, adversary cost;
+               imported on use (``import waterweights.stats``), not here
     cli        the ``waterweights`` command-line front end
 """
 
 __version__ = "0.1.0"
 
-from . import consensus, metrics, pathsim, stats, waterfill, weights  # noqa: F401
+from . import consensus, metrics, pathsim, waterfill, weights  # noqa: F401
 from .consensus import (
     ConsensusSnapshot,
     LoadCase,
@@ -51,7 +52,6 @@ from .metrics import (
     shannon_entropy,
     uniformity_degree,
 )
-from .stats import compromise_curve
 
 __all__ = [
     "AdversaryRelay",
@@ -74,7 +74,6 @@ __all__ = [
     "__version__",
     "check_balance",
     "classify_load_case",
-    "compromise_curve",
     "compute_weights",
     "estimate_joint_analytic",
     "group_diversity",

@@ -132,13 +132,6 @@ def _not_nan(ctx, param, value):
     return value
 
 
-def _load_snapshot(path: Path):
-    text = path.read_text()
-    if path.suffix == ".json":
-        return snapshot_from_json(text)
-    return parse_native(text)
-
-
 # ``snapshot_to_json`` sorts its keys, so a document it wrote ends in its
 # top-level ``valid_after``
 _JSON_TAIL = re.compile(rb'"valid_after"\s*:\s*(-?[0-9]+)\s*}\s*\Z')
@@ -167,10 +160,13 @@ def _read_ahead_time(path: Path) -> int | None:
 
 
 def _parse_file(path: Path, at: int | None = None):
-    """Parse one snapshot file; a ParseError names the file, and so does a
-    ``valid_after`` other than ``at``, the time it was ordered by."""
+    """Parse one snapshot file, a JSON document by its ``.json`` suffix and
+    the native format otherwise: every command's one snapshot loader.  A
+    ParseError names the file, and so does a ``valid_after`` other than
+    ``at``, the time it was ordered by."""
+    text = path.read_text()
     try:
-        snapshot = _load_snapshot(path)
+        snapshot = snapshot_from_json(text) if path.suffix == ".json" else parse_native(text)
     except ParseError as err:
         raise ParseError(f"{path}: {err}") from None
     if at is not None and snapshot.valid_after != at:
@@ -254,7 +250,7 @@ def parse(ctx, fmt, out, file):
 @click.pass_context
 def weights(ctx, mode, snapshot):
     """Positional weights for a snapshot's load case."""
-    snap = _load_snapshot(snapshot)
+    snap = _parse_file(snapshot)
     case, _ = classify_load_case(snap.totals)
     w = compute_weights(snap.totals, case, MODE_BY_FLAG[mode])
     if w.notes and not ctx.obj["quiet"]:
@@ -270,7 +266,7 @@ def weights(ctx, mode, snapshot):
 @click.pass_context
 def waterfill(ctx, mode, pools, snapshot):
     """Per-relay waterfilling weights plus wfbw consensus lines."""
-    snap = _load_snapshot(snapshot)
+    snap = _parse_file(snapshot)
     case, _ = classify_load_case(snap.totals)
     w = compute_weights(snap.totals, case, MODE_BY_FLAG[mode])
     requested = [p.strip() for p in pools.split(",") if p.strip()]
@@ -422,7 +418,7 @@ def metrics(ctx, joint, snapshot):
         },
     }
     if snapshot is not None:
-        snap = _load_snapshot(snapshot)
+        snap = _parse_file(snapshot)
         rows = snap.table.rows(fingerprint_codes(jd.guards))
         absent = [fp for fp, row in zip(jd.guards, rows.tolist()) if row < 0]
         if absent:

@@ -158,6 +158,7 @@ EXIT = 2
 POOL_NAMES = ("M", "G", "E", "D")  # indexed by pool code
 
 INT64_MAX = 2**63 - 1
+AS_NUMBER_MAX = 2**32 - 1  # RFC 6793: AS numbers are 4 bytes
 
 
 def _pool_code(flags) -> int:
@@ -167,8 +168,11 @@ def _pool_code(flags) -> int:
 class RelayTable:
     """One snapshot's relays as columns, in document order.
 
-    Weights are int64; exact products and sums convert them to Python ints.
-    ``pool`` holds each relay's pool code.  Flag sets and exit policies are
+    Every per-relay column but ``family`` is a numpy array.  Weights are
+    int64; exact products and sums convert them to Python ints.
+    ``as_number`` is int64, -1 for a relay with no AS (a number is 4
+    bytes, so no other value is negative).  ``pool`` holds each relay's
+    pool code.  Flag sets and exit policies are
     interned: a row holds an id into the table's distinct values, so
     unknown flags round-trip.  ``fingerprint``, ``nickname``,
     ``country_code`` and ``subnet`` are code columns: each row holds the
@@ -292,7 +296,8 @@ class RelayTable:
             [flag_sets[i] for i in self.flag_id.tolist()],
             [policies[i] for i in self.policy_id.tolist()],
             [families.get(i, empty) for i in range(len(self))],
-            self._names("subnet"), self._names("country_code"), self.as_number,
+            self._names("subnet"), self._names("country_code"),
+            [a if a >= 0 else None for a in self.as_number.tolist()],
         )
 
     def __reduce__(self):
@@ -309,10 +314,9 @@ class RelayTable:
         relay lists mostly differ there."""
         if not isinstance(other, RelayTable):
             return NotImplemented
-        arrays = ("weights", *_NAMES, "flag_id", "policy_id")
+        arrays = ("weights", *_NAMES, "flag_id", "policy_id", "as_number")
         return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in arrays) and all(
-            getattr(self, c) == getattr(other, c)
-            for c in ("flag_sets", "policies", "family", "as_number")
+            getattr(self, c) == getattr(other, c) for c in ("flag_sets", "policies", "family")
         )
 
     __hash__ = None
@@ -421,6 +425,7 @@ def _entry_fault(r: RelayEntry) -> str | None:
 _INT_COLUMNS = {
     "fingerprint": np.int32, "nickname": np.int32, "weights": np.int64, "pool": np.int8,
     "flag_id": np.int32, "policy_id": np.int32, "subnet": np.int64, "country_code": np.int32,
+    "as_number": np.int64,
 }
 
 
@@ -428,8 +433,9 @@ class _TableBuilder:
     """Collects rows in document order, after the rows of an optional base.
 
     A row keeps the codes of its fingerprint, nickname, country and /16 in
-    the process-wide name tables, and ids into the table's distinct flag
-    sets and policies; flag and family names are interned, and every
+    the process-wide name tables, its AS number (-1 for none), and ids
+    into the table's distinct flag sets and policies, each in a list per
+    ``_INT_COLUMNS`` column; flag and family names are interned, and every
     parsed policy comes from the ``parse_policy`` memo.  So the tables of
     consecutive snapshots hold one object per distinct name and policy,
     not one per relay per snapshot.  ``row_of`` maps the fingerprint code
@@ -445,9 +451,7 @@ class _TableBuilder:
         self.first = 0 if base is None else len(base)
         for name in _INT_COLUMNS:  # each a list of the rows' values
             setattr(self, name, [])
-        self.as_number: list = []
         self.family: dict[int, frozenset[str]] = {}
-        self.as_numbers: dict = {}  # one object per distinct AS number
         # interned values: by the value an add passed, then by content
         self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set id)
         self.policy_keys: dict = {}  # passed policy -> policy id
@@ -466,17 +470,21 @@ class _TableBuilder:
 
         ``flags`` is any hashable collection of flag names; ``policy`` a
         policy text or a tuple of rule texts or of ``PolicyRule``s.  A weight
-        outside [0, 2**63 - 1] or a policy that does not parse raises
-        _RowError, a string or item that is no ``str`` TypeError, and a
-        repeated fingerprint DuplicateRelayError (``row_of`` keeps its first
-        row).  A name table codes a name only the first time the process
-        sees it, and a flag set is interned the first time the table does.
+        outside [0, 2**63 - 1], an AS number outside [0, 2**32 - 1] (RFC
+        6793's 4 bytes; -1 marks no AS in the column) or a policy that does
+        not parse raises _RowError, a string or item that is no ``str``
+        TypeError, and a repeated fingerprint DuplicateRelayError
+        (``row_of`` keeps its first row).  A name table codes a name only
+        the first time the process sees it, and a flag set is interned the
+        first time the table does.
         """
         if not 0 <= weight <= INT64_MAX:
             raise _RowError(
                 "consensus_weight",
                 f"consensus weight {weight} is outside [0, 2**63 - 1] (64 bits)",
             )
+        if as_number is not None and not 0 <= as_number <= AS_NUMBER_MAX:
+            raise _RowError("as_number", f"as_number {as_number} is outside [0, 2**32 - 1]")
         codes = self.flag_keys.get(flags)
         if codes is None:
             content = _interned(flags)
@@ -502,7 +510,7 @@ class _TableBuilder:
             self.family[i] = family
         self.subnet.append(-(i + 1) if subnet16 is None else _NAMES["subnet"][subnet16])
         self.country_code.append(-1 if country is None else _NAMES["country_code"][country])
-        self.as_number.append(self.as_numbers.setdefault(as_number, as_number))
+        self.as_number.append(-1 if as_number is None else as_number)
 
     def _policy_id(self, policy) -> int:
         if policy and all(isinstance(rule, PolicyRule) for rule in policy):
@@ -563,7 +571,6 @@ class _TableBuilder:
             fresh = np.array(getattr(self, name), dtype=dtype)
             return fresh if base is None else np.concatenate([getattr(base, name), fresh])
 
-        as_numbers = tuple(self.as_number)
         table = RelayTable(
             **{name: column(name, dtype) for name, dtype in _INT_COLUMNS.items()},
             flag_sets=tuple(self.flag_ids),
@@ -571,7 +578,6 @@ class _TableBuilder:
             family=family,
             family_keys=family_keys,
             in_family=in_family,
-            as_number=as_numbers if base is None else base.as_number + as_numbers,
         )
         return ConsensusSnapshot(valid_after, table, table.totals())
 

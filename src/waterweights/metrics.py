@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from .consensus import ConsensusSnapshot
+from .consensus import _NAMES, ConsensusSnapshot, _sorted_unique
 from .errors import InvariantError, UndefinedMetricError
 from .waterfill import ProbabilityVector
 
@@ -224,20 +224,28 @@ def group_diversity(
     key: Literal["country", "as"],
 ) -> list[tuple[str, float]]:
     """Selection probability per country or AS, sorted by falling weight.
-    The vector must index the snapshot's own table (ValueError otherwise)."""
+    The vector must index the snapshot's own table (ValueError otherwise).
+
+    The groups are the distinct codes of the ``country_code`` or
+    ``as_number`` column at the vector's rows, -1 (no value) labelled
+    "unknown", as is a country named so.  One ``bincount`` over the codes'
+    ranks among the groups sums each group's probabilities in row order,
+    as a loop over the rows would; an AS number is never an index, since
+    one of 4 bytes would size the sums by its value.  Only the groups'
+    labels are decoded.
+    """
     if key not in ("country", "as"):
         raise ValueError(f"unknown grouping key {key!r}")
-    table = snapshot.table
     rows = _rows(snapshot, entry)
-    if key == "country":
-        labels = [c if c is not None else "unknown" for c in table.country]
-    else:
-        labels = [f"AS{a}" if a is not None else "unknown" for a in table.as_number]
-    groups: dict[str, float] = {}
-    for row, prob in zip(rows.tolist(), entry.probabilities.tolist()):
-        label = labels[row]
-        groups[label] = groups.get(label, 0.0) + prob
-    return sorted(groups.items(), key=lambda item: (-item[1], item[0]))
+    names = _NAMES["country_code"]
+    values = (snapshot.table.country_code if key == "country" else snapshot.table.as_number)[rows]
+    if key == "country":  # a country named "unknown" joins the group of the unknown ones
+        values = np.where(values < 0, names.get("unknown", -1), values)
+    groups = _sorted_unique(values)
+    sums = np.bincount(np.searchsorted(groups, values), weights=entry.probabilities)
+    decode = names.names.__getitem__ if key == "country" else "AS{}".format
+    labels = [decode(g) if g >= 0 else "unknown" for g in groups.tolist()]
+    return sorted(zip(labels, sums.tolist()), key=lambda item: (-item[1], item[0]))
 
 
 def joint_to_csv(jd: JointDistribution) -> str:

@@ -46,7 +46,6 @@ from .consensus import (
     LoadCase,
     REJECT_ALL,
     RelayEntry,
-    RelayTable,
     classify_load_case,
     fingerprint_codes,
 )
@@ -199,11 +198,23 @@ class StreamSchedule:
     def __post_init__(self):
         if self.circuit_interval < 1:
             raise InvariantError("circuit interval must be at least one second")
+        if self.circuit_interval > INT64_MAX:
+            raise WaterweightsError(
+                f"circuit interval {self.circuit_interval} does not fit in 64 bits"
+            )
         if not 1 <= self.destination_port <= 65_535:
             raise InvariantError(f"destination port {self.destination_port} out of range")
 
     def stream_times(self, start: int, end: int) -> np.ndarray:
+        """The times ``start + k * circuit_interval`` before ``end``, as
+        int64.  The times rise, so the first and the last are checked, over
+        Python ints: WaterweightsError names one outside int64."""
         count = max(0, -(-(end - start) // self.circuit_interval))
+        if not count:
+            return np.empty(0, dtype=np.int64)
+        for t in (start, start + (count - 1) * self.circuit_interval):
+            if not -INT64_MAX - 1 <= t <= INT64_MAX:
+                raise WaterweightsError(f"stream time {t} does not fit in 64 bits")
         return start + self.circuit_interval * np.arange(count, dtype=np.int64)
 
 
@@ -399,17 +410,22 @@ def prepare_sequence(
 # Guard-list management
 # ---------------------------------------------------------------------------
 
-# A client's guard list is a list of (table row, rotation deadline) slots,
-# in list order: a circuit draws its guard as a slot index, so the order is
-# part of every later draw.
+# A client's guard list is a list of (fingerprint code, rotation deadline)
+# slots, in list order: a circuit draws its guard as a slot index, so the
+# order is part of every later draw.  A code names the same relay in every
+# table, so the lists outlive the period that drew them.
 
 def _draw_guard(
     state: NetworkState, rng: np.random.Generator, exclude: set[int]
 ) -> int | None:
+    """The fingerprint code of an entry-pool draw not in ``exclude``, else
+    None after MAX_HOP_ATTEMPTS draws.  Within a table a row and its code
+    are one-to-one, so the draws are those of a list of rows."""
+    codes, entry = state.snapshot.table.fingerprint, state.entry
     for _ in range(MAX_HOP_ATTEMPTS):
-        row = int(state.entry.draw(rng, 1)[0])
-        if row not in exclude:
-            return row
+        code = int(codes[entry.draw(rng, 1)[0]])
+        if code not in exclude:
+            return code
     return None
 
 
@@ -417,13 +433,13 @@ def _refill_guards(
     slots: list[tuple[int, int]], size: int, state: NetworkState,
     rng: np.random.Generator, now: int,
 ) -> None:
-    current = {row for row, _ in slots}
+    current = {code for code, _ in slots}
     while len(slots) < size:
-        row = _draw_guard(state, rng, current)
-        if row is None:
+        code = _draw_guard(state, rng, current)
+        if code is None:
             break  # pool smaller than the list; run with what exists
-        current.add(row)
-        slots.append((row, now + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))))
+        current.add(code)
+        slots.append((code, now + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))))
 
 
 def _rotate_expired(
@@ -440,42 +456,38 @@ def _rotate_expired(
         rotated += len(expired)
         for slot in expired:
             slots.remove(slot)
-            row = _draw_guard(state, rng, {r for r, _ in slots})
-            if row is not None:
+            code = _draw_guard(state, rng, {c for c, _ in slots})
+            if code is not None:
                 deadline = slot[1] + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))
-                slots.append((row, deadline))
+                slots.append((code, deadline))
 
 
 class _GuardLists:
     """Every client's guard list as arrays, one row per client.
 
-    Slot ``j`` of client ``c`` is ``(rows[c, j], deadlines[c, j])`` for
-    ``j < size[c]``; unused slots hold -1 and INT64_MAX, so a client's
-    smallest deadline is its next rotation.
+    Slot ``j`` of client ``c`` is ``(codes[c, j], deadlines[c, j])`` for
+    ``j < size[c]``: the guard's fingerprint code and its rotation
+    deadline.  Unused slots hold -1 and INT64_MAX, so a client's smallest
+    deadline is its next rotation, and ``RelayTable.rows`` finds no row
+    for an unused slot.
     """
 
     def __init__(self, clients: int, capacity: int):
-        self.rows = np.full((clients, capacity), -1, dtype=np.int64)
+        self.codes = np.full((clients, capacity), -1, dtype=np.int64)
         self.deadlines = np.full((clients, capacity), INT64_MAX, dtype=np.int64)
         self.size = np.zeros(clients, dtype=np.int64)
 
     def get(self, c: int) -> list[tuple[int, int]]:
         k = self.size[c]
-        return list(zip(self.rows[c, :k].tolist(), self.deadlines[c, :k].tolist()))
+        return list(zip(self.codes[c, :k].tolist(), self.deadlines[c, :k].tolist()))
 
     def put(self, c: int, slots: list[tuple[int, int]]) -> None:
         k = len(slots)
-        self.rows[c] = -1
+        self.codes[c] = -1
         self.deadlines[c] = INT64_MAX
         if k:
-            self.rows[c, :k], self.deadlines[c, :k] = zip(*slots)
+            self.codes[c, :k], self.deadlines[c, :k] = zip(*slots)
         self.size[c] = k
-
-    def move(self, old: np.ndarray, new: RelayTable) -> None:
-        """Readdress the held rows from a table with fingerprint codes
-        ``old`` to table ``new``; -1 where a relay left."""
-        held = self.rows >= 0
-        self.rows[held] = new.rows(old[self.rows[held]])
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +634,10 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     deadline; one ``_build_circuits`` call serves them all.  A client whose
     deadline falls inside the period takes part in one more round.
 
-    The states are read once, in order, and none is held once the next is
-    asked for: the guard lists move to the next table by the fingerprint
-    codes of the last one.
+    The guard lists hold fingerprint codes, which name a relay in every
+    table, so the states are read once, in order, and none is held once
+    the next is asked for.  Each period looks up the lists' rows in its
+    table once, and each round the rows of its batch.
     """
     n, size = hi - lo, run.num_entry_guards
     sim_start = None
@@ -636,19 +649,16 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     circuits: list[list[tuple[int, Circuit]]] = [[] for _ in range(n)]
     counts: Counter = Counter()
     periods = []
-    codes = None  # the fingerprint codes of the previous period's table
 
     for state in run.states:
-        if codes is None:
+        if sim_start is None:
             sim_start = state.start
-        else:
-            guards.move(codes, state.snapshot.table)
-        codes = state.snapshot.table.fingerprint
-        fps = state.snapshot.table.fingerprints if collect else None
+        table = state.snapshot.table
+        fps = table.fingerprints if collect else None
         times = run.schedule.stream_times(state.start, state.end)
         periods.append(state.summary())
         counts["circuits_scheduled"] += n * len(times)
-        rows = guards.rows
+        rows = table.rows(guards.codes)  # -1 for a relay that left, or an unused slot
         keep = (rows >= 0) & state.guard[rows]  # -1 reads the last row, masked out
         kept = keep.sum(axis=1)
         counts["guard_replacements"] += int((guards.size - kept).sum())
@@ -682,7 +692,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
                 continue
 
             made = _build_circuits(
-                state, pool, [rngs[c] for c in batch.tolist()], guards.rows[batch],
+                state, pool, [rngs[c] for c in batch.tolist()], table.rows(guards.codes[batch]),
                 guards.size[batch].tolist(), m,
             )
             owner = batch[made.client]
@@ -769,7 +779,9 @@ def simulate_prepared(
     inherit the run from this one; each job carries only its client
     range.  Where the platform cannot fork, and for ``collect`` (keep every
     built circuit), the clients run serially.  Each client draws from its
-    own substream, so the split cannot change any result.
+    own substream, so the split cannot change any result.  A client's
+    guard list holds fingerprint codes, so it carries over from one
+    period's table to the next without the earlier state.
     """
     global _RUN
     if clients < 1:

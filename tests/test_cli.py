@@ -379,6 +379,40 @@ class TestMetricsCommand:
         assert "sum to inf" in result.stderr
 
 
+class TestOneSnapshotLoader:
+    """Every command reads a snapshot file through ``_parse_file``, so its
+    parse errors name the file."""
+
+    @pytest.mark.parametrize("command", ["weights", "waterfill", "metrics", "simulate"])
+    def test_a_parse_error_names_the_file(self, runner, tmp_path, command):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        bad = snaps / "bad.snapshot"
+        bad.write_text("snapshot 5\nrelay G1 nick xx\n")
+        joint = tmp_path / "joint.csv"
+        joint.write_text(joint_to_csv(JointDistribution(("G1",), ("E1", "E2"), np.full((1, 2), 0.5))))
+        adv = tmp_path / "adv.json"
+        adv.write_text('{"relays": []}')
+        args = {
+            "weights": ["weights", str(bad)],
+            "waterfill": ["waterfill", str(bad)],
+            "metrics": ["metrics", "--joint", str(joint), "--snapshot", str(bad)],
+            "simulate": ["simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+                         "--algo", "abwrs", "--clients", "3", "--seed", "1",
+                         "--out", str(tmp_path / "r.csv")],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {bad}: line 2: bad consensus weight 'xx'\n"
+
+    def test_a_json_error_names_the_file(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format": "waterweights-snapshot-v1", "valid_after": "5", "relays": []}')
+        result = runner.invoke(main, ["weights", str(bad)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {bad}: valid_after must be an integer")
+
+
 class TestReadAheadTime:
     """The cheap ``valid_after`` read that orders simulate's files."""
 
@@ -393,7 +427,7 @@ class TestReadAheadTime:
         (tmp_path / "b.snapshot").write_text("# a comment\n\n  \n" + serialize_native(snap))
         for name in ("a.json", "b.snapshot"):
             assert cli._read_ahead_time(tmp_path / name) == valid_after
-            assert cli._load_snapshot(tmp_path / name).valid_after == valid_after
+            assert cli._parse_file(tmp_path / name).valid_after == valid_after
 
     @pytest.mark.parametrize("name,text", [
         ("a.json", '{"valid_after": 5, "relays": []}'),
@@ -494,7 +528,7 @@ class TestSimulateAndCompare:
         (snaps / "3.snapshot").unlink()
 
         parsed, states, alive = [], [], []
-        load, build = cli._load_snapshot, pathsim._build_circuits
+        load, build = cli._parse_file, pathsim._build_circuits
         prepare = pathsim.NetworkState.__init__
 
         def census(where):
@@ -504,8 +538,8 @@ class TestSimulateAndCompare:
                 sum(ref() is not None for ref in states),
             ))
 
-        def spy_load(path):
-            snapshot = load(path)
+        def spy_load(path, at=None):
+            snapshot = load(path, at)
             parsed.append(weakref.ref(snapshot))
             census("parse")
             return snapshot
@@ -519,7 +553,7 @@ class TestSimulateAndCompare:
             census("build")
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_load_snapshot", spy_load)
+        monkeypatch.setattr(cli, "_parse_file", spy_load)
         monkeypatch.setattr(pathsim.NetworkState, "__init__", spy_prepare)
         monkeypatch.setattr(pathsim, "_build_circuits", spy_build)
         result = self.run_hours(runner, snaps, adv, tmp_path / "r.csv")
@@ -558,10 +592,10 @@ class TestSimulateAndCompare:
 
     @pytest.mark.parametrize("at_group", [False, True])
     def test_negative_seed_exits_2_before_any_read(self, runner, tmp_path, monkeypatch, at_group):
-        def no_read(path):
+        def no_read(path, at=None):
             raise AssertionError(f"{path} was read")
 
-        monkeypatch.setattr(cli, "_load_snapshot", no_read)
+        monkeypatch.setattr(cli, "_parse_file", no_read)
         snaps, adv = self.write_inputs(tmp_path)
         out = tmp_path / "r.csv"
         seed = ["--seed", "-1"]
@@ -663,6 +697,43 @@ class TestSimulateAndCompare:
         result = self.simulate(runner, tmp_path, out, extra=(option, value))
         assert result.exit_code == 2
         assert option in result.stderr
+        assert not out.exists()
+
+    def test_an_interval_past_64_bits_exits_2(self, runner, tmp_path):
+        # it used to end in an OverflowError, exit 1
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out, extra=("--interval", str(10**20)))
+        assert result.exit_code == 2
+        assert result.stderr == f"error: circuit interval {10**20} does not fit in 64 bits\n"
+        assert not out.exists()
+
+    def test_a_snapshot_time_past_64_bits_exits_2(self, runner, tmp_path):
+        from waterweights.consensus import snapshot_to_json
+
+        snaps, adv = self.write_inputs(tmp_path)
+        (snaps / "one.snapshot").unlink()
+        snap = make_snapshot([("G1", 500, "g"), ("M1", 400, "m"), ("E1", 200, "e")],
+                             valid_after=2**63 + 5)
+        (snaps / "late.json").write_text(snapshot_to_json(snap))
+        out = tmp_path / "r.csv"
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "3", "--seed", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: stream time {2**63 + 5} does not fit in 64 bits\n"
+        assert not out.exists()
+
+    def test_stream_times_that_would_wrap_exit_2(self, runner, tmp_path):
+        # the third stream time lies past 2**63 - 1: it used to wrap to a
+        # negative time, and the run did not finish
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out, extra=(
+            "--interval", str(2**62), "--duration", str(3 * 2**62),
+        ))
+        assert result.exit_code == 2
+        last = self.T0 + 2 * 2**62
+        assert result.stderr == f"error: stream time {last} does not fit in 64 bits\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("doc,field", [

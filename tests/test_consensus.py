@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +626,39 @@ class TestJsonFieldTypes:
         for weight in (-1, 2**63):
             with pytest.raises(ParseError, match="line 2"):
                 parse_native(f"snapshot 1\nrelay AA a {weight}\n")
+
+    @pytest.mark.parametrize("as_number", [-1, -5, 2**32, 10**29])
+    def test_as_number_outside_4_bytes_is_rejected_by_every_reader(self, as_number):
+        # each used to be stored and round-trip; -1 also marks no AS in the column
+        outside = rf"as_number {as_number} is outside \[0, 2\*\*32 - 1\]$"
+        with pytest.raises(ParseError, match=rf"^line 3: {outside}"):
+            parse_native(f"snapshot 1\nrelay AA a 5\nrelay BB b 5 as={as_number}\n")
+        with pytest.raises(ParseError, match=rf"^relays\[1\]\.as_number: {outside}"):
+            snapshot_from_json(json.dumps(one_relay_document(as_number=as_number)))
+        relay = make_relay("A", 10, "e", as_number=as_number)
+        with pytest.raises(InvariantError, match=rf"^A: {outside}"):
+            ConsensusSnapshot.from_relays(0, [relay])
+        with pytest.raises(InvariantError, match=rf"^A: {outside}"):
+            ConsensusSnapshot.from_relays(0, [make_relay("B", 1, "g")]).with_relays([relay])
+
+    @pytest.mark.parametrize("as_number", [0, 2**32 - 1])
+    def test_as_number_at_either_bound_round_trips(self, as_number):
+        snap = ConsensusSnapshot.from_relays(0, [
+            make_relay("A", 10, "e", as_number=as_number), make_relay("B", 1, "g"),
+        ])
+        assert snap.table.as_number.dtype == np.int64
+        assert snap.table.as_number.tolist() == [as_number, -1]
+        assert [r.as_number for r in snap.relays] == [as_number, None]
+        assert f" as={as_number}\n" in serialize_native(snap)
+        for again in (
+            parse_native(serialize_native(snap)),
+            snapshot_from_json(snapshot_to_json(snap)),
+            pickle.loads(pickle.dumps(snap)),
+        ):
+            assert again == snap
+            assert [r.as_number for r in again.relays] == [as_number, None]
+        doc = snapshot_from_json(json.dumps(one_relay_document(as_number=as_number)))
+        assert doc.relays[1].as_number == as_number
 
     def test_repeated_fingerprint_names_both_relays(self):
         doc = one_relay_document(fingerprint="AAAA")

@@ -520,6 +520,62 @@ class TestGroupDiversity:
         table = group_diversity(snap, self.entry(snap, [0.3, 0.7]), "country")
         assert table == [("bb", pytest.approx(0.7)), ("aa", pytest.approx(0.3))]
 
+    @staticmethod
+    def dict_loop(snap, vector, key):
+        """The group table summed row by row in a dict: the reference."""
+        relays = snap.relays
+        groups: dict[str, float] = {}
+        for row, prob in zip(vector.rows.tolist(), vector.probabilities.tolist()):
+            value = relays[row].country if key == "country" else relays[row].as_number
+            label = "unknown" if value is None else value if key == "country" else f"AS{value}"
+            groups[label] = groups.get(label, 0.0) + prob
+        return sorted(groups.items(), key=lambda item: (-item[1], item[0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, "de", "us", "unknown", "AS1"]),
+                st.one_of(
+                    st.sampled_from([None, 0, 1, 3320, 2**31, 4_200_000_000, 2**32 - 1]),
+                    st.integers(0, 2**32 - 1),
+                ),
+            ),
+            max_size=12,
+        ),
+        st.data(),
+    )
+    def test_group_tables_equal_the_dict_loop_bit_for_bit(self, labels, data):
+        # rows in any order, some left out; probabilities of mixed magnitudes,
+        # so that the order of the additions shows in the sums
+        relays = [
+            make_relay(f"r{i}", 10, "g", country=country, as_number=asn)
+            for i, (country, asn) in enumerate(labels)
+        ]
+        snap = ConsensusSnapshot.from_relays(0, relays)
+        picked = data.draw(st.permutations(range(len(relays))))
+        picked = picked[: data.draw(st.integers(0, len(picked)))]
+        probs = data.draw(st.lists(
+            st.one_of(st.floats(0, 1), st.floats(0, 1e-12), st.sampled_from([0.1, 0.2, 0.3])),
+            min_size=len(picked), max_size=len(picked),
+        ))
+        vector = vector_of(snap, [f"r{i}" for i in picked], probs)
+        for key in ("country", "as"):
+            got = group_diversity(snap, vector, key)
+            expected = self.dict_loop(snap, vector, key)
+            assert [(g, p.hex()) for g, p in got] == [(g, p.hex()) for g, p in expected]
+
+    def test_four_byte_as_numbers_are_not_indices(self):
+        # 2**32 - 1 as a bincount index would size the sums at 32 GB
+        relays = [make_relay("r0", 10, "g", as_number=2**32 - 1),
+                  make_relay("r1", 10, "g", as_number=4_200_000_000)]
+        snap = ConsensusSnapshot.from_relays(0, relays)
+        table, peak, _ = traced_peak(
+            lambda: group_diversity(snap, self.entry(snap, [0.25, 0.75]), "as")
+        )
+        assert table == [("AS4200000000", 0.75), ("AS4294967295", 0.25)]
+        assert peak < 10**6
+
     def test_five_as_instance_matches_brute_force(self, rng):
         as_numbers = [16276, 12876, 24940, 16276, None]
         relays = [

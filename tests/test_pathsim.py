@@ -554,6 +554,39 @@ class TestRunCounts:
         assert trace.guard_rotations == 0
 
 
+    @pytest.mark.parametrize("guards", [1, 3])
+    def test_guard_lists_keep_their_relays_when_every_row_shifts(self, guards):
+        # the second snapshot republishes the first one's relays in reverse
+        # order behind one new guard, so no relay keeps its row.  The names
+        # are this test's own and the second list is coded first, so no
+        # relay's row is its fingerprint code either
+        spec = [("G1", 400, "g"), ("G2", 300, "g"), ("G3", 200, "g"), ("G4", 100, "g"),
+                ("M1", 300, "m"), ("E1", 300, "e"), ("E2", 200, "e")]
+        relays = [make_relay(f"shift-{fp}", w, role, subnet=f"10.{i}")
+                  for i, (fp, w, role) in enumerate(spec)]
+        second = ConsensusSnapshot.from_relays(
+            3600, [make_relay("shift-G0", 500, "g", subnet="10.9"), *reversed(relays)]
+        )
+        first = ConsensusSnapshot.from_relays(0, relays)
+        assert all(second.relays[i] != r for i, r in enumerate(relays))
+        trace = traced(
+            [first, second], AdversarySpec(), Algorithm.ABWRS, clients=20, seed=41,
+            duration=7200, schedule=StreamSchedule(circuit_interval=60),
+            num_entry_guards=guards,
+        )
+        held: dict[tuple[int, int], set] = {}
+        for client_id, circuit in trace.circuits:
+            held.setdefault((client_id, circuit.time // 3600), set()).add(circuit.guard)
+        assert len(held) == 2 * 20
+        for client_id in range(20):
+            # every guard of the list was used in period 1, and is a guard relay
+            assert len(held[client_id, 0]) == guards
+            assert held[client_id, 0] <= {f"shift-G{i}" for i in range(1, 5)}
+            assert held[client_id, 1] == held[client_id, 0]
+        assert trace.guard_replacements == 0
+        assert trace.guard_rotations == trace.circuits_failed == 0
+
+
 class TestWorkers:
     def test_jobs_do_not_pickle_the_states(self, monkeypatch):
         def refuse(self, protocol):
@@ -735,6 +768,56 @@ class TestStreamSchedule:
         for start, end in ((5, 5), (5, 3)):
             empty = schedule.stream_times(start, end)
             assert empty.dtype == np.int64 and empty.size == 0
+
+    def test_an_interval_past_64_bits_is_refused(self):
+        assert StreamSchedule(circuit_interval=2**63 - 1).stream_times(0, 1).tolist() == [0]
+        for interval in (2**63, 10**20):
+            with pytest.raises(WaterweightsError, match=f"^circuit interval {interval} does not"):
+                StreamSchedule(circuit_interval=interval)
+
+    def test_a_start_past_64_bits_is_refused(self):
+        with pytest.raises(WaterweightsError, match=f"^stream time {2**63 + 5} does not fit"):
+            StreamSchedule().stream_times(2**63 + 5, 2**63 + 3600)
+
+    def test_a_time_past_64_bits_is_refused_not_wrapped(self):
+        schedule = StreamSchedule(circuit_interval=2**62)
+        end = 1_000_000 + 3 * 2**62
+        last = 1_000_000 + 2 * 2**62
+        with pytest.raises(WaterweightsError, match=f"^stream time {last} does not fit"):
+            schedule.stream_times(1_000_000, end)
+        assert schedule.stream_times(1_000_000, end - 2**62).tolist() == [
+            1_000_000, 1_000_000 + 2**62,
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(-2**63, 2**63 - 1),
+            st.integers(-2**63 - 5, -2**63 + 5),
+            st.integers(2**63 - 5, 2**63 + 5),
+            st.integers(-2**70, 2**70),
+        ),
+        st.one_of(st.integers(1, 1000), st.integers(1, 2**63 - 1)),
+        st.integers(0, 20),
+        st.data(),
+    )
+    def test_times_are_start_plus_k_intervals_or_refused(self, start, interval, count, data):
+        # ``end`` lies past the last of ``count`` times, by at most one interval
+        end = start + (count - 1) * interval + data.draw(st.integers(1, interval))
+        if not count:
+            end = start - data.draw(st.integers(0, 10))
+        expected = [start + k * interval for k in range(count)]  # Python ints
+        schedule = StreamSchedule(circuit_interval=interval)
+        outside = [t for t in expected if not -2**63 <= t < 2**63]
+        if outside:
+            # the times rise: the first is named if it lies outside, else the last
+            named = expected[0] if expected[0] in outside else expected[-1]
+            with pytest.raises(WaterweightsError, match=f"^stream time {named} does not"):
+                schedule.stream_times(start, end)
+        else:
+            times = schedule.stream_times(start, end)
+            assert times.dtype == np.int64
+            assert times.tolist() == expected
 
     def test_port_validation(self):
         assert StreamSchedule(destination_port=65_535).destination_port == 65_535

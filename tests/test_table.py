@@ -40,7 +40,6 @@ from waterweights.pathsim import (
     Algorithm,
     NetworkState,
     RoleHint,
-    _GuardLists,
     inject_adversary,
 )
 from waterweights.waterfill import (
@@ -417,26 +416,6 @@ class TestCodes:
             assert equal.tolist() == [
                 [x == y for y in getattr(b, names)] for x in getattr(a, names)
             ]
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(relay_lists(), min_size=2, max_size=4), st.data())
-    def test_guard_lists_move_by_name(self, lists, data):
-        # relays leave and return across the tables
-        tables = [ConsensusSnapshot.from_relays(0, r).table for r in lists]
-        clients, capacity = 3, 2
-        guards = _GuardLists(clients, capacity)
-        n = len(tables[0])
-        guards.rows[:] = data.draw(st.lists(
-            st.lists(st.integers(-1, n - 1), min_size=capacity, max_size=capacity),
-            min_size=clients, max_size=clients,
-        ))
-        for old, new in zip(tables, tables[1:]):
-            names = old.fingerprints
-            row_of = {fp: i for i, fp in enumerate(new.fingerprints)}
-            expected = [[row_of.get(names[r], -1) if r >= 0 else -1 for r in held]
-                        for held in guards.rows.tolist()]
-            guards.move(old.fingerprint, new)
-            assert guards.rows.tolist() == expected
 
     @settings(max_examples=50, deadline=None)
     @given(text_relay_lists(), st.lists(texts, max_size=6))
