@@ -208,15 +208,13 @@ class _Group(click.Group):
 
 @click.group(cls=_Group)
 @click.version_option(__version__)
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Default seed for randomized subcommands.")
 @click.option("--json", "json_only", is_flag=True, help="Suppress non-JSON text output.")
 @click.option("--quiet", is_flag=True, help="Suppress warnings and progress on stderr.")
 @click.pass_context
-def main(ctx, seed, json_only, quiet):
+def main(ctx, json_only, quiet):
     """Relay-network balance analysis: positional weights, waterfilling,
     compromise simulation, and anonymity metrics."""
-    ctx.obj = {"seed": seed, "json": json_only, "quiet": quiet}
+    ctx.obj = {"json": json_only, "quiet": quiet}
 
 
 @main.command()
@@ -304,12 +302,11 @@ def waterfill(ctx, mode, pools, snapshot):
 @click.option("--adversary", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--algo", type=click.Choice([a.value for a in Algorithm]), required=True)
 @click.option("--clients", type=int, required=True)
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Required here or at the group level.")
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True)
 @click.option("--duration", type=int, default=None, help="Seconds simulated past the first snapshot.")
 @click.option("--interval", type=click.IntRange(min=1), default=600, show_default=True,
-              help="Seconds between circuits.")
+              help="Seconds between circuits, at most 60 days.")
 @click.option("--port", type=click.IntRange(1, 65_535), default=443, show_default=True,
               help="Destination port of the streams.")
 @click.option("--num-guards", type=click.IntRange(min=1), default=3, show_default=True)
@@ -318,10 +315,6 @@ def waterfill(ctx, mode, pools, snapshot):
 def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
              interval, port, num_guards, workers):
     """Monte Carlo compromise simulation; writes one CSV row per client."""
-    if seed is None:
-        seed = ctx.obj["seed"]
-    if seed is None:
-        raise click.UsageError("simulate needs an explicit --seed")
     files = sorted(p for p in snapshots.iterdir() if p.is_file())
     if not files:
         raise ParseError(f"no snapshot files under {snapshots}")

@@ -168,39 +168,34 @@ def _pool_code(flags) -> int:
 class RelayTable:
     """One snapshot's relays as columns, in document order.
 
-    Every per-relay column but ``family`` is a numpy array.  Weights are
-    int64; exact products and sums convert them to Python ints.
-    ``as_number`` is int64, -1 for a relay with no AS (a number is 4
-    bytes, so no other value is negative).  ``pool`` holds each relay's
-    pool code.  Flag sets and exit policies are
-    interned: a row holds an id into the table's distinct values, so
-    unknown flags round-trip.  ``fingerprint``, ``nickname``,
-    ``country_code`` and ``subnet`` are code columns: each row holds the
-    code of its name in that column's process-wide name table (``_NAMES``),
-    so equal names get equal codes in every table, and ``fingerprints``,
-    ``nicknames`` and ``country`` decode them on each read.  A relay with no
-    country gets the code -1, one with no known subnet ``-(row + 1)``,
-    which matches only itself.  ``rows`` maps fingerprint codes to rows:
-    outside the table a relay is a fingerprint code or a row, and names
-    are decoded only where they are printed.  ``family`` keeps each
-    non-empty family set as published, names that match no row included;
-    ``family_keys`` holds the pairs that resolve to rows of this table as
-    sorted ``i*n + j`` keys in both directions, and ``in_family`` marks the
-    rows that take part in such a pair.
+    Every per-relay column is a numpy array.  Weights are int64; exact
+    products and sums convert them to Python ints.  ``as_number`` is int64,
+    -1 for a relay with no AS (a number is 4 bytes, so no other value is
+    negative).  ``pool`` holds each relay's pool code.  The other seven are
+    code columns: each row holds the code of its value in that column's
+    process-wide code table (``_NAMES``), so equal values get equal codes
+    in every table.  ``fingerprint``, ``nickname``, ``country_code`` and
+    ``subnet`` code names, and ``fingerprints``, ``nicknames`` and
+    ``country`` decode them on each read; ``flag_id`` codes flag sets (so
+    unknown flags round-trip), ``policy_id`` exit policies and
+    ``family_id`` family sets, each set kept as published, names that
+    match no row included.  A relay with no country or no family gets the
+    code -1, one with no known subnet ``-(row + 1)``, which matches only
+    itself.  ``rows`` maps fingerprint codes to rows: outside the table a
+    relay is a fingerprint code or a row, and values are decoded only where
+    they are printed.  ``family_keys`` holds the family pairs that resolve
+    to rows of this table as sorted ``i*n + j`` keys in both directions,
+    and ``in_family`` marks the rows that take part in such a pair.
 
-    Flag names and family names are interned strings (``sys.intern``), and
-    policies come from the ``parse_policy`` memo, so tables that share
-    relays share these objects too.  On CPython 3.10 and 3.11 an interned
-    string is freed with its last table, though the interpreter's intern
-    table keeps the slots it grew to; on 3.12, ``sys.intern`` makes a
-    string immortal.  The names of the four code columns live in their
-    name tables until the process exits, on every version.
+    A code table only grows, so every value coded in a process lives until
+    the process exits, on every Python version.  Its flag and family names
+    are interned strings (``sys.intern``), and its policies come from the
+    ``parse_policy`` memo, so tables share these objects too.
     """
 
     __slots__ = (
-        "fingerprint", "nickname", "weights", "pool", "flag_id", "flag_sets",
-        "policy_id", "policies", "subnet", "family", "family_keys",
-        "in_family", "country_code", "as_number",
+        "fingerprint", "nickname", "weights", "pool", "flag_id", "policy_id", "subnet",
+        "family_id", "family_keys", "in_family", "country_code", "as_number",
     )
 
     def __init__(self, **columns):
@@ -222,26 +217,29 @@ class RelayTable:
     # the table's known /16 strings, each to its code, in first-row order
     subnet_codes = property(lambda self: self._known("subnet"))
 
-    def _names(self, column: str, rows=slice(None)) -> list:
-        """Code column ``column`` as names, at ``rows`` if given; None for a
-        negative code."""
-        names = _NAMES[column].names
-        return [names[c] if c >= 0 else None for c in getattr(self, column)[rows].tolist()]
+    def _names(self, column: str, rows=slice(None), render=None, absent=None) -> list:
+        """Code column ``column`` decoded through its code table, at ``rows``
+        if given: each distinct value rendered once by ``render`` if given,
+        and ``absent`` for a negative code."""
+        codes = getattr(self, column)[rows].tolist()
+        values = _NAMES[column].names
+        if render is not None:
+            values = {c: render(values[c]) for c in set(codes) if c >= 0}
+        return [values[c] if c >= 0 else absent for c in codes]
 
-    def _known(self, column: str) -> dict[str, int]:
-        """Each name code column ``column`` holds, to its code, in first-row order."""
+    def _known(self, column: str) -> dict:
+        """Each value code column ``column`` holds, to its code, in first-row order."""
         return {n: c for n, c in zip(self._names(column), getattr(self, column).tolist()) if c >= 0}
 
     def rows(self, codes) -> np.ndarray:
         """The row of each fingerprint code in ``codes``, -1 where no row
-        has it: the one map from fingerprints to rows.  It looks the codes
-        up in the fingerprint column's sorted order."""
-        if not len(self):
-            return np.full(codes.shape, -1, dtype=np.int64)
-        order = np.argsort(self.fingerprint)
-        # a code past the last wraps to the first, smaller code, and is not found
-        found = order[np.searchsorted(self.fingerprint, codes, sorter=order) % len(self)]
-        return np.where(self.fingerprint[found] == codes, found, -1)
+        has it: the one map from fingerprints to rows.  ``codes`` must be
+        this process's fingerprint codes or -1.  One lookup array over the
+        fingerprint code table holds each code's row; the code -1 reads its
+        one extra last slot, which no row sets."""
+        lookup = np.full(len(_NAMES["fingerprint"].names) + 1, -1, dtype=np.int64)
+        lookup[self.fingerprint] = np.arange(len(self))
+        return lookup[codes]
 
     def totals(self) -> PoolTotals:
         """Exact weight sums per pool code, over Python ints."""
@@ -277,47 +275,47 @@ class RelayTable:
         return out
 
     def accepts(self, port: int) -> np.ndarray:
-        """Mask of the relays whose exit policy accepts ``port``."""
-        verdicts = np.array([policy_accepts(p, port) for p in self.policies], dtype=bool)
+        """Mask of the relays whose exit policy accepts ``port``.  Each
+        policy this table uses is evaluated once; the process's other
+        coded policies are not."""
+        policies = _NAMES["policy_id"].names
+        used = _sorted_unique(self.policy_id)
+        verdicts = np.zeros(len(policies), dtype=bool)
+        verdicts[used] = [policy_accepts(policies[c], port) for c in used.tolist()]
         return verdicts[self.policy_id]
 
     def _cells(self, flags=None, policy=None, family=None):
-        """Each row's fields in ``RelayEntry`` order, the coded and interned
-        columns decoded: the table's one decoder.  ``flags`` and ``policy``,
-        when given, render each distinct value once, and a row gets the
-        rendering of its own; ``family`` renders each row's family set.
+        """Each row's fields in ``RelayEntry`` order, the code columns
+        decoded: the table's one decoder.  ``flags``, ``policy`` and
+        ``family``, when given, render each distinct value once, and a row
+        gets the rendering of its own; a row with no family gets the empty
+        set, or its rendering.
         """
-        flag_sets = self.flag_sets if flags is None else [flags(f) for f in self.flag_sets]
-        policies = self.policies if policy is None else [policy(p) for p in self.policies]
-        families = self.family if family is None else {i: family(f) for i, f in self.family.items()}
         empty = frozenset() if family is None else family(frozenset())
         return zip(
             self._names("fingerprint"), self._names("nickname"), self.weights.tolist(),
-            [flag_sets[i] for i in self.flag_id.tolist()],
-            [policies[i] for i in self.policy_id.tolist()],
-            [families.get(i, empty) for i in range(len(self))],
+            self._names("flag_id", render=flags), self._names("policy_id", render=policy),
+            self._names("family_id", render=family, absent=empty),
             self._names("subnet"), self._names("country_code"),
             [a if a >= 0 else None for a in self.as_number.tolist()],
         )
 
     def __reduce__(self):
-        # the code columns index this process's name tables, so a pickle
-        # carries each column's names, and the loading process codes them afresh
+        # the code columns index this process's code tables, so a pickle
+        # carries each column's values, and the loading process codes them afresh
         columns = {name: getattr(self, name) for name in self.__slots__}
         return _unpickle_table, (columns, {c: self._known(c) for c in _NAMES})
 
     def __eq__(self, other) -> bool:
         """Equal exactly when the two tables hold the same rows.  Within one
-        process equal codes mean equal names, and a table numbers its
-        distinct flag sets and policies in first-row order, so equal rows
-        give equal columns.  The weights are compared first: consecutive
-        relay lists mostly differ there."""
+        process equal codes mean equal values, so equal rows give equal
+        columns, and the derived ``pool``, ``family_keys`` and ``in_family``
+        follow.  The weights are compared first: consecutive relay lists
+        mostly differ there."""
         if not isinstance(other, RelayTable):
             return NotImplemented
-        arrays = ("weights", *_NAMES, "flag_id", "policy_id", "as_number")
-        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in arrays) and all(
-            getattr(self, c) == getattr(other, c) for c in ("flag_sets", "policies", "family")
-        )
+        arrays = ("weights", *_NAMES, "as_number")
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in arrays)
 
     __hash__ = None
 
@@ -331,29 +329,41 @@ class _RowError(ParseError):
 
 
 class _NameTable(dict):
-    """A process-wide name table: each name a table has held, to its code,
-    and ``names``, the names by code.
+    """A process-wide code table: each value a table has held (a name, a
+    flag set, a policy or a family set), to its code, and ``names``, the
+    values by code.
 
-    Indexing by a name the table lacks adds it (interned, so that family
-    sets share it); ``get`` never adds one.  A table only grows, bounded by
-    the distinct names the process has seen, so its names live until the
-    process exits.
+    Indexing by a value the table lacks adds ``intern(value)``; ``get``
+    never adds one.  A table only grows, bounded by the distinct values the
+    process has seen, so its values live until the process exits.
     """
 
-    def __init__(self):
-        self.names: list[str] = []
+    def __init__(self, intern=sys.intern):
+        self.intern = intern
+        self.names: list = []
 
-    def __missing__(self, name: str) -> int:
-        name = sys.intern(name)
-        code = self[name] = len(self.names)
-        self.names.append(name)
+    def __missing__(self, value) -> int:
+        value = self.intern(value)
+        code = self[value] = len(self.names)
+        self.names.append(value)
         return code
 
 
-# Each code column's name table.  Tables keep only codes, so no table holds
-# a name of its own, and a code means the same name in every table.
+def _interned(values) -> frozenset[str]:
+    """``values`` as a frozenset of interned strings; TypeError unless every
+    item is a ``str``."""
+    return frozenset(map(sys.intern, values))
+
+
+# Each code column's code table.  Tables keep only codes, so no table holds
+# a value of its own, and a code means the same value in every table.  Sets
+# are keyed by content, and a policy is already the memo's one tuple.
+_NAME_COLUMNS = ("fingerprint", "nickname", "country_code", "subnet")
 _NAMES: dict[str, _NameTable] = {
-    column: _NameTable() for column in ("fingerprint", "nickname", "country_code", "subnet")
+    **{column: _NameTable() for column in _NAME_COLUMNS},
+    "flag_id": _NameTable(_interned),
+    "policy_id": _NameTable(lambda policy: policy),
+    "family_id": _NameTable(_interned),
 }
 
 
@@ -380,12 +390,6 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
-
-
-def _interned(values) -> frozenset[str]:
-    """``values`` as a frozenset of interned strings; TypeError unless every
-    item is a ``str``."""
-    return frozenset(map(sys.intern, values))
 
 
 def _entry_fault(r: RelayEntry) -> str | None:
@@ -424,26 +428,27 @@ def _entry_fault(r: RelayEntry) -> str | None:
 # The int columns a builder collects, each with its dtype in the table.
 _INT_COLUMNS = {
     "fingerprint": np.int32, "nickname": np.int32, "weights": np.int64, "pool": np.int8,
-    "flag_id": np.int32, "policy_id": np.int32, "subnet": np.int64, "country_code": np.int32,
-    "as_number": np.int64,
+    "flag_id": np.int32, "policy_id": np.int32, "subnet": np.int64, "family_id": np.int32,
+    "country_code": np.int32, "as_number": np.int64,
 }
 
 
 class _TableBuilder:
     """Collects rows in document order, after the rows of an optional base.
 
-    A row keeps the codes of its fingerprint, nickname, country and /16 in
-    the process-wide name tables, its AS number (-1 for none), and ids
-    into the table's distinct flag sets and policies, each in a list per
-    ``_INT_COLUMNS`` column; flag and family names are interned, and every
-    parsed policy comes from the ``parse_policy`` memo.  So the tables of
-    consecutive snapshots hold one object per distinct name and policy,
-    not one per relay per snapshot.  ``row_of`` maps the fingerprint code
-    of each row, the base's included, to its row while the table is built,
-    for repeated fingerprints and family resolution; the table does not
-    keep it.  ``snapshot`` resolves every family entry of the base and of
-    the new rows in one pass, so an extended table is the table a fresh
-    build of the same rows gives.
+    A row keeps the code of each of its values in the process-wide code
+    tables (its fingerprint, nickname, flag set, policy, family set, /16 and
+    country), its pool code and its AS number (-1 for none), each in a list
+    per ``_INT_COLUMNS`` column; names are interned, and every parsed
+    policy comes from the ``parse_policy`` memo.  So the tables of
+    consecutive snapshots hold one object per distinct value, not one per
+    relay per snapshot.  Codes do not depend on row order, so the builder
+    takes nothing from its base but its columns.  ``row_of`` maps the
+    fingerprint code of each new row to its row while the table is built,
+    for repeated fingerprints; the table does not keep it.  ``snapshot``
+    resolves every family entry of the base and of the new rows in one
+    pass, so an extended table is the table a fresh build of the same rows
+    gives.
     """
 
     def __init__(self, base: RelayTable | None = None):
@@ -451,32 +456,24 @@ class _TableBuilder:
         self.first = 0 if base is None else len(base)
         for name in _INT_COLUMNS:  # each a list of the rows' values
             setattr(self, name, [])
-        self.family: dict[int, frozenset[str]] = {}
-        # interned values: by the value an add passed, then by content
-        self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set id)
-        self.policy_keys: dict = {}  # passed policy -> policy id
-        if base is None:
-            self.row_of: dict[int, int] = {}
-            self.flag_ids: dict[frozenset[str], int] = {}
-            self.policy_ids: dict[tuple[PolicyRule, ...], int] = {}
-        else:
-            self.row_of = dict(zip(base.fingerprint.tolist(), range(self.first)))
-            self.flag_ids = {flags: i for i, flags in enumerate(base.flag_sets)}
-            self.policy_ids = {policy: i for i, policy in enumerate(base.policies)}
+        self.row_of: dict[int, int] = {}
+        # by the value an add passed: a memo of this build only
+        self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set code)
+        self.policy_keys: dict = {}  # passed policy -> policy code
 
     def add(self, fingerprint, nickname, weight, flags=frozenset(), policy=(REJECT_ALL,),
             family=(), subnet16=None, country=None, as_number=None) -> None:
         """Append one row: the only way a row enters a table.
 
-        ``flags`` is any hashable collection of flag names; ``policy`` a
-        policy text or a tuple of rule texts or of ``PolicyRule``s.  A weight
-        outside [0, 2**63 - 1], an AS number outside [0, 2**32 - 1] (RFC
-        6793's 4 bytes; -1 marks no AS in the column) or a policy that does
-        not parse raises _RowError, a string or item that is no ``str``
-        TypeError, and a repeated fingerprint DuplicateRelayError
-        (``row_of`` keeps its first row).  A name table codes a name only
-        the first time the process sees it, and a flag set is interned the
-        first time the table does.
+        ``flags`` and ``family`` are any collections of names (``flags``
+        hashable); ``policy`` a policy text or a tuple of rule texts or of
+        ``PolicyRule``s.  A weight outside [0, 2**63 - 1], an AS number
+        outside [0, 2**32 - 1] (RFC 6793's 4 bytes; -1 marks no AS in the
+        column) or a policy that does not parse raises _RowError, a string
+        or item that is no ``str`` TypeError, and a fingerprint repeated
+        among the new rows DuplicateRelayError (``row_of`` keeps its first
+        row); ``snapshot`` checks the base.  A code table codes a value only
+        the first time the process sees it.
         """
         if not 0 <= weight <= INT64_MAX:
             raise _RowError(
@@ -487,15 +484,11 @@ class _TableBuilder:
             raise _RowError("as_number", f"as_number {as_number} is outside [0, 2**32 - 1]")
         codes = self.flag_keys.get(flags)
         if codes is None:
-            content = _interned(flags)
-            codes = self.flag_keys[flags] = (
-                _pool_code(content), self.flag_ids.setdefault(content, len(self.flag_ids))
-            )
+            codes = self.flag_keys[flags] = (_pool_code(flags), _NAMES["flag_id"][frozenset(flags)])
         policy_id = self.policy_keys.get(policy)
         if policy_id is None:
             policy_id = self.policy_keys[policy] = self._policy_id(policy)
-        if family:
-            family = _interned(family)
+        family_id = _NAMES["family_id"][frozenset(family)] if family else -1
         i = self.first + len(self.fingerprint)
         code = _NAMES["fingerprint"][fingerprint]
         if self.row_of.setdefault(code, i) != i:
@@ -506,8 +499,7 @@ class _TableBuilder:
         self.pool.append(codes[0])
         self.flag_id.append(codes[1])
         self.policy_id.append(policy_id)
-        if family:
-            self.family[i] = family
+        self.family_id.append(family_id)
         self.subnet.append(-(i + 1) if subnet16 is None else _NAMES["subnet"][subnet16])
         self.country_code.append(-1 if country is None else _NAMES["country_code"][country])
         self.as_number.append(-1 if as_number is None else as_number)
@@ -533,7 +525,7 @@ class _TableBuilder:
                 parsed = parse_policy(text)
             except ValueError as exc:
                 raise _RowError("exit_policy", f"bad policy value {text!r}: {exc}") from None
-        return self.policy_ids.setdefault(parsed, len(self.policy_ids))
+        return _NAMES["policy_id"][parsed]
 
     def snapshot(self, valid_after: int, relays=()) -> "ConsensusSnapshot":
         """The snapshot of the rows so far, then of ``relays`` (``RelayEntry``
@@ -553,19 +545,12 @@ class _TableBuilder:
                 except _RowError as err:
                     fault = str(err)
             raise InvariantError(f"{r.fingerprint}: {fault}")
-        base, row_of, codes = self.base, self.row_of, _NAMES["fingerprint"]
-        n = self.first + len(self.fingerprint)
-        family = self.family if base is None else {**base.family, **self.family}
-        # every (row, name) entry, resolved against every row: a name that
-        # was never coded, or names no row here, gets -1
-        left = np.array([i for i, f in family.items() for _ in f], dtype=np.int64)
-        right = [row_of.get(codes.get(name), -1) for f in family.values() for name in f]
-        right = np.array(right, dtype=np.int64)
-        left, right = left[right >= 0], right[right >= 0]
-        family_keys = _sorted_unique(np.concatenate([left * n + right, right * n + left]))
-        in_family = np.zeros(n, dtype=bool)
-        if family_keys.size:  # keys run both ways, so i covers every member
-            in_family[family_keys // n] = True
+        base = self.base
+        if base is not None:
+            repeats = np.flatnonzero(base.rows(np.array(self.fingerprint, dtype=np.int64)) >= 0)
+            if repeats.size:
+                name = _NAMES["fingerprint"].names[self.fingerprint[repeats[0]]]
+                raise DuplicateRelayError(f"duplicate fingerprint {name}")
 
         def column(name, dtype):
             fresh = np.array(getattr(self, name), dtype=dtype)
@@ -573,12 +558,20 @@ class _TableBuilder:
 
         table = RelayTable(
             **{name: column(name, dtype) for name, dtype in _INT_COLUMNS.items()},
-            flag_sets=tuple(self.flag_ids),
-            policies=tuple(self.policy_ids),
-            family=family,
-            family_keys=family_keys,
-            in_family=in_family,
+            family_keys=None, in_family=None,
         )
+        # every (row, name) family entry, resolved against every row: a name
+        # that was never coded, or names no row here, gets -1
+        n = len(table)
+        members = np.flatnonzero(table.family_id >= 0)
+        sets = [_NAMES["family_id"].names[f] for f in table.family_id[members].tolist()]
+        left = np.repeat(members, [len(f) for f in sets])
+        right = table.rows(fingerprint_codes(chain.from_iterable(sets)))
+        left, right = left[right >= 0], right[right >= 0]
+        table.family_keys = _sorted_unique(np.concatenate([left * n + right, right * n + left]))
+        table.in_family = np.zeros(n, dtype=bool)
+        if table.family_keys.size:  # keys run both ways, so i covers every member
+            table.in_family[table.family_keys // n] = True
         return ConsensusSnapshot(valid_after, table, table.totals())
 
 
@@ -809,8 +802,8 @@ def _check_native(t: RelayTable) -> None:
     line cannot carry.  The distinct names and values are checked whole first,
     each kind in one join and split; only a failed check walks the rows."""
     if all(_words(values, items) for values, items in (
-        *((t._known(column), False) for column in _NAMES),
-        (chain.from_iterable(t.flag_sets), True), (chain.from_iterable(t.family.values()), True),
+        *((t._known(column), False) for column in _NAME_COLUMNS),
+        *((chain.from_iterable(t._known(column)), True) for column in ("flag_id", "family_id")),
     )):
         return
     for i, row in enumerate(t._cells()):

@@ -445,21 +445,23 @@ def _refill_guards(
 def _rotate_expired(
     slots: list[tuple[int, int]], state: NetworkState, rng: np.random.Generator, now: int
 ) -> int:
-    """Draw a replacement for every slot past its deadline; returns how many expired."""
-    # replacements advance the deadline by at least the rotation minimum, so
-    # this terminates even after a long inactive gap
-    rotated = 0
-    while True:
-        expired = [slot for slot in slots if slot[1] <= now]
-        if not expired:
-            return rotated
-        rotated += len(expired)
-        for slot in expired:
-            slots.remove(slot)
-            code = _draw_guard(state, rng, {c for c, _ in slots})
-            if code is not None:
-                deadline = slot[1] + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))
-                slots.append((code, deadline))
+    """Draw a replacement for every slot past its deadline; returns how many expired.
+
+    One pass leaves no slot expired.  A client's streams stop at the first
+    time at or past its next deadline, and periods are contiguous, so a
+    deadline lies less than one circuit interval before ``now``.
+    ``simulate_prepared`` refuses an interval above GUARD_ROTATION_MIN, and
+    a replacement's deadline lies at least that far past the old one, so
+    past ``now``.
+    """
+    expired = [slot for slot in slots if slot[1] <= now]
+    for slot in expired:
+        slots.remove(slot)
+        code = _draw_guard(state, rng, {c for c, _ in slots})
+        if code is not None:
+            deadline = slot[1] + int(rng.uniform(GUARD_ROTATION_MIN, GUARD_ROTATION_MAX))
+            slots.append((code, deadline))
+    return len(expired)
 
 
 class _GuardLists:
@@ -771,7 +773,9 @@ def simulate_prepared(
 ) -> SimulationTrace:
     """Simulate over ``prepare_sequence``'s states; the trace counts what went unbuilt.
 
-    The arguments are checked before the first state is taken.  Serially,
+    The arguments are checked before the first state is taken.  A circuit
+    interval above GUARD_ROTATION_MIN (60 days) is refused, so that one
+    rotation pass renews every expired guard (``_rotate_expired``).  Serially,
     the states are read once, in order, and each is let go once the next
     is asked for, so ``prepare_sequence``'s generator keeps one period
     live.  With ``workers`` > 1 the states are first gathered in a tuple,
@@ -792,7 +796,13 @@ def simulate_prepared(
         raise WaterweightsError("need at least one entry guard")
     if seed < 0:
         raise WaterweightsError(f"seed must be at least 0, not {seed}")
-    run = _Run(seed, states, schedule or StreamSchedule(), num_entry_guards)
+    schedule = schedule or StreamSchedule()
+    if schedule.circuit_interval > GUARD_ROTATION_MIN:
+        raise WaterweightsError(
+            f"circuit interval {schedule.circuit_interval} s is longer than the shortest"
+            f" guard lifetime ({GUARD_ROTATION_MIN} s, 60 days)"
+        )
+    run = _Run(seed, states, schedule, num_entry_guards)
     if workers == 1 or collect or clients < 2 * workers:
         return _simulate_range(run, 0, clients, collect)
     import multiprocessing

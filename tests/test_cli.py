@@ -321,6 +321,7 @@ class TestMetricsCommand:
         assert 0 < payload["uniformity_degree"] < 1
         assert payload["guessing_entropy"] > 2
         assert payload["trace"]["q"][0] == 0.0
+        assert payload["seed"] is None  # only simulate takes a seed
 
     def test_group_tables_with_snapshot(self, runner, tmp_path):
         snap_doc = tmp_path / "net.snapshot"
@@ -590,20 +591,16 @@ class TestSimulateAndCompare:
         assert runs[0] == runs[1]
         assert len(runs[0][1]["periods"]) == 6
 
-    @pytest.mark.parametrize("at_group", [False, True])
-    def test_negative_seed_exits_2_before_any_read(self, runner, tmp_path, monkeypatch, at_group):
+    def test_negative_seed_exits_2_before_any_read(self, runner, tmp_path, monkeypatch):
         def no_read(path, at=None):
             raise AssertionError(f"{path} was read")
 
         monkeypatch.setattr(cli, "_parse_file", no_read)
         snaps, adv = self.write_inputs(tmp_path)
         out = tmp_path / "r.csv"
-        seed = ["--seed", "-1"]
         result = runner.invoke(main, [
-            *(seed if at_group else []),
             "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
-            "--algo", "abwrs", "--clients", "3", "--out", str(out),
-            *([] if at_group else seed),
+            "--algo", "abwrs", "--clients", "3", "--out", str(out), "--seed", "-1",
         ])
         assert result.exit_code == 2
         assert "--seed" in result.stderr
@@ -657,18 +654,18 @@ class TestSimulateAndCompare:
             "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
             "--algo", "abwrs", "--clients", "5", "--out", str(tmp_path / "r.csv"),
         ])
-        assert result.exit_code != 0
-        assert "--seed" in result.output + result.stderr
+        assert result.exit_code == 2
+        assert "Missing option '--seed'" in result.stderr
 
-    def test_group_seed_flows_to_simulate(self, runner, tmp_path):
+    def test_the_group_takes_no_seed(self, runner, tmp_path):
         snaps, adv = self.write_inputs(tmp_path)
-        out = tmp_path / "r.csv"
         result = runner.invoke(main, [
             "--seed", "5", "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
-            "--algo", "wf", "--clients", "5", "--out", str(out), "--duration", "6000",
+            "--algo", "wf", "--clients", "5", "--out", str(tmp_path / "r.csv"), "--seed", "5",
         ])
-        assert result.exit_code == 0
-        assert json.loads(result.stdout)["seed"] == 5
+        assert result.exit_code == 2
+        # click words this "No such option: --seed" or "No such option '--seed'"
+        assert "no such option" in result.stderr.lower() and "--seed" in result.stderr
 
     def test_circuit_counts_in_summary(self, runner, tmp_path):
         out = tmp_path / "r.csv"
@@ -725,15 +722,42 @@ class TestSimulateAndCompare:
         assert not out.exists()
 
     def test_stream_times_that_would_wrap_exit_2(self, runner, tmp_path):
-        # the third stream time lies past 2**63 - 1: it used to wrap to a
-        # negative time, and the run did not finish
+        # the last of the hour's six stream times lies past 2**63 - 1: it
+        # used to wrap to a negative time
+        from waterweights.consensus import snapshot_to_json
+
+        snaps, adv = self.write_inputs(tmp_path)
+        (snaps / "one.snapshot").unlink()
+        snap = make_snapshot([("G1", 500, "g"), ("M1", 400, "m"), ("E1", 200, "e")],
+                             valid_after=2**63 - 1000)
+        (snaps / "late.json").write_text(snapshot_to_json(snap))
         out = tmp_path / "r.csv"
-        result = self.simulate(runner, tmp_path, out, extra=(
-            "--interval", str(2**62), "--duration", str(3 * 2**62),
-        ))
+        result = runner.invoke(main, [
+            "simulate", "--snapshots", str(snaps), "--adversary", str(adv),
+            "--algo", "abwrs", "--clients", "3", "--seed", "1", "--out", str(out),
+        ])
         assert result.exit_code == 2
-        last = self.T0 + 2 * 2**62
+        last = 2**63 - 1000 + 5 * 600
         assert result.stderr == f"error: stream time {last} does not fit in 64 bits\n"
+        assert not out.exists()
+
+    def test_an_interval_past_sixty_days_exits_2_before_any_read(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # a longer interval could leave a replacement guard's deadline
+        # behind the stream time; two snapshots 2**62 s apart at 2**61 s
+        # used to rotate for ever
+        def no_read(path, at=None):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "_parse_file", no_read)
+        out = tmp_path / "r.csv"
+        result = self.simulate(runner, tmp_path, out, extra=("--interval", str(60 * 86_400 + 1)))
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: circuit interval {60 * 86_400 + 1} s is longer than the shortest guard"
+            f" lifetime ({60 * 86_400} s, 60 days)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("doc,field", [
@@ -898,7 +922,7 @@ class TestSimulateAndCompare:
         ])
         # "GONE" names no relay: G1's family keeps it, and only G1-M1 (rows 0
         # and 2 of 5) resolves, both ways
-        assert "GONE" in families.table.family[0]
+        assert "GONE" in families.relays[0].family
         assert families.table.family_keys.tolist() == [0 * 5 + 2, 2 * 5 + 0]
         (snaps / "one.snapshot").write_text(serialize_native(families))
         out = tmp_path / "r.csv"

@@ -193,6 +193,26 @@ class TestBuildCircuit:
         assert counts(trace)["guard_rotations"] == 5
         assert [r.circuits_built for r in trace.records] == [100] * 5
 
+    def test_an_interval_of_sixty_days_rotates_in_one_pass(self, monkeypatch):
+        # the longest interval accepted: every rotation leaves each slot's
+        # deadline past the time it ran at, so no second pass is needed
+        rotate, rotated = pathsim._rotate_expired, []
+
+        def checked(slots, state, rng, now):
+            rotated.append(rotate(slots, state, rng, now))
+            assert all(deadline > now for _, deadline in slots)
+            return rotated[-1]
+
+        monkeypatch.setattr(pathsim, "_rotate_expired", checked)
+        snap = make_snapshot([("G1", 100, "g"), ("G2", 100, "g"), ("M1", 100, "m"), ("E1", 100, "e")])
+        trace = traced(
+            [snap], AdversarySpec(), Algorithm.ABWRS, 5, 3, duration=400 * DAY,
+            schedule=StreamSchedule(circuit_interval=pathsim.GUARD_ROTATION_MIN),
+            num_entry_guards=2,
+        )
+        assert counts(trace)["guard_rotations"] == sum(rotated) > 0
+        assert [r.circuits_built for r in trace.records] == [7] * 5  # days 0, 60, ..., 360
+
     def test_first_circuit_guard_matches_selection_probability(self):
         # adversary holds half the entry-position weight; with a single-entry
         # guard list the first circuit's guard follows the selection
@@ -648,6 +668,10 @@ class TestWorkers:
         (dict(clients=4, seed=-1), "seed must be at least 0, not -1"),
         (dict(clients=0, seed=1), "client"),
         (dict(clients=4, seed=1, num_entry_guards=0), "entry guard"),
+        (
+            dict(clients=4, seed=1, schedule=StreamSchedule(circuit_interval=60 * DAY + 1)),
+            f"circuit interval {60 * DAY + 1} s is longer than the shortest guard lifetime",
+        ),
     ])
     def test_arguments_are_checked_before_the_first_state(self, arguments, problem, workers):
         taken = []

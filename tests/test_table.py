@@ -296,7 +296,7 @@ class TestViews:
         fresh = ConsensusSnapshot.from_relays(0, relays + ADVERSARY.relay_entries(0))
         assert live == fresh
         assert live.totals == totals_of(fresh.relays)
-        # ``==`` compares the family dict as published, not how it resolved
+        # ``==`` compares the family codes as published, not how they resolved
         assert np.array_equal(live.table.family_keys, fresh.table.family_keys)
         assert np.array_equal(live.table.in_family, fresh.table.in_family)
         assert np.array_equal(live.table.subnet, fresh.table.subnet)
@@ -344,12 +344,17 @@ class TestViews:
 
 
 def another_process(first):
-    """The process-wide name tables of a process that coded the names
-    ``first`` in each before anything else, in place of this one's."""
-    tables = {column: consensus._NameTable() for column in consensus._NAMES}
-    for table in tables.values():
+    """The process-wide code tables of a process that coded the names
+    ``first`` in each name table, and a flag set, a policy and a family set
+    that no table here holds in the others, before anything else, in place
+    of this one's."""
+    tables = {column: consensus._NameTable(t.intern) for column, t in consensus._NAMES.items()}
+    for column in consensus._NAME_COLUMNS:
         for name in first:
-            table[name]
+            tables[column][name]
+    tables["flag_id"][frozenset({"NoTestFlag"})]
+    tables["policy_id"][parse_policy("accept:7;reject:*")]
+    tables["family_id"][frozenset({"NO-TEST-RELAY"})]
     return mock.patch.object(consensus, "_NAMES", tables)
 
 
@@ -434,6 +439,37 @@ class TestCodes:
                 again.table.conflict(np.arange(len(expected))[:, None], np.arange(len(expected))),
                 conflicts,
             )
+
+
+class TestEveryColumnIsAnArray:
+    """Every relay value lives in a numpy column; nothing per relay sits
+    beside the columns, so equality compares arrays only."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(relay_lists())
+    def test_every_per_row_slot_is_an_array_of_the_rows(self, relays):
+        table = inject_adversary(ConsensusSnapshot.from_relays(0, relays), ADVERSARY).table
+        for slot in type(table).__slots__:
+            value = getattr(table, slot)
+            assert isinstance(value, np.ndarray), slot
+            if slot != "family_keys":  # the resolved family pairs, not one per row
+                assert value.shape == (len(table),), slot
+
+    @pytest.mark.parametrize("field,value", [
+        ("flags", frozenset({"Fast", "Running", "Valid", "Weird"})),  # still a middle
+        ("exit_policy", parse_policy("accept:80,443;reject:*")),
+        ("family", frozenset({"X0"})),  # names no relay, so no pair resolves
+    ])
+    def test_tables_differing_in_one_relays_set_or_policy_are_unequal(self, field, value):
+        relays = [
+            make_relay("G1", 1000, "g", family=frozenset({"E1"})), make_relay("M1", 600, "m"),
+            make_relay("E1", 100, "e", family=frozenset({"G1"})),
+        ]
+        other = [relays[0], dataclasses.replace(relays[1], **{field: value}), relays[2]]
+        a, b = (ConsensusSnapshot.from_relays(0, r).table for r in (relays, other))
+        assert np.array_equal(a.pool, b.pool) and np.array_equal(a.family_keys, b.family_keys)
+        assert a != b
+        assert a == ConsensusSnapshot.from_relays(0, relays).table
 
 
 def solved_order(relays, dual):
