@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import chain, islice, starmap
+from itertools import chain, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -175,17 +175,17 @@ class RelayTable:
     code columns: each row holds the code of its value in that column's
     process-wide code table (``_NAMES``), so equal values get equal codes
     in every table.  ``fingerprint``, ``nickname``, ``country_code`` and
-    ``subnet`` code names, and ``fingerprints``, ``nicknames`` and
-    ``country`` decode them on each read; ``flag_id`` codes flag sets (so
-    unknown flags round-trip), ``policy_id`` exit policies and
-    ``family_id`` family sets, each set kept as published, names that
-    match no row included.  A relay with no country or no family gets the
-    code -1, one with no known subnet ``-(row + 1)``, which matches only
-    itself.  ``rows`` maps fingerprint codes to rows: outside the table a
-    relay is a fingerprint code or a row, and values are decoded only where
-    they are printed.  ``family_keys`` holds the family pairs that resolve
-    to rows of this table as sorted ``i*n + j`` keys in both directions,
-    and ``in_family`` marks the rows that take part in such a pair.
+    ``subnet`` code names, and ``fingerprints`` decodes the first on each
+    read; ``flag_id`` codes flag sets (so unknown flags round-trip),
+    ``policy_id`` exit policies and ``family_id`` family sets, each set
+    kept as published, names that match no row included.  A relay with no
+    country or no family gets the code -1, one with no known subnet
+    ``-(row + 1)``, which matches only itself.  ``rows`` maps fingerprint
+    codes to rows: outside the table a relay is a fingerprint code or a
+    row, and values are decoded only where they are printed, through
+    ``_names``.  ``family_keys`` holds the family pairs that resolve to
+    rows of this table as sorted ``i*n + j`` keys in both directions, and
+    ``in_family`` marks the rows that take part in such a pair.
 
     A code table only grows, so every value coded in a process lives until
     the process exits, on every Python version.  Its flag and family names
@@ -209,13 +209,8 @@ class RelayTable:
     def guard(self) -> np.ndarray:
         return (self.pool & GUARD) != 0
 
-    # the code columns' names, decoded on each read
+    # the fingerprints, decoded on each read
     fingerprints = property(lambda self: tuple(self._names("fingerprint")))
-    nicknames = property(lambda self: tuple(self._names("nickname")))
-    country = property(lambda self: tuple(self._names("country_code")))
-
-    # the table's known /16 strings, each to its code, in first-row order
-    subnet_codes = property(lambda self: self._known("subnet"))
 
     def _names(self, column: str, rows=slice(None), render=None, absent=None) -> list:
         """Code column ``column`` decoded through its code table, at ``rows``
@@ -326,6 +321,15 @@ class _RowError(ParseError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+class _Repeat(DuplicateRelayError):
+    """Row ``later`` repeats the fingerprint ``name`` of the earlier row
+    ``first``; each front end names the two rows its own way."""
+
+    def __init__(self, name: str, first: int, later: int):
+        super().__init__(f"duplicate fingerprint {name}")
+        self.name, self.first, self.later = name, first, later
 
 
 class _NameTable(dict):
@@ -443,12 +447,11 @@ class _TableBuilder:
     policy comes from the ``parse_policy`` memo.  So the tables of
     consecutive snapshots hold one object per distinct value, not one per
     relay per snapshot.  Codes do not depend on row order, so the builder
-    takes nothing from its base but its columns.  ``row_of`` maps the
-    fingerprint code of each new row to its row while the table is built,
-    for repeated fingerprints; the table does not keep it.  ``snapshot``
-    resolves every family entry of the base and of the new rows in one
-    pass, so an extended table is the table a fresh build of the same rows
-    gives.
+    takes nothing from its base but its columns.  ``snapshot`` checks the
+    finished fingerprint column for repeats, the base's rows and the new
+    ones alike, and resolves every family entry of the base and of the new
+    rows in one pass, so an extended table is the table a fresh build of
+    the same rows gives.
     """
 
     def __init__(self, base: RelayTable | None = None):
@@ -456,7 +459,6 @@ class _TableBuilder:
         self.first = 0 if base is None else len(base)
         for name in _INT_COLUMNS:  # each a list of the rows' values
             setattr(self, name, [])
-        self.row_of: dict[int, int] = {}
         # by the value an add passed: a memo of this build only
         self.flag_keys: dict = {}  # passed flags -> (pool code, flag-set code)
         self.policy_keys: dict = {}  # passed policy -> policy code
@@ -469,11 +471,11 @@ class _TableBuilder:
         hashable); ``policy`` a policy text or a tuple of rule texts or of
         ``PolicyRule``s.  A weight outside [0, 2**63 - 1], an AS number
         outside [0, 2**32 - 1] (RFC 6793's 4 bytes; -1 marks no AS in the
-        column) or a policy that does not parse raises _RowError, a string
-        or item that is no ``str`` TypeError, and a fingerprint repeated
-        among the new rows DuplicateRelayError (``row_of`` keeps its first
-        row); ``snapshot`` checks the base.  A code table codes a value only
-        the first time the process sees it.
+        column) or a policy that does not parse raises _RowError, and a
+        string or item that is no ``str`` TypeError.  A repeated fingerprint
+        is left to ``snapshot``, so a bad value after a repeat is the error
+        a document reports.  A code table codes a value only the first time
+        the process sees it.
         """
         if not 0 <= weight <= INT64_MAX:
             raise _RowError(
@@ -490,10 +492,7 @@ class _TableBuilder:
             policy_id = self.policy_keys[policy] = self._policy_id(policy)
         family_id = _NAMES["family_id"][frozenset(family)] if family else -1
         i = self.first + len(self.fingerprint)
-        code = _NAMES["fingerprint"][fingerprint]
-        if self.row_of.setdefault(code, i) != i:
-            raise DuplicateRelayError(f"duplicate fingerprint {fingerprint}")
-        self.fingerprint.append(code)
+        self.fingerprint.append(_NAMES["fingerprint"][fingerprint])
         self.nickname.append(_NAMES["nickname"][nickname])
         self.weights.append(weight)
         self.pool.append(codes[0])
@@ -531,7 +530,11 @@ class _TableBuilder:
         """The snapshot of the rows so far, then of ``relays`` (``RelayEntry``
         objects, read once).  A field of a type no parser passes, or a value
         the table cannot hold, breaks an invariant: InvariantError names the
-        relay and the field.
+        relay and the field.  Then one check over the finished fingerprint
+        column finds the first row that repeats an earlier row's
+        fingerprint, as a loop over the rows would, base rows and new rows
+        alike: ``_Repeat`` (a DuplicateRelayError, ``duplicate fingerprint
+        X``) carries both rows.
         """
         for r in relays:
             fault = _entry_fault(r)
@@ -546,11 +549,6 @@ class _TableBuilder:
                     fault = str(err)
             raise InvariantError(f"{r.fingerprint}: {fault}")
         base = self.base
-        if base is not None:
-            repeats = np.flatnonzero(base.rows(np.array(self.fingerprint, dtype=np.int64)) >= 0)
-            if repeats.size:
-                name = _NAMES["fingerprint"].names[self.fingerprint[repeats[0]]]
-                raise DuplicateRelayError(f"duplicate fingerprint {name}")
 
         def column(name, dtype):
             fresh = np.array(getattr(self, name), dtype=dtype)
@@ -560,6 +558,15 @@ class _TableBuilder:
             **{name: column(name, dtype) for name, dtype in _INT_COLUMNS.items()},
             family_keys=None, in_family=None,
         )
+        # a stable sort keeps each fingerprint's rows in row order, so every
+        # row after the first of its run repeats an earlier one
+        codes = table.fingerprint
+        order = np.argsort(codes, kind="stable")
+        later = order[1:][codes[order[1:]] == codes[order[:-1]]]
+        if later.size:  # the first row that repeats one, and the row it repeats
+            j = int(later.min())
+            first = int(np.argmax(codes == codes[j]))
+            raise _Repeat(_NAMES["fingerprint"].names[codes[j]], first, j)
         # every (row, name) family entry, resolved against every row: a name
         # that was never coded, or names no row here, gets -1
         n = len(table)
@@ -696,14 +703,12 @@ def parse_native(text: str) -> ConsensusSnapshot:
         elif keyword == "relay":
             if valid_after is None:
                 raise ParseError("relay line before snapshot header", line=lineno)
-            _add_located(
-                builder, _relay_args(fields[1:], lineno), {"fingerprint": lineno}, text, "relay"
-            )
+            _add_located(builder, _relay_args(fields[1:], lineno), {"fingerprint": lineno})
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line=lineno)
     if valid_after is None:
         raise ParseError("missing snapshot header")
-    return builder.snapshot(valid_after)
+    return _located_snapshot(builder, valid_after, text, "relay")
 
 
 # a relay line's optional keys, and the ``_TableBuilder.add`` argument each sets
@@ -740,25 +745,27 @@ def _relay_args(fields: list[str], lineno: int) -> dict:
     return args
 
 
-def _add_located(builder: _TableBuilder, args: dict, lines: dict[str, int], text: str,
-                 keyword: str) -> None:
+def _add_located(builder: _TableBuilder, args: dict, lines: dict[str, int]) -> None:
     """``builder.add(**args)``, its errors naming the line of their field,
-    ``lines[field]``, else of the fingerprint.  A repeated fingerprint also
-    names the line of its first row: row k came from the k-th ``keyword`` line.
-    """
+    ``lines[field]``, else of the fingerprint."""
     try:
         builder.add(**args)
-    except DuplicateRelayError:
-        fingerprint = args["fingerprint"]
-        starts = (n for n, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == [keyword])
-        row = builder.row_of[_NAMES["fingerprint"][fingerprint]]
-        first = next(islice(starts, row, None))
-        raise DuplicateRelayError(
-            f"fingerprint {fingerprint} already declared on line {first}",
-            line=lines["fingerprint"],
-        ) from None
     except _RowError as err:
         raise ParseError(str(err), line=lines.get(err.field, lines["fingerprint"])) from None
+
+
+def _located_snapshot(builder: _TableBuilder, valid_after: int, text: str,
+                      keyword: str) -> "ConsensusSnapshot":
+    """``builder.snapshot(valid_after)``, a repeated fingerprint naming the
+    lines of both rows: row k came from the k-th ``keyword`` line."""
+    try:
+        return builder.snapshot(valid_after)
+    except _Repeat as err:
+        starts = [n for n, raw in enumerate(text.splitlines(), 1) if raw.split()[:1] == [keyword]]
+        raise DuplicateRelayError(
+            f"fingerprint {err.name} already declared on line {starts[err.first]}",
+            line=starts[err.later],
+        ) from None
 
 
 def serialize_native(snapshot: ConsensusSnapshot) -> str:
@@ -852,7 +859,7 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
                     f"router {current['fingerprint']} (line {lines['fingerprint']}) has no "
                     "w line; consensus weight defaults to 0"
                 )
-        _add_located(builder, current, lines, text, "r")
+        _add_located(builder, current, lines)
         current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -914,7 +921,7 @@ def parse_v3_subset(text: str, warnings: list[str] | None = None) -> ConsensusSn
     flush()
     if valid_after is None:
         raise ParseError("missing valid-after line")
-    return builder.snapshot(valid_after)
+    return _located_snapshot(builder, valid_after, text, "r")
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1029,13 @@ def snapshot_from_json(text: str) -> ConsensusSnapshot:
             doc = strictjson.loads(text, _relay_adder(b))
             relays = _document_relays(doc)
             if relays.count(_ADDED) == len(relays) == len(b.fingerprint):
-                return _checked_totals(doc, b.snapshot(doc["valid_after"]))
+                try:
+                    snapshot = b.snapshot(doc["valid_after"])
+                except _Repeat as err:
+                    raise DuplicateRelayError(
+                        f"relays[{err.later}].fingerprint {err.name} repeats relays[{err.first}]"
+                    ) from None
+                return _checked_totals(doc, snapshot)
             error = ParseError("relay object outside 'relays'")
         except ParseError as err:
             error = err
@@ -1067,11 +1080,6 @@ def _relay_adder(b: _TableBuilder):
                   country, as_number)
         except TypeError:  # a list item that is no string
             raise _field_fault(r, i) from None
-        except DuplicateRelayError:
-            first = b.row_of[_NAMES["fingerprint"][fingerprint]]
-            raise DuplicateRelayError(
-                f"relays[{i}].fingerprint {fingerprint} repeats relays[{first}]"
-            ) from None
         except _RowError as err:
             raise ParseError(f"relays[{i}].{err.field}: {err}") from None
         return _ADDED

@@ -222,30 +222,29 @@ def group_diversity(
     snapshot: ConsensusSnapshot,
     entry: ProbabilityVector,
     key: Literal["country", "as"],
-) -> list[tuple[str, float]]:
-    """Selection probability per country or AS, sorted by falling weight.
-    The vector must index the snapshot's own table (ValueError otherwise).
+) -> list[tuple[str | None, float]]:
+    """Selection probability per country or AS, sorted by falling weight,
+    then by label.  The vector must index the snapshot's own table
+    (ValueError otherwise).
 
     The groups are the distinct codes of the ``country_code`` or
-    ``as_number`` column at the vector's rows, -1 (no value) labelled
-    "unknown", as is a country named so.  One ``bincount`` over the codes'
-    ranks among the groups sums each group's probabilities in row order,
-    as a loop over the rows would; an AS number is never an index, since
-    one of 4 bytes would size the sums by its value.  Only the groups'
-    labels are decoded.
+    ``as_number`` column at the vector's rows.  The relays with no value
+    (code -1) form their own group, labelled None, which follows the named
+    groups of equal probability; a country named "unknown" is a named
+    group like any other.  One ``bincount`` over the codes' ranks among the
+    groups sums each group's probabilities in row order, as a loop over the
+    rows would; an AS number is never an index, since one of 4 bytes would
+    size the sums by its value.  Only the groups' labels are decoded.
     """
     if key not in ("country", "as"):
         raise ValueError(f"unknown grouping key {key!r}")
     rows = _rows(snapshot, entry)
-    names = _NAMES["country_code"]
     values = (snapshot.table.country_code if key == "country" else snapshot.table.as_number)[rows]
-    if key == "country":  # a country named "unknown" joins the group of the unknown ones
-        values = np.where(values < 0, names.get("unknown", -1), values)
     groups = _sorted_unique(values)
     sums = np.bincount(np.searchsorted(groups, values), weights=entry.probabilities)
-    decode = names.names.__getitem__ if key == "country" else "AS{}".format
-    labels = [decode(g) if g >= 0 else "unknown" for g in groups.tolist()]
-    return sorted(zip(labels, sums.tolist()), key=lambda item: (-item[1], item[0]))
+    decode = _NAMES["country_code"].names.__getitem__ if key == "country" else "AS{}".format
+    labels = [decode(g) if g >= 0 else None for g in groups.tolist()]
+    return sorted(zip(labels, sums.tolist()), key=lambda item: (-item[1], item[0] is None, item[0]))
 
 
 def joint_to_csv(jd: JointDistribution) -> str:

@@ -269,7 +269,12 @@ class _Pool:
 
 
 class NetworkState:
-    """A snapshot with adversary injected, weights solved, pools prepared."""
+    """A snapshot with adversary injected, weights solved, pools prepared.
+
+    ``adv_mask`` marks the rows of the adversary fingerprints live in the
+    snapshot, found through ``RelayTable.rows``; ``guard`` marks the
+    Guard-flagged rows.
+    """
 
     def __init__(
         self,
@@ -305,7 +310,9 @@ class NetworkState:
                     pass
 
         self.guard = snapshot.table.guard
-        self.adv_mask = np.isin(snapshot.table.fingerprint, fingerprint_codes(adversary_fps))
+        rows = snapshot.table.rows(fingerprint_codes(adversary_fps))
+        self.adv_mask = np.zeros(len(snapshot.table), dtype=bool)
+        self.adv_mask[rows[rows >= 0]] = True  # an adversary relay not live has no row
 
         self.entry = self._pool(Position.ENTRY)
         self.middle = self._pool(Position.MIDDLE)

@@ -58,18 +58,18 @@ class RelayShare(NamedTuple):
 class WaterfillSolution:
     """One pool's water level, with its relays in solved order.
 
-    ``fingerprints`` and ``bandwidths`` run in descending bandwidth with a
-    fingerprint tiebreak, zero-weight relays last.  A relay of rank ``i``
-    (0-based) keeps ``min(BW_i, L)`` of its bandwidth in the solved
-    position(s): the fraction L/BW_i when ``i < pivot_index``, else all of
-    it.  ``bandwidths`` is int64: exact sums and products go through
-    ``tolist()``, since int64 arithmetic wraps past 2**63.  Two solutions
-    are equal when every field but ``table`` and ``rows`` is, the
-    bandwidths element by element.
+    ``rows`` (rows of ``table``) and ``bandwidths`` run in descending
+    bandwidth, ties in row order, zero-weight relays last; the solution
+    reads no names.  A relay of rank ``i`` (0-based) keeps ``min(BW_i, L)``
+    of its bandwidth in the solved position(s): the fraction L/BW_i when
+    ``i < pivot_index``, else all of it.  ``bandwidths`` is int64: exact
+    sums and products go through ``tolist()``, since int64 arithmetic wraps
+    past 2**63.  Two solutions are equal when their exact fields and their
+    renderings (``shares``) are, so solves of one relay list in any
+    document order are equal.
     """
 
     pool: TargetPool
-    fingerprints: tuple[str, ...]
     bandwidths: np.ndarray = field(compare=False)
     water_level: Fraction
     pivot_index: int  # 1-based rank of the last relay above the water level
@@ -82,19 +82,24 @@ class WaterfillSolution:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WaterfillSolution):
             return NotImplemented
-        return np.array_equal(self.bandwidths, other.bandwidths) and all(
+        return all(
             getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
-        )
+        ) and self.shares == other.shares
 
     @cached_property
     def shares(self) -> tuple[RelayShare, ...]:
         """Each relay's kept fraction and its weights on the 0..SCALE grid,
-        built on first read.
+        built on first read: the one rendering, and the one place a
+        solution decodes names.
 
-        A relay of bandwidth ``bw`` above the pivot keeps the fraction
-        ``p/(q*bw)`` of the water level ``p/q``; every other relay keeps 1.
-        Each weight is its exact value times ``SCALE``, rounded half to even.
-        The relays below the pivot share one (immutable) set of weights.
+        The relays run by falling bandwidth, ties by fingerprint.  A tie
+        renders alike even across the pivot, where the water level equals
+        the tied bandwidth, so the rank ``k`` of a relay in this order
+        decides it: a relay of bandwidth ``bw`` with ``k < pivot_index``
+        keeps the fraction ``p/(q*bw)`` of the water level ``p/q``; every
+        other relay keeps 1.  Each weight is its exact value times
+        ``SCALE``, rounded half to even.  The relays below the pivot share
+        one (immutable) set of weights.
         """
         ends, middle = self._weight_split()
 
@@ -108,13 +113,14 @@ class WaterfillSolution:
 
         p, q = self.water_level.numerator, self.water_level.denominator
         pivot = self.pivot_index
-        bandwidths = self.bandwidths.tolist()
-        above = zip(self.fingerprints[:pivot], bandwidths[:pivot])
+        ranked = sorted(
+            zip(self.bandwidths.tolist(), self.table._names("fingerprint", self.rows)),
+            key=lambda relay: (-relay[0], relay[1]),
+        )
         # int / int is correctly rounded, so this is float(Fraction(p, q * bw))
-        out = [RelayShare(fp, bw, p / (q * bw), scaled(p, q * bw)) for fp, bw in above]
+        out = [RelayShare(fp, bw, p / (q * bw), scaled(p, q * bw)) for bw, fp in ranked[:pivot]]
         whole = scaled(1, 1)
-        below = zip(self.fingerprints[pivot:], bandwidths[pivot:])
-        out.extend(RelayShare(fp, bw, 1.0, whole) for fp, bw in below)
+        out.extend(RelayShare(fp, bw, 1.0, whole) for bw, fp in ranked[pivot:])
         return tuple(out)
 
     def _weight_split(self) -> tuple[tuple[tuple[str, Fraction], ...], str]:
@@ -176,15 +182,13 @@ def _solve_pool(
     positional_weight: Fraction,
     source: PositionWeights,
 ) -> WaterfillSolution:
+    """The pool's water level, from its members' bandwidths alone: they run
+    by falling weight, ties in row order, and no name is read."""
     table = snapshot.table
     members = np.flatnonzero(table.pool == (GUARD | EXIT if pool is TargetPool.DSET else GUARD))
     if not members.size:
         raise NotApplicableError(f"{pool.value} pool is empty")
-    fps = table.fingerprints
-    # (-weight, fingerprint) order: a stable sort by falling weight over the
-    # members sorted by fingerprint in Python's string order
-    by_fingerprint = np.array(sorted(members.tolist(), key=fps.__getitem__), dtype=np.int64)
-    order = by_fingerprint[np.argsort(-table.weights[by_fingerprint], kind="stable")]
+    order = members[np.argsort(-table.weights[members], kind="stable")]
     bandwidths = table.weights[order]
     positive = bandwidths[: np.count_nonzero(bandwidths)]  # zeros sort last
     pool_total = sum(positive.tolist())
@@ -199,7 +203,6 @@ def _solve_pool(
     kept = int(capped.sum()) * p + q * sum(bandwidths[~capped].tolist())
     return WaterfillSolution(
         pool=pool,
-        fingerprints=tuple(map(fps.__getitem__, order.tolist())),
         bandwidths=bandwidths,
         water_level=level,
         pivot_index=pivot,

@@ -334,7 +334,7 @@ class TestMetricsCommand:
             main, ["metrics", "--joint", str(joint), "--snapshot", str(snap_doc)]
         )
         payload = json.loads(result.stdout)
-        assert payload["group_tables"]["country"][0]["group"] == "unknown"
+        assert payload["group_tables"]["country"][0]["group"] is None  # no relay has a country
         assert payload["group_tables"]["country"][0]["probability"] == pytest.approx(1.0)
 
     def test_guard_absent_from_snapshot_is_a_mismatch(self, runner, tmp_path):

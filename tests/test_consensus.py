@@ -399,6 +399,94 @@ class TestExitPolicy:
         assert outcome(parse_policy) == outcome(parse_policy.__wrapped__)
 
 
+def first_repeat(fingerprints):
+    """``(earlier, later)``: the first row that repeats an earlier row's
+    fingerprint and that earlier row, as a dict loop finds them; None when
+    no fingerprint repeats."""
+    seen = {}
+    for later, fp in enumerate(fingerprints):
+        earlier = seen.setdefault(fp, later)
+        if earlier != later:
+            return earlier, later
+    return None
+
+
+class TestRepeatedFingerprints:
+    """Every front end names the first row that repeats an earlier one, and
+    that earlier row, in its own terms: one check over the finished
+    fingerprint column finds both, the base's rows and the new ones alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from("ABCD"), unique=True),
+        st.lists(st.sampled_from("ABCDEF"), max_size=7),
+        st.lists(st.integers(0, 2), min_size=11, max_size=11),
+    )
+    def test_the_first_repeat_and_the_row_it_repeats_are_named(self, base, new, gaps):
+        fingerprints = base + new
+        repeat = first_repeat(fingerprints)
+        relays = [make_relay(fp, k, "g") for k, fp in enumerate(fingerprints)]
+
+        # native and v3 documents, blank and comment lines among the rows,
+        # with the line each row starts on
+        native, v3 = ["snapshot 1"], ["valid-after 2015-05-25 10:00:00"]
+        native_lines, v3_lines = [], []
+        for k, fp in enumerate(fingerprints):
+            native += ["", "# relay"][: gaps[k]]
+            native.append(f"relay {fp} n{k} {k}")
+            native_lines.append(len(native))
+            v3 += ["", "x relay"][: gaps[k]]
+            v3.append(f"r n{k} {fp} dig 2015-05-25 08:00:00 1.2.3.4 9001 0")
+            v3_lines.append(len(v3))
+            v3.append(f"w Bandwidth={k}")
+        doc = {"format": SNAPSHOT_FORMAT, "valid_after": 1, "relays": [
+            {"fingerprint": fp, "nickname": "n", "consensus_weight": 1} for fp in fingerprints
+        ]}
+        base_snapshot = ConsensusSnapshot.from_relays(0, relays[: len(base)])
+        parses = {
+            "native": lambda: parse_native("\n".join(native) + "\n"),
+            "v3": lambda: parse_v3_subset("\n".join(v3) + "\n"),
+            "json": lambda: snapshot_from_json(json.dumps(doc)),
+            "from_relays": lambda: ConsensusSnapshot.from_relays(0, relays),
+            "with_relays": lambda: base_snapshot.with_relays(relays[len(base):]),
+        }
+        if repeat is None:
+            for parse in parses.values():
+                assert [r.fingerprint for r in parse().relays] == fingerprints
+            return
+        i, j = repeat
+        fp = fingerprints[j]
+        on_lines = "line {}: fingerprint %s already declared on line {}" % fp
+        messages = {
+            "native": on_lines.format(native_lines[j], native_lines[i]),
+            "v3": on_lines.format(v3_lines[j], v3_lines[i]),
+            "json": f"relays[{j}].fingerprint {fp} repeats relays[{i}]",
+            "from_relays": f"duplicate fingerprint {fp}",
+            "with_relays": f"duplicate fingerprint {fp}",
+        }
+        for name, parse in parses.items():
+            with pytest.raises(DuplicateRelayError) as err:
+                parse()
+            assert str(err.value) == messages[name], name
+
+    def test_a_bad_value_after_a_repeat_is_the_error(self):
+        # the repeat check runs once every row is in, so a later bad value wins
+        text = "snapshot 1\nrelay AA a 1\nrelay AA b 2\nrelay BB c 9223372036854775808\n"
+        with pytest.raises(ParseError) as err:
+            parse_native(text)
+        assert type(err.value) is ParseError
+        assert str(err.value).startswith("line 4: consensus weight 9223372036854775808 is outside")
+        doc = one_relay_document(fingerprint="AAAA")
+        doc["relays"].append(dict(doc["relays"][0], fingerprint="BBBB", consensus_weight=2**63))
+        with pytest.raises(ParseError) as err:
+            snapshot_from_json(json.dumps(doc))
+        assert type(err.value) is ParseError
+        assert str(err.value).startswith("relays[2].consensus_weight: consensus weight")
+        relays = [make_relay("A", 1, "g"), make_relay("A", 2, "e"), make_relay("B", 2**63, "m")]
+        with pytest.raises(InvariantError, match="^B: consensus weight 9223372036854775808 "):
+            ConsensusSnapshot.from_relays(0, relays)
+
+
 # Fingerprints a family may name: the first few are in the relay list, the
 # rest (and the X ones) are absent, so families can be one-sided, name the
 # relay itself, name relays missing from the snapshot, or be empty.

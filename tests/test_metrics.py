@@ -520,16 +520,30 @@ class TestGroupDiversity:
         table = group_diversity(snap, self.entry(snap, [0.3, 0.7]), "country")
         assert table == [("bb", pytest.approx(0.7)), ("aa", pytest.approx(0.3))]
 
+    def test_a_country_named_unknown_is_not_the_relays_with_none(self):
+        relays = [
+            make_relay("r0", 10, "g", country="unknown"), make_relay("r1", 10, "g"),
+            make_relay("r2", 10, "g", country="de"),
+        ]
+        snap = ConsensusSnapshot.from_relays(0, relays)
+        entry = self.entry(snap, [0.25, 0.25, 0.5])
+        assert group_diversity(snap, entry, "country") == [
+            ("de", 0.5), ("unknown", 0.25), (None, 0.25),
+        ]
+        assert group_diversity(snap, entry, "as") == [(None, 1.0)]
+
     @staticmethod
     def dict_loop(snap, vector, key):
-        """The group table summed row by row in a dict: the reference."""
+        """The group table summed row by row in a dict: the reference.  The
+        relays with no value are the group None, after the named groups of
+        equal probability."""
         relays = snap.relays
-        groups: dict[str, float] = {}
+        groups: dict[str | None, float] = {}
         for row, prob in zip(vector.rows.tolist(), vector.probabilities.tolist()):
             value = relays[row].country if key == "country" else relays[row].as_number
-            label = "unknown" if value is None else value if key == "country" else f"AS{value}"
+            label = value if value is None or key == "country" else f"AS{value}"
             groups[label] = groups.get(label, 0.0) + prob
-        return sorted(groups.items(), key=lambda item: (-item[1], item[0]))
+        return sorted(groups.items(), key=lambda item: (-item[1], item[0] is None, item[0] or ""))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -587,7 +601,7 @@ class TestGroupDiversity:
         table = dict(group_diversity(snap, self.entry(snap, probs), "as"))
         expected = {}
         for asn, prob in zip(as_numbers, probs):
-            label = f"AS{asn}" if asn is not None else "unknown"
+            label = f"AS{asn}" if asn is not None else None
             expected[label] = expected.get(label, 0.0) + float(prob)
         assert set(table) == set(expected)
         for label, total in expected.items():

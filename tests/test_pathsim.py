@@ -3,13 +3,14 @@ import dataclasses
 import multiprocessing
 import os
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waterweights.consensus import ConsensusSnapshot
+from waterweights.consensus import ConsensusSnapshot, RelayTable
 from waterweights.errors import InvariantError, WaterweightsError
 from waterweights import pathsim
 from waterweights.pathsim import (
@@ -29,6 +30,7 @@ from waterweights.pathsim import (
     simulate_prepared,
 )
 from waterweights.stats import compromise_curve
+from waterweights.waterfill import TargetPool
 
 from conftest import (
     accepts_port,
@@ -493,11 +495,7 @@ class TestRunSimulation:
         from waterweights.consensus import LoadCase
         from waterweights.weights import compute_weights
 
-        snap = make_snapshot(
-            [("G0", 900, "g"), ("G1", 700, "g"), ("G2", 400, "g"),
-             ("M0", 800, "m"), ("M1", 700, "m"), ("E0", 300, "e"),
-             ("D0", 600, "d"), ("D1", 500, "d"), ("D2", 400, "d")]
-        )
+        snap = case_3b_snapshot()
         case, _ = classify_load_case(snap.totals)
         assert case is LoadCase.CASE_3B
         # hand-derived: Wed=44/45, Wgd=Wmd=1/90, Wgg=7/8
@@ -535,6 +533,37 @@ class TestRunSimulation:
         assert "G3" not in used_late
         used_early = {c.guard for _, c in trace.circuits if c.time < second.valid_after}
         assert "G3" in used_early  # the guard was in service before the flag loss
+
+
+def case_3b_snapshot():
+    """Case 3b: guard and dual pools both waterfill."""
+    return make_snapshot(
+        [("G0", 900, "g"), ("G1", 700, "g"), ("G2", 400, "g"),
+         ("M0", 800, "m"), ("M1", 700, "m"), ("E0", 300, "e"),
+         ("D0", 600, "d"), ("D1", 500, "d"), ("D2", 400, "d")]
+    )
+
+
+class TestNoNamesDecoded:
+    @pytest.mark.parametrize("algorithm", [Algorithm.WATERFILLING, Algorithm.WATERFILLING_GE])
+    def test_no_fingerprint_is_decoded_while_states_are_prepared_and_run(self, algorithm):
+        # states solve their pools from bandwidths and rows alone, and the
+        # clients' guard lists hold codes: only a printed name is decoded
+        decode = RelayTable._names
+
+        def names(table, column, *args, **kwargs):
+            if column == "fingerprint":
+                raise AssertionError("a fingerprint was decoded")
+            return decode(table, column, *args, **kwargs)
+
+        adv = adversary(guard_weights=(100,), exit_weights=(50,))
+        for snap, pools in ((calibration_snapshot(), {TargetPool.GUARDS}),
+                            (case_3b_snapshot(), {TargetPool.GUARDS, TargetPool.DSET})):
+            with mock.patch.object(RelayTable, "_names", names):
+                states = tuple(prepare_sequence([snap], adv, algorithm, duration=7200))
+                trace = simulate_prepared(states, clients=6, seed=3, num_entry_guards=1)
+            assert {sol.pool for state in states for sol in state.waterfills} == pools
+            assert sum(r.circuits_built for r in trace.records) > 0
 
 
 class TestRunCounts:

@@ -265,7 +265,7 @@ class TestViews:
                 (*cells[:6], cells[6] and cells[6].partition(":")[2], *cells[7:])
                 for cells in table._cells()
             ]
-            names = [name.partition(":")[2] for name in table.subnet_codes]
+            names = [name.partition(":")[2] for name in table._known("subnet")]
             return table.conflict(rows[:, None], rows[None, :]).tolist(), unsalted, names
 
         alone = ConsensusSnapshot.from_relays(0, salted(relays, f"{salt}a")).table
@@ -314,26 +314,36 @@ class TestViews:
         )))
         vector = vector_of(snap, [r.fingerprint for r in picked], probs)
         for key in ("country", "as"):
-            expected: dict[str, float] = {}
+            expected: dict[str | None, float] = {}
             for relay, p in zip(picked, probs):
                 value = relay.country if key == "country" else relay.as_number
-                label = "unknown" if value is None else (value if key == "country" else f"AS{value}")
+                label = value if value is None or key == "country" else f"AS{value}"
                 expected[label] = expected.get(label, 0.0) + float(p)
+            # the relays with no value last among groups of equal probability
             assert group_diversity(snap, vector, key) == sorted(
-                expected.items(), key=lambda item: (-item[1], item[0])
+                expected.items(), key=lambda item: (-item[1], item[0] is None, item[0] or "")
             )
 
     @settings(max_examples=100, deadline=None)
-    @given(relay_lists(heavy=False))
-    def test_adversary_mask_and_guards(self, relays):
-        # a fixed 3a network underneath, so every list has a supported case
+    @given(
+        relay_lists(heavy=False),
+        st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        st.lists(st.sampled_from(["X0", "X1", "ADV999GUARD", *NAMES]), max_size=3),
+    )
+    def test_adversary_mask_and_guards(self, relays, joins, named):
+        # a fixed 3a network underneath, so every list has a supported case;
+        # at time 1 an adversary relay that joins at 2 is not yet live, and
+        # the adversary also names relays no table holds, or real relays
         base = [
             make_relay("G1", 1000, "g", subnet="1.1"), make_relay("G2", 500, "g"),
             make_relay("M1", 600, "m"), make_relay("E1", 100, "e", subnet="250.0"),
         ]
-        live = inject_adversary(ConsensusSnapshot.from_relays(0, base + relays), ADVERSARY)
-        adversary = frozenset(ADVERSARY.fingerprints)
-        state = NetworkState(live, Algorithm.WATERFILLING, adversary, 0, 3600)
+        spec = AdversarySpec(tuple(
+            dataclasses.replace(relay, join_time=t) for relay, t in zip(ADVERSARY.relays, joins)
+        ))
+        live = inject_adversary(ConsensusSnapshot.from_relays(1, base + relays), spec)
+        adversary = frozenset(spec.fingerprints) | frozenset(named)
+        state = NetworkState(live, Algorithm.WATERFILLING, adversary, 1, 3600)
         relays = live.relays
         assert state.adv_mask.tolist() == [r.fingerprint in adversary for r in relays]
         assert state.guard.tolist() == [is_guard(r) for r in relays]
@@ -368,7 +378,7 @@ def test_a_pickled_table_keeps_its_subnets_in_another_process():
     with another_process(["7.2"]):
         again = pickle.loads(data)
         assert again.relays == tuple(relays)
-        assert list(again.table.subnet_codes) == ["7.1", "7.2"]
+        assert list(again.table._known("subnet")) == ["7.1", "7.2"]
         joined = again.with_relays([make_relay("E2", 100, "e", subnet="7.2")])
         assert conflicts_match(joined)
 
@@ -414,12 +424,10 @@ class TestCodes:
     def test_codes_are_equal_exactly_when_names_are(self, a, b):
         a = ConsensusSnapshot.from_relays(0, a).table
         b = ConsensusSnapshot.from_relays(0, b).table
-        for column, names in (
-            ("fingerprint", "fingerprints"), ("nickname", "nicknames"), ("country_code", "country"),
-        ):
+        for column in ("fingerprint", "nickname", "country_code"):
             equal = getattr(a, column)[:, None] == getattr(b, column)[None, :]
             assert equal.tolist() == [
-                [x == y for y in getattr(b, names)] for x in getattr(a, names)
+                [x == y for y in b._names(column)] for x in a._names(column)
             ]
 
     @settings(max_examples=50, deadline=None)
@@ -472,9 +480,8 @@ class TestEveryColumnIsAnArray:
         assert a == ConsensusSnapshot.from_relays(0, relays).table
 
 
-def solved_order(relays, dual):
-    members = [r for r in relays if is_guard(r) and is_exit(r) == dual]
-    return sorted(members, key=lambda r: (-r.consensus_weight, r.fingerprint))
+def pool_rows(relays, dual):
+    return [i for i, r in enumerate(relays) if is_guard(r) and is_exit(r) == dual]
 
 
 class TestWaterfillOrder:
@@ -498,13 +505,19 @@ class TestWaterfillOrder:
         )
         for solve, pool in ((solve_guard_waterfill, TargetPool.GUARDS),
                             (solve_dset_waterfill, TargetPool.DSET)):
-            order = solved_order(relays, pool is TargetPool.DSET)
-            bandwidths = [r.consensus_weight for r in order]
+            # the solve runs by falling weight, then row; the rendering by
+            # falling weight, then fingerprint
+            rows = sorted(
+                pool_rows(relays, pool is TargetPool.DSET),
+                key=lambda i: (-relays[i].consensus_weight, i),
+            )
+            bandwidths = [relays[i].consensus_weight for i in rows]
             positive = [b for b in bandwidths if b]
             if not positive:
                 continue
             sol = solve(snap, w)
-            assert sol.fingerprints == tuple(r.fingerprint for r in order)
+            assert sol.rows.tolist() == rows
             assert sol.bandwidths.tolist() == bandwidths
             assert (sol.water_level, sol.pivot_index) == find_water_level(positive, sol.target)
-            assert [snap.table.fingerprints[i] for i in sol.rows] == list(sol.fingerprints)
+            names = sorted((-relays[i].consensus_weight, relays[i].fingerprint) for i in rows)
+            assert [s.fingerprint for s in sol.shares] == [fp for _, fp in names]

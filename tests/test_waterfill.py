@@ -37,9 +37,7 @@ from conftest import (
 
 def share_for(sol, fingerprint):
     """The solved share of one relay, or None when the solution omits it."""
-    if fingerprint not in sol.fingerprints:
-        return None
-    return sol.shares[sol.fingerprints.index(fingerprint)]
+    return next((share for share in sol.shares if share.fingerprint == fingerprint), None)
 
 
 def kept_fractions(sol):
@@ -156,7 +154,9 @@ class TestGuardWaterfill:
         for bandwidths in (a.bandwidths[::-1].copy(), a.bandwidths[:-1], a.bandwidths + 1):
             assert a != dataclasses.replace(a, bandwidths=bandwidths)
         assert a != dataclasses.replace(a, water_level=a.water_level + 1)
-        assert a != dataclasses.replace(a, fingerprints=a.fingerprints[::-1])
+        # the rendering decodes the names at ``rows``: other rows, or fewer, differ
+        for rows in (a.rows[::-1].copy(), a.rows[:-1]):
+            assert a != dataclasses.replace(a, rows=rows)
 
     def test_full_stack_hand_instance(self):
         snap = self.snapshot()
@@ -734,3 +734,65 @@ class TestRenderingIsExact:
     def test_round_half_even_matches_fraction_rounding(self, case):
         num, den = case
         assert _round_half_even(num, den) == round(Fraction(num, den))
+
+
+def level_share(bandwidths, level):
+    """The pool share whose water level is ``level``: sum(min(BW_i, level)) / sum(BW_i)."""
+    return Fraction(sum(min(bw, level) for bw in bandwidths), sum(bandwidths))
+
+
+class TestRenderingIgnoresDocumentOrder:
+    """A solve reads bandwidths and rows only; the rendering puts equal
+    bandwidths in fingerprint order, so document order shows nowhere."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text("ABab", min_size=1, max_size=3), st.integers(0, 3), st.sampled_from("gd")
+            ),
+            unique_by=lambda t: t[0], max_size=14,
+        ),
+        st.data(),
+    )
+    def test_any_document_order_renders_alike(self, spec, data):
+        # small weights, so many relays tie; each water level is one of its
+        # pool's bandwidths, so relays tie at it too.  The guard level lies
+        # below the top (Wgg < 1); the dual level may be the top, where a
+        # tie straddles the pivot.  Every weight is then a multiple of 1/4,
+        # so each normalizing sum is exact in any order.
+        positive = {role: [w for _, w, r in spec if r == role and w] for role in "gd"}
+        guard_levels = sorted(set(positive["g"]))[:-1]
+        dual_levels = sorted(set(positive["d"]))
+        Wgg = (
+            level_share(positive["g"], data.draw(st.sampled_from(guard_levels)))
+            if guard_levels else Fraction(1, 2)
+        )
+        Wd = (
+            level_share(positive["d"], data.draw(st.sampled_from(dual_levels)))
+            if dual_levels else Fraction(1, 2)
+        )
+        w = dual_weights(Wgg, Wd / 2, Wd / 2)
+        relays = [make_relay(fp, bw, role) for fp, bw, role in spec]
+
+        def rendered(relays):
+            snapshot = ConsensusSnapshot.from_relays(0, relays)
+            solutions = solve_all(snapshot, w)
+            distributions = []
+            for position, port in ((Position.ENTRY, None), (Position.MIDDLE, None),
+                                   (Position.EXIT, 443)):
+                try:
+                    vector = selection_distribution(snapshot, w, position, solutions, stream=port)
+                    distributions.append(sorted(probabilities(vector).items()))
+                except EmptyPoolError:
+                    distributions.append(None)
+            texts = [(wfbw_lines(sol), json.dumps(_solution_json(sol))) for sol in solutions]
+            return solutions, texts, distributions
+
+        solutions, texts, distributions = rendered(relays)
+        for sol in solutions:
+            role = "g" if sol.pool is TargetPool.GUARDS else "d"
+            named = sorted((-bw, fp) for fp, bw, r in spec if r == role)
+            assert [s.fingerprint for s in sol.shares] == [fp for _, fp in named]
+        shuffled = data.draw(st.permutations(relays))
+        assert rendered(shuffled) == (solutions, texts, distributions)
