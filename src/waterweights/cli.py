@@ -4,7 +4,8 @@ measure, and compare.
 All subcommands are deterministic for identical inputs and seeds, emit
 CSV/JSON only (plotting stays external), and exit with 0 on success, 2 on
 input errors, 3 when a computation is infeasible or not applicable, and 4
-on internal invariant breaches.
+on internal invariant breaches.  ``metrics`` and ``stats`` are imported
+inside the commands that call them, so ``simulate`` loads neither.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ from .errors import (
     ParseError,
     WaterweightsError,
 )
-from .metrics import (
-    group_diversity,
-    guessing_entropy,
-    joint_from_csv,
-    uniformity_degree,
-)
 from .pathsim import (
     MAX_HOP_ATTEMPTS,
     AdversarySpec,
@@ -50,7 +45,6 @@ from .pathsim import (
     records_to_csv,
     simulate_prepared,
 )
-from .stats import compare_runs, report_adversary_cost
 from .waterfill import (
     ProbabilityVector,
     WaterfillSolution,
@@ -400,6 +394,8 @@ def simulate(ctx, snapshots, adversary, algo, clients, seed, out, duration,
 @click.pass_context
 def metrics(ctx, joint, snapshot):
     """Anonymity metrics over a joint guard-exit distribution CSV."""
+    from .metrics import group_diversity, guessing_entropy, joint_from_csv, uniformity_degree
+
     jd = joint_from_csv(joint.read_text())
     trace = guessing_entropy(jd)
     doc = {
@@ -436,6 +432,8 @@ def metrics(ctx, joint, snapshot):
 @click.pass_context
 def report(ctx, waterfill_file, target_weight, entry_weight):
     """Adversary cost statistics derived from a waterfilling solution."""
+    from .stats import report_adversary_cost
+
     try:
         doc = strictjson.loads(waterfill_file.read_text())
     except ParseError as exc:
@@ -463,6 +461,8 @@ def report(ctx, waterfill_file, target_weight, entry_weight):
 @click.pass_context
 def compare(ctx, records_a, records_b, horizon, resolution):
     """Compare two simulations' compromise curves (A versus B)."""
+    from .stats import compare_runs
+
     a = records_from_csv(records_a.read_text())
     b = records_from_csv(records_b.read_text())
     result = compare_runs(a, b, horizon, resolution)

@@ -478,13 +478,23 @@ class _GuardLists:
     ``j < size[c]``: the guard's fingerprint code and its rotation
     deadline.  Unused slots hold -1 and INT64_MAX, so a client's smallest
     deadline is its next rotation, and ``RelayTable.rows`` finds no row
-    for an unused slot.
+    for an unused slot.  A list holds distinct relays of one table, so
+    ``widen`` makes the arrays only as wide as the largest of min(list
+    size, table length) over the periods so far, however large a list
+    size is asked for.
     """
 
-    def __init__(self, clients: int, capacity: int):
-        self.codes = np.full((clients, capacity), -1, dtype=np.int64)
-        self.deadlines = np.full((clients, capacity), INT64_MAX, dtype=np.int64)
+    def __init__(self, clients: int):
+        self.codes = np.full((clients, 1), -1, dtype=np.int64)
+        self.deadlines = np.full((clients, 1), INT64_MAX, dtype=np.int64)
         self.size = np.zeros(clients, dtype=np.int64)
+
+    def widen(self, capacity: int) -> None:
+        extra = capacity - self.codes.shape[1]
+        if extra > 0:
+            pad = ((0, 0), (0, extra))
+            self.codes = np.pad(self.codes, pad, constant_values=-1)
+            self.deadlines = np.pad(self.deadlines, pad, constant_values=INT64_MAX)
 
     def get(self, c: int) -> list[tuple[int, int]]:
         k = self.size[c]
@@ -651,7 +661,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
     n, size = hi - lo, run.num_entry_guards
     sim_start = None
     rngs = [np.random.default_rng([run.seed, client_id]) for client_id in range(lo, hi)]
-    guards = _GuardLists(n, size)
+    guards = _GuardLists(n)
     built = np.zeros(n, dtype=np.int64)
     compromised = np.zeros(n, dtype=np.int64)
     first = np.full(n, -1, dtype=np.int64)
@@ -667,6 +677,7 @@ def _simulate_range(run: _Run, lo: int, hi: int, collect: bool) -> SimulationTra
         times = run.schedule.stream_times(state.start, state.end)
         periods.append(state.summary())
         counts["circuits_scheduled"] += n * len(times)
+        guards.widen(min(size, len(table)))
         rows = table.rows(guards.codes)  # -1 for a relay that left, or an unused slot
         keep = (rows >= 0) & state.guard[rows]  # -1 reads the last row, masked out
         kept = keep.sum(axis=1)

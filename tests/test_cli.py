@@ -37,6 +37,19 @@ def runner():
     return CliRunner()
 
 
+def run_fresh(script: str) -> str:
+    """The standard output of ``script`` run by a fresh interpreter that
+    imports this package's sources."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def demo_snapshot_text():
     snap = make_snapshot(
         [
@@ -943,16 +956,32 @@ for args in (
         assert not done.code, args
 print(before, "numpy.ma" in sys.modules)
 """
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        before, after = result.stdout.split()[-2:]
+        before, after = run_fresh(script).split()[-2:]
         assert after == before, "waterweights imported numpy.ma"
         assert "," in out.read_text()
+
+    def test_imports_follow_use(self, tmp_path):
+        # the package imports no submodule, and simulate calls neither
+        # metrics nor stats, so a simulate run loads neither
+        snaps, adv = self.write_inputs(tmp_path)
+        out = tmp_path / "r.csv"
+        script = f"""
+import json
+import sys
+import waterweights
+package = sorted(m for m in sys.modules if m.startswith("waterweights."))
+from waterweights.cli import main
+try:
+    main(["simulate", "--snapshots", {str(snaps)!r}, "--adversary", {str(adv)!r}, "--algo",
+          "wf", "--clients", "30", "--seed", "77", "--out", {str(out)!r}, "--duration", "12000"])
+except SystemExit as done:
+    assert not done.code, done.code
+print(json.dumps([package, sorted(m for m in sys.modules if m.startswith("waterweights."))]))
+"""
+        package, simulate = json.loads(run_fresh(script).splitlines()[-1])
+        assert package == [], "import waterweights loaded submodules"
+        assert {"waterweights.metrics", "waterweights.stats"}.isdisjoint(simulate), simulate
+        assert "waterweights.pathsim" in simulate
 
     def test_compare_identical_records(self, runner, tmp_path):
         out = tmp_path / "a.csv"

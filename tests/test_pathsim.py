@@ -635,6 +635,27 @@ class TestRunCounts:
         assert trace.guard_replacements == 0
         assert trace.guard_rotations == trace.circuits_failed == 0
 
+    def test_a_list_size_past_every_table_allocates_only_the_table(self):
+        # a list holds distinct relays of its period's table, so a size no
+        # array could hold runs as any size above every table does: each
+        # refill stops on its MAX_HOP_ATTEMPTS bound.  The second table is
+        # the larger, so the lists widen after the first period
+        base = [("G1", 300, "g"), ("G2", 200, "g"), ("M1", 400, "m"), ("E1", 200, "e")]
+        first = make_snapshot(base, valid_after=0)
+        second = make_snapshot(
+            base + [("G3", 250, "g"), ("G4", 150, "g"), ("E2", 100, "e")], valid_after=3600
+        )
+        spec = adversary(guard_weights=(100,), exit_weights=(50,))
+
+        def run(size):
+            states = prepare_sequence([first, second], spec, Algorithm.ABWRS, duration=7200)
+            return simulate_prepared(states, clients=3, seed=11, num_entry_guards=size)
+
+        huge, large = run(10**18), run(10**4)
+        assert huge.records == large.records
+        assert counts(huge) == counts(large)
+        assert sum(r.circuits_built for r in huge.records) > 0
+
 
 class TestWorkers:
     def test_jobs_do_not_pickle_the_states(self, monkeypatch):
