@@ -3,9 +3,10 @@
 A mutant in ``mutants.json`` names a file under ``src/``, an exact old text
 that occurs there once, the new text that replaces it, and the test ids
 that are expected to fail once it is applied.  The runner copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, checks that the
-union of the listed tests passes there unmutated, then applies one mutant
-at a time and runs its tests against the copy.  A mutant is killed when
+``tests/``, ``demos/``, ``perfbench/``, ``README.md`` and ``pyproject.toml``
+(what the tests read) to a temporary directory, checks that the union of
+the listed tests passes there unmutated, then applies one mutant at a time
+and runs its tests against the copy.  A mutant is killed when
 pytest reports a failed test; it survives when its tests pass, and any
 other outcome (a collection error, no test found, a timeout) is an error.
 A listed test that passes under its mutant is named in the report.
@@ -84,9 +85,10 @@ def main() -> int:
     mutants = load()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         work = Path(tmp)
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "demos", "perfbench"):
             shutil.copytree(ROOT / tree, work / tree, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("README.md", "pyproject.toml"):
+            shutil.copy(ROOT / name, work)
         (work / "mutant_profile.py").write_text(PROFILE)
         # the copy, not an installed package, is what the tests import
         where = subprocess.run(

@@ -21,6 +21,7 @@ import click
 
 from . import __version__, strictjson
 from .consensus import (
+    _totals_json,
     classify_load_case,
     fingerprint_codes,
     parse_native,
@@ -93,7 +94,7 @@ def _weights_json(totals, case, w) -> dict:
                 "exit": float(report.exit),
             },
             "scaled_10000": w.scaled(),
-            "totals": {"G": totals.G, "M": totals.M, "E": totals.E, "D": totals.D, "T": totals.T},
+            "totals": _totals_json(totals),
         }
     )
     return doc

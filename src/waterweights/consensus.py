@@ -9,9 +9,11 @@ relay.  Relays are partitioned into four pools by their flags:
     D  relays with both flags
 
 Exit-policy permissiveness never affects pool membership; it only filters
-exit candidates per stream.  Two formats are supported: a line-oriented
-native format (reviewable in diffs) and a subset of the Tor v3
-network-status format (``valid-after`` plus ``r``/``s``/``w``/``p`` lines).
+exit candidates per stream.  Three formats are read: a line-oriented
+native format (reviewable in diffs), a subset of the Tor v3 network-status
+format (``valid-after`` plus ``r``/``s``/``w``/``p`` lines), and the
+``waterweights-snapshot-v1`` JSON document.  JSON is the one format written
+(``snapshot_to_json``).
 """
 
 from __future__ import annotations
@@ -582,12 +584,12 @@ class _TableBuilder:
         return ConsensusSnapshot(valid_after, table, table.totals())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConsensusSnapshot:
     """One relay list, stored as a column table, with its pool totals.
 
     Build one with ``from_relays`` or a parser; equality compares the
-    content.  Every command and both serializers read only ``table``.
+    content.  Every command and ``snapshot_to_json`` read only ``table``.
     """
 
     valid_after: int  # UTC seconds
@@ -613,15 +615,6 @@ class ConsensusSnapshot:
         its last reader.
         """
         return tuple(starmap(RelayEntry, self.table._cells()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConsensusSnapshot):
-            return NotImplemented
-        return (
-            self.valid_after == other.valid_after
-            and self.totals == other.totals
-            and self.table == other.table
-        )
 
     __hash__ = None
 
@@ -734,6 +727,8 @@ def _relay_args(fields: list[str], lineno: int) -> dict:
             raise ParseError(f"expected key=value, got {token!r}", line=lineno)
         if key not in _NATIVE_KEYS:
             raise ParseError(f"unknown field {key!r}", line=lineno)
+        if _NATIVE_KEYS[key] in args:
+            raise ParseError(f"repeated field {key!r}", line=lineno)
         if key in ("flags", "family"):
             value = frozenset(v for v in value.split(",") if v)
         elif key == "as":
@@ -766,64 +761,6 @@ def _located_snapshot(builder: _TableBuilder, valid_after: int, text: str,
             f"fingerprint {err.name} already declared on line {starts[err.first]}",
             line=starts[err.later],
         ) from None
-
-
-def serialize_native(snapshot: ConsensusSnapshot) -> str:
-    """Inverse of parse_native; optional fields are emitted only when set.
-
-    A value that a relay line cannot carry raises ValueError naming the
-    relay and the field: a fingerprint, nickname, /16 or country that is
-    empty or holds whitespace, or a flag or family item that is empty or
-    holds a comma or whitespace.
-    """
-    _check_native(snapshot.table)
-    rows = snapshot.table._cells(
-        flags=lambda f: " flags=" + ",".join(sorted(f)) if f else "",
-        policy=lambda p: " policy=" + ";".join(map(str, p)),
-        family=lambda f: " family=" + ",".join(sorted(f)) if f else "",
-    )
-    lines = [f"snapshot {snapshot.valid_after}"]
-    for fp, nickname, weight, flags, policy, family, subnet, country, as_number in rows:
-        line = f"relay {fp} {nickname} {weight}{flags}{policy}{family}"
-        if subnet is not None:
-            line += f" subnet={subnet}"
-        if country is not None:
-            line += f" country={country}"
-        if as_number is not None:
-            line += f" as={as_number}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def _words(values, items: bool) -> bool:
-    """Whether every value is one token of a relay line: non-empty and free
-    of whitespace, and, for list ``items``, of commas.  A string joined by
-    single spaces splits back into its parts exactly then."""
-    values = list(values)
-    joined = " ".join(values)
-    return joined.split() == values and not (items and "," in joined)
-
-
-def _check_native(t: RelayTable) -> None:
-    """ValueError naming the first relay, and its field, whose value a relay
-    line cannot carry.  The distinct names and values are checked whole first,
-    each kind in one join and split; only a failed check walks the rows."""
-    if all(_words(values, items) for values, items in (
-        *((t._known(column), False) for column in _NAME_COLUMNS),
-        *((chain.from_iterable(t._known(column)), True) for column in ("flag_id", "family_id")),
-    )):
-        return
-    for i, row in enumerate(t._cells()):
-        relay = dict(zip(_ROW_FIELDS, row))
-        for field in ("fingerprint", "nickname", "subnet16", "country", "flags", "family"):
-            items = field in ("flags", "family")
-            value = relay[field]
-            if value is not None and not _words(value if items else [value], items):
-                raise ValueError(
-                    f"relays[{i}] ({relay['fingerprint']!r}): {field} {value!r} does not fit "
-                    "a relay line: its words must be non-empty and hold no whitespace, and "
-                    "flags and family items no comma"
-                )
 
 
 # ---------------------------------------------------------------------------

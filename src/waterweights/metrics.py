@@ -108,6 +108,15 @@ def estimate_joint_analytic(
     the only full-size array: conflicts are found and zeroed one block of
     guard rows at a time, and the renormalization divides in place.  Both
     vectors must index the snapshot's own table (ValueError otherwise).
+
+    This is the path-selection model of a client with one entry guard:
+    ``pathsim`` draws the exit first, and a guard that conflicts with it is
+    redrawn from the client's own list, which holds the same guard, so the
+    circuit is not built.  The circuits that such clients build follow this
+    joint, except those whose ``MAX_HOP_ATTEMPTS`` (64) middle draws all
+    conflict.  With several guards the built circuits do not follow it: a
+    conflicting guard slot is redrawn within the list, so the guard side of
+    a pair that conflicts moves to another guard of the list.
     """
     table = snapshot.table
     guard_rows = _rows(snapshot, entry)[:, None]

@@ -47,6 +47,33 @@ def make_snapshot(spec, valid_after=1_432_548_000, distinct_subnets=True):
     return ConsensusSnapshot.from_relays(valid_after, relays)
 
 
+def serialize_native(snapshot) -> str:
+    """A snapshot as a native document, the inverse of ``parse_native``;
+    optional fields are written only when set.
+
+    No library code writes this format, so the tests write their fixtures
+    here.  A value that a relay line cannot carry (a word that is empty or
+    holds whitespace, a flag or family item that holds a comma) is written
+    as it is, and reads back as something else or not at all.
+    """
+    rows = snapshot.table._cells(
+        flags=lambda f: " flags=" + ",".join(sorted(f)) if f else "",
+        policy=lambda p: " policy=" + ";".join(map(str, p)),
+        family=lambda f: " family=" + ",".join(sorted(f)) if f else "",
+    )
+    lines = [f"snapshot {snapshot.valid_after}"]
+    for fp, nickname, weight, flags, policy, family, subnet, country, as_number in rows:
+        line = f"relay {fp} {nickname} {weight}{flags}{policy}{family}"
+        if subnet is not None:
+            line += f" subnet={subnet}"
+        if country is not None:
+            line += f" country={country}"
+        if as_number is not None:
+            line += f" as={as_number}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def is_guard(relay) -> bool:
     return "Guard" in relay.flags
 

@@ -19,7 +19,6 @@ from waterweights.consensus import (
     LoadCase,
     PoolTotals,
     classify_load_case,
-    serialize_native,
 )
 from waterweights.metrics import JointDistribution, guessing_entropy, shannon_entropy
 from waterweights.pathsim import (
@@ -34,7 +33,7 @@ from waterweights.stats import compare_runs, report_adversary_cost
 from waterweights.waterfill import find_water_level, solve_guard_waterfill
 from waterweights.weights import WeightMode, check_balance, compute_weights
 
-from conftest import analytic_compromise, make_snapshot, pareto_weights
+from conftest import analytic_compromise, make_snapshot, pareto_weights, serialize_native
 
 
 def ok(number, message):

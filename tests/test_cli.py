@@ -11,13 +11,13 @@ from click.testing import CliRunner
 
 from waterweights import cli
 from waterweights.cli import main
-from waterweights.consensus import ConsensusSnapshot, serialize_native
+from waterweights.consensus import ConsensusSnapshot
 from waterweights.errors import ConfigMismatchError, NotApplicableError, WaterweightsError
 from waterweights.metrics import JointDistribution, joint_to_csv
 from waterweights.pathsim import CompromiseRecord
 from waterweights.stats import CostReport, compare_runs, report_adversary_cost
 
-from conftest import make_relay, make_snapshot
+from conftest import make_relay, make_snapshot, serialize_native
 
 import numpy as np
 

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from waterweights.consensus import LoadCase, classify_load_case, serialize_native
+from waterweights.consensus import LoadCase, classify_load_case
 from waterweights.weights import compute_weights
 
-from conftest import make_snapshot
+from conftest import make_snapshot, serialize_native
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

@@ -21,11 +21,10 @@ from waterweights.consensus import (
     RelayEntry,
     classify_load_case,
     parse_policy,
-    serialize_native,
     snapshot_to_json,
 )
 
-from conftest import make_snapshot
+from conftest import make_snapshot, serialize_native
 from test_acceptance import CALIBRATION_SPEC
 
 CRITERION_10_RECORDS = "cd92663ce4b2bf36b99550265d6e2db4b49b73c0b845f09594036e781ff4e272"
@@ -33,8 +32,9 @@ CRITERION_10_PERIODS = "4ba3d2628adabcf833b988cf4c5d0688c562edd9b4433c7eaa220595
 DUAL_WF_GE_RECORDS = "d3d7dc2b9d75fd54eda058800ec760b5fd9b2da56b9430b3f5b6d967c4e7dd08"
 DUAL_WF_GE_PERIODS = "b9e9d338dac5000e89675ea2d567b86a7a515062cc8b1ecbac13048a0e496192"
 DUAL_WATERFILL_OUTPUT = "d7cfb046f1b1074f5d7c20a99194239485486e73960801d185f2204c88c8842d"
-# the two serializers over dual_snapshot(0..2) and the calibration network,
-# computed at 2e5cd2b, while both still rendered a per-relay object view
+# snapshot_to_json and conftest's native writer over dual_snapshot(0..2) and
+# the calibration network, computed at 2e5cd2b, while both writers still
+# rendered a per-relay object view
 SNAPSHOT_JSON_OUTPUT = "bf07edf1ca5a6b66f80853e08ab7c64f58850824f07a921128e1d33bf98fbe27"
 SNAPSHOT_NATIVE_OUTPUT = "550dbe89f38d58b5d75cf66c1754f218eb031c6bf9673f3bf08b0bd5f824faf8"
 
